@@ -19,7 +19,6 @@ from .aba import (
     enumerate_arguments,
 )
 from .distribution import (
-    TotalChoice,
     induced_program,
     program_probability,
     success_probability,
@@ -58,7 +57,7 @@ from .model import (
     unifies,
     validate,
 )
-from .paa import PaaEngine, World, applicable, restrict, world_probability, world_table
+from .paa import PaaEngine, applicable, restrict
 from .parser import parse_program, parse_query
 from .semantics import (
     Label,
@@ -75,5 +74,6 @@ from .wfm import (
     succeeds,
     well_founded_model,
 )
+from .worlds import world_probability, world_table
 
 __version__ = "0.1.0"

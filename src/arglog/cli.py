@@ -57,16 +57,28 @@ def probability_doc(value: Fraction) -> dict:
     return {"fraction": str(value), "decimal": decimal_repr(value)}
 
 
+_FLAG_CAPS = {"max_pfacts": "worlds_cap", "max_arguments": "args_cap"}
+
+
+def _cap_value(text: str, source: str) -> int:
+    if not text.strip().isdecimal():
+        raise ArglogError(f"{source} must be a non-negative integer, not {text!r}")
+    return int(text)
+
+
 def resolve_caps(args: argparse.Namespace) -> Caps:
-    """Defaults, overridden by environment variables, overridden by flags."""
+    """Defaults, overridden by environment variables, overridden by flags.
+
+    A value that is not a non-negative integer is an input error naming the
+    variable or flag it came from.
+    """
     values = {}
     for field, env in _ENV_CAPS.items():
         if os.environ.get(env):
-            values[field] = int(os.environ[env])
-    if getattr(args, "worlds_cap", None) is not None:
-        values["max_pfacts"] = args.worlds_cap
-    if getattr(args, "args_cap", None) is not None:
-        values["max_arguments"] = args.args_cap
+            values[field] = _cap_value(os.environ[env], env)
+    for field, dest in _FLAG_CAPS.items():
+        if getattr(args, dest, None) is not None:
+            values[field] = _cap_value(getattr(args, dest), "--" + dest.replace("_", "-"))
     return Caps(**values)
 
 
@@ -234,7 +246,8 @@ def cmd_worlds(args: argparse.Namespace) -> int:
     for world, prob in engine.worlds():
         total += prob
         rows.append((world, prob, engine.accepted_claims(world)))
-    assert total == 1, "world probabilities must sum to exactly 1"
+    if total != 1:
+        raise RuntimeError(f"internal error: world probabilities sum to {total}, not exactly 1")
     if args.format == "json":
         doc = {
             "command": "worlds",
@@ -340,12 +353,11 @@ def build_arg_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--worlds-cap",
-            type=int,
             metavar="N",
             help="max probabilistic facts for world enumeration (2**N worlds)",
         )
         p.add_argument(
-            "--args-cap", type=int, metavar="N", help="max enumerated arguments"
+            "--args-cap", metavar="N", help="max enumerated arguments"
         )
 
     p_query = sub.add_parser("query", help="probability of a query atom")

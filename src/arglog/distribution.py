@@ -5,11 +5,12 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .errors import CapExceeded
 from .model import Atom, GroundProgram, ProbFact, Rule
-from .wfm import succeeds, well_founded_model
+from .wfm import ThreeValuedModel, WellFoundedKernel, succeeds
+from .wfm import well_founded_model  # noqa: F401  (re-exported for callers of this module)
+from .worlds import enumerate_worlds, world_probability
 
-TotalChoice = frozenset  # the frozenset of probabilistic-fact atoms chosen true
+program_probability = world_probability
 
 
 def induced_program(total_choice: frozenset[Atom], gp: GroundProgram) -> frozenset[Rule]:
@@ -17,40 +18,37 @@ def induced_program(total_choice: frozenset[Atom], gp: GroundProgram) -> frozens
     return gp.rules | frozenset(Rule(atom) for atom in total_choice)
 
 
-def program_probability(total_choice: frozenset[Atom], pfacts: Iterable[ProbFact]) -> Fraction:
-    """Probability of the induced program: chosen facts contribute p, the rest 1-p."""
-    prob = Fraction(1)
-    for pf in pfacts:
-        prob *= pf.prob if pf.atom in total_choice else 1 - pf.prob
-    return prob
-
-
 def total_choices(
     pfacts: Iterable[ProbFact], max_pfacts: int = 24
 ) -> Iterator[tuple[frozenset[Atom], Fraction]]:
     """All subsets of the probabilistic-fact atoms with their probabilities."""
-    pfacts = sorted(pfacts)
-    if len(pfacts) > max_pfacts:
-        raise CapExceeded(
-            f"{len(pfacts)} probabilistic facts exceed the enumeration cap of {max_pfacts}"
-        )
-    atoms = sorted(pf.atom for pf in pfacts)
-    for mask in range(2 ** len(atoms)):
-        choice = frozenset(a for i, a in enumerate(atoms) if mask >> i & 1)
-        yield choice, program_probability(choice, pfacts)
+    return ((choice, prob) for _, choice, prob in enumerate_worlds(pfacts, max_pfacts))
+
+
+def world_models(
+    gp: GroundProgram, max_pfacts: int = 24
+) -> Iterator[tuple[frozenset[Atom], Fraction, ThreeValuedModel]]:
+    """(total choice, probability, well-founded model of the induced program)
+    for every total choice, in the shared world order. The program is
+    compiled once; each choice only adds its atoms as facts."""
+    kernel = WellFoundedKernel(gp.rules, gp.herbrand_base)
+    for _, choice, prob in enumerate_worlds(gp.pfacts, max_pfacts):
+        yield choice, prob, kernel.model(choice)
+
+
+def success_mass(
+    query: Atom, weighted_models: Iterable[tuple[Fraction, ThreeValuedModel]]
+) -> Fraction:
+    """Total probability of the (probability, model) pairs whose model makes
+    some ground instance of the query true."""
+    total = Fraction(0)
+    for prob, model in weighted_models:
+        if prob and succeeds(model, query):
+            total += prob
+    return total
 
 
 def success_probability(query: Atom, gp: GroundProgram, max_pfacts: int = 24) -> Fraction:
     """Exact probability mass of the total choices whose induced program makes
-    some ground instance of the query true in its well-founded model.
-
-    Zero-probability choices are skipped; they contribute nothing.
-    """
-    total = Fraction(0)
-    for choice, prob in total_choices(gp.pfacts, max_pfacts):
-        if not prob:
-            continue
-        model = well_founded_model(induced_program(choice, gp), gp.herbrand_base)
-        if succeeds(model, query):
-            total += prob
-    return total
+    some ground instance of the query true in its well-founded model."""
+    return success_mass(query, ((prob, model) for _, prob, model in world_models(gp, max_pfacts)))

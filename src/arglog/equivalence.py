@@ -16,11 +16,11 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .distribution import induced_program, success_probability
+from .distribution import success_mass, world_models
 from .limits import Caps
 from .model import Atom, GroundProgram, Literal, ProbFact, Program, Rule
 from .paa import PaaEngine
-from .wfm import ThreeValuedModel, well_founded_model
+from .wfm import ThreeValuedModel
 
 
 @dataclass(frozen=True)
@@ -66,11 +66,17 @@ def _claims_match_model(model: ThreeValuedModel, claims: frozenset[Literal]) -> 
 
 
 def world_traces(gp: GroundProgram, engine: PaaEngine) -> tuple[WorldTrace, ...]:
-    """Evaluate every world (including zero-probability ones) on both routes."""
+    """Evaluate every world (including zero-probability ones) on both routes.
+
+    Each route evaluates each world once; both enumerate worlds in the same
+    order, so their results pair up row by row.
+    """
+    claim_of = [arg.claim for arg in engine.aaf.arguments]
     traces = []
-    for world, prob in engine.worlds():
-        model = well_founded_model(induced_program(world, gp), gp.herbrand_base)
-        claims = engine.accepted_claims(world)
+    for (world, prob, model), (_, _, accepted) in zip(
+        world_models(gp, engine.caps.max_pfacts), engine.evaluations()
+    ):
+        claims = frozenset(claim_of[i] for i in accepted)
         traces.append(
             WorldTrace(world, prob, model, claims, _claims_match_model(model, claims))
         )
@@ -85,14 +91,19 @@ def check_query(
     traces: tuple[WorldTrace, ...] | None = None,
 ) -> EquivalenceReport:
     """Compare both back ends on one query; the report is the project's
-    primary debugging instrument, so it carries the full per-world trace."""
+    primary debugging instrument, so it carries the full per-world trace.
+
+    The success probability is summed from the traces' well-founded models
+    and the grounded probabilities from the engine's per-world extensions, so
+    no world is evaluated twice, whatever the number of queries.
+    """
     if engine is None:
         engine = PaaEngine(gp, caps)
     if traces is None:
         traces = world_traces(gp, engine)
     return EquivalenceReport(
         query=query,
-        success_probability=success_probability(query, gp, caps.max_pfacts),
+        success_probability=success_mass(query, ((t.probability, t.model) for t in traces)),
         grounded_query_probability=engine.grounded_prob_query(query),
         argument_probability_sum=engine.argument_probability_sum(query),
         world_traces=traces,

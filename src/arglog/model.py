@@ -160,10 +160,15 @@ class GroundProgram:
 
 @dataclass(frozen=True)
 class Violation:
-    """One broken well-formedness constraint, naming the offender."""
+    """One broken well-formedness constraint, naming the offender.
+
+    `clause` is the offending rule or probabilistic fact, when the constraint
+    is about one clause; it lets a parser point at the clause's position.
+    """
 
     kind: str
     message: str
+    clause: Rule | ProbFact | None = None
 
 
 def validate(program: Program) -> list[Violation]:
@@ -188,6 +193,7 @@ def validate(program: Program) -> list[Violation]:
                 Violation(
                     "duplicate_probabilistic_fact",
                     f"probabilistic facts {seen[pf.atom]} and {pf} share the atom {pf.atom}",
+                    pf,
                 )
             )
         else:
@@ -199,6 +205,7 @@ def validate(program: Program) -> list[Violation]:
                     Violation(
                         "probabilistic_fact_is_rule_head",
                         f"probabilistic fact atom {pf.atom} unifies with the head of rule '{rule}'",
+                        pf,
                     )
                 )
     return violations

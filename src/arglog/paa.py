@@ -5,53 +5,22 @@ arguments whose fact support it contains, and the grounded extension of that
 restricted framework decides acceptance. Probabilities of acceptance are
 exact rational sums of world probabilities.
 
-Per-world evaluation is pure and independent, so worlds may be evaluated
-concurrently; results are combined by exact rational addition, which is
-order-independent. Distinct worlds that keep the same argument set induce
-the same restricted framework, so extensions are cached by that signature.
+The engine compiles the framework once: each argument's fact support becomes
+an int bitmask over the fact atoms, in the bit order of the shared world
+enumeration, and the attack relation becomes int attacker and target lists.
+Every world is then labelled exactly once, and all probabilities are read
+from that one pass.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Iterator
 
 from .aba import AaFramework, Argument, build_aa_framework, build_problog_aba
-from .errors import CapExceeded
 from .limits import Caps
-from .model import Atom, GroundProgram, Literal, ProbFact, matches
-from .semantics import attacker_map, grounded_extension_of
-
-World = frozenset  # a world is the frozenset of chosen fact atoms
-
-
-def world_probability(world: frozenset[Atom], pfacts: Iterable[ProbFact]) -> Fraction:
-    """Product of p over chosen facts and (1-p) over the rest; exact."""
-    prob = Fraction(1)
-    for pf in pfacts:
-        prob *= pf.prob if pf.atom in world else 1 - pf.prob
-    return prob
-
-
-def world_table(
-    pfacts: Iterable[ProbFact], max_pfacts: int = 24
-) -> list[tuple[frozenset[Atom], Fraction]]:
-    """All 2**n worlds with their probabilities, in a fixed subset order.
-
-    Probabilities sum to exactly 1. Refuses more than `max_pfacts` facts.
-    """
-    pfacts = sorted(pfacts)
-    if len(pfacts) > max_pfacts:
-        raise CapExceeded(
-            f"{len(pfacts)} probabilistic facts exceed the world-enumeration "
-            f"cap of {max_pfacts} (2**{len(pfacts)} worlds)"
-        )
-    atoms = sorted(pf.atom for pf in pfacts)
-    table = []
-    for mask in range(2 ** len(atoms)):
-        world = frozenset(a for i, a in enumerate(atoms) if mask >> i & 1)
-        table.append((world, world_probability(world, pfacts)))
-    return table
+from .model import Atom, GroundProgram, Literal, matches
+from .semantics import grounded_extension_of
+from .worlds import enumerate_worlds, world_table
 
 
 def applicable(world: frozenset[Atom], argument: Argument) -> bool:
@@ -80,35 +49,46 @@ class PaaEngine:
         self.caps = caps
         self.framework = build_problog_aba(gp)
         self.aaf = build_aa_framework(self.framework, caps.max_arguments)
-        self._attackers = attacker_map(self.aaf)
-        self._extension_cache: dict[frozenset[int], frozenset[int]] = {}
+        self._bit = {atom: 1 << i for i, atom in enumerate(sorted(gp.fact_atoms))}
+        self._needs = [
+            sum(self._bit[atom] for atom in arg.fact_support) for arg in self.aaf.arguments
+        ]
+        self._attackers: list[list[int]] = [[] for _ in self.aaf.arguments]
+        self._targets: list[list[int]] = [[] for _ in self.aaf.arguments]
+        for source, target in self.aaf.attacks:
+            self._attackers[target].append(source)
+            self._targets[source].append(target)
+        self._evaluations: list[tuple[frozenset[Atom], Fraction, frozenset[int]]] | None = None
+
+    def _mask(self, world: frozenset[Atom]) -> int:
+        return sum(self._bit[atom] for atom in world if atom in self._bit)
 
     def worlds(self) -> list[tuple[frozenset[Atom], Fraction]]:
         return world_table(self.gp.pfacts, self.caps.max_pfacts)
 
     def applicable_indices(self, world: frozenset[Atom]) -> frozenset[int]:
-        return frozenset(
-            i for i, arg in enumerate(self.aaf.arguments) if applicable(world, arg)
-        )
+        mask = self._mask(world)
+        return frozenset(i for i, need in enumerate(self._needs) if need & mask == need)
 
-    def grounded_indices(self, world: frozenset[Atom]) -> frozenset[int]:
-        """Grounded extension of the world's framework, as original indices."""
-        active = self.applicable_indices(world)
-        cached = self._extension_cache.get(active)
-        if cached is None:
-            cached = grounded_extension_of(active, self._attackers)
-            self._extension_cache[active] = cached
-        return cached
+    def evaluations(self) -> list[tuple[frozenset[Atom], Fraction, frozenset[int]]]:
+        """(world, probability, accepted indices) for every world, in mask
+        order; computed on first use, then shared by every query."""
+        if self._evaluations is None:
+            self._evaluations = [
+                (
+                    world,
+                    prob,
+                    grounded_extension_of(
+                        self.applicable_indices(world), self._attackers, self._targets
+                    ),
+                )
+                for _, world, prob in enumerate_worlds(self.gp.pfacts, self.caps.max_pfacts)
+            ]
+        return self._evaluations
 
     def accepted_claims(self, world: frozenset[Atom]) -> frozenset[Literal]:
-        return frozenset(
-            self.aaf.arguments[i].claim for i in self.grounded_indices(world)
-        )
-
-    def evaluations(self) -> Iterator[tuple[frozenset[Atom], Fraction, frozenset[int]]]:
-        """(world, probability, accepted indices) for every world."""
-        for world, prob in self.worlds():
-            yield world, prob, self.grounded_indices(world)
+        _, _, accepted = self.evaluations()[self._mask(world)]
+        return frozenset(self.aaf.arguments[i].claim for i in accepted)
 
     def grounded_prob_argument(self, argument: Argument) -> Fraction:
         """Probability mass of worlds whose grounded extension holds the argument."""

@@ -16,7 +16,7 @@ so neither can be used as a symbol.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import ParseError, SourceSpan, ValidationError
@@ -236,13 +236,10 @@ def parse_program(text: str) -> Program:
     program = Program(frozenset(rules), frozenset(pfacts))
     violations = validate(program)
     if violations:
-        located = []
-        for v in violations:
-            where = next(
-                (str(spans[c]) for c in spans if v.message.find(str(c)) >= 0), None
-            )
-            located.append(v if where is None else type(v)(v.kind, f"{where}: {v.message}"))
-        raise ValidationError(located)
+        raise ValidationError(
+            v if v.clause not in spans else replace(v, message=f"{spans[v.clause]}: {v.message}")
+            for v in violations
+        )
     return program
 
 

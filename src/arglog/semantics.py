@@ -5,7 +5,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
-from typing import Collection, Mapping
+from typing import Collection, Mapping, Sequence
 
 from .aba import AaFramework
 from .errors import CapExceeded
@@ -35,31 +35,43 @@ def attacker_map(aaf: AaFramework) -> dict[int, frozenset[int]]:
 
 
 def grounded_extension_of(
-    active: Collection[int], attackers: Mapping[int, Collection[int]]
+    active: Collection[int],
+    attackers: Mapping[int, Collection[int]] | Sequence[Collection[int]],
+    targets: Mapping[int, Collection[int]] | Sequence[Collection[int]] | None = None,
 ) -> frozenset[int]:
-    """Least fixpoint of the defense function on the given argument indices.
+    """Grounded extension of the framework restricted to the active indices.
 
-    An argument enters the extension once every one of its attackers is
-    attacked by a current member; arguments with no attackers enter first.
-    The iteration is monotone and stabilises within |active| rounds.
+    Linear-time labelling: each active argument counts its active attackers
+    not yet defeated; an argument whose count is zero is accepted, and every
+    argument it attacks is defeated, lowering the counts of that argument's
+    targets in turn. `targets`, the inverse of `attackers` over all indices
+    with each attack listed once, may be passed when many restrictions of
+    one framework are labelled; otherwise it is derived from `attackers`
+    over the active indices.
     """
     active = frozenset(active)
-    extension: frozenset[int] = frozenset()
-    for _ in range(len(active) + 1):
-        # extension only ever holds active indices, so defenders are active
-        defended = frozenset(
-            i
-            for i in active
-            if all(
-                any(g in extension for g in attackers[a])
-                for a in attackers[i]
-                if a in active
-            )
-        )
-        if defended == extension:
-            return extension
-        extension = defended
-    return extension
+    undefeated = {i: len(active.intersection(attackers[i])) for i in active}
+    if targets is None:
+        inverse: dict[int, list[int]] = defaultdict(list)
+        for i in active:
+            for a in active.intersection(attackers[i]):
+                inverse[a].append(i)
+        targets = inverse
+    todo = [i for i, count in undefeated.items() if not count]
+    extension = set(todo)
+    defeated: set[int] = set()
+    while todo:
+        for beaten in targets[todo.pop()]:
+            if beaten not in active or beaten in defeated:
+                continue
+            defeated.add(beaten)
+            for j in targets[beaten]:
+                if j in active:
+                    undefeated[j] -= 1
+                    if not undefeated[j]:
+                        extension.add(j)
+                        todo.append(j)
+    return frozenset(extension)
 
 
 def grounded_extension(aaf: AaFramework) -> frozenset[int]:

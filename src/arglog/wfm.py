@@ -74,26 +74,86 @@ def reduct(rules: Iterable[Rule], interpretation: frozenset[Atom]) -> frozenset[
     return frozenset(out)
 
 
+class WellFoundedKernel:
+    """A ground normal program compiled to ints once, for computing the
+    well-founded models of its variants that differ only by added facts.
+
+    Atoms are interned to 0..k-1. Each least model of a reduct is a counter
+    propagation: every rule counts its positive body atoms not yet derived,
+    and fires when the count reaches zero, unless a negative body atom lies
+    in the interpretation the reduct is taken against. One least model costs
+    time linear in the size of the program.
+    """
+
+    def __init__(self, rules: Iterable[Rule], base: Iterable[Atom]):
+        rules = list(rules)
+        base = frozenset(base)
+        atoms = set(base)
+        for rule in rules:
+            atoms.add(rule.head)
+            atoms.update(lit.atom for lit in rule.body)
+        self._atoms = list(atoms)
+        self._index = {atom: i for i, atom in enumerate(self._atoms)}
+        self._base = frozenset(self._index[atom] for atom in base)
+        self._heads = [self._index[rule.head] for rule in rules]
+        self._negative = [
+            tuple(self._index[lit.atom] for lit in rule.body if lit.negated) for rule in rules
+        ]
+        # positive body occurrences, counted with multiplicity
+        self._pending = [sum(1 for lit in rule.body if not lit.negated) for rule in rules]
+        self._watch: list[list[int]] = [[] for _ in self._atoms]
+        for r, rule in enumerate(rules):
+            for lit in rule.body:
+                if not lit.negated:
+                    self._watch[self._index[lit.atom]].append(r)
+        self._unconditional = [r for r, count in enumerate(self._pending) if not count]
+
+    def _least_model(self, against: frozenset[int], facts: list[int]) -> frozenset[int]:
+        """Least model of the reduct with respect to `against`, plus `facts`."""
+        heads, negative, watch = self._heads, self._negative, self._watch
+        pending = self._pending.copy()
+        todo = facts + [heads[r] for r in self._unconditional if against.isdisjoint(negative[r])]
+        derived: set[int] = set()
+        while todo:
+            atom = todo.pop()
+            if atom in derived:
+                continue
+            derived.add(atom)
+            for r in watch[atom]:
+                pending[r] -= 1
+                if not pending[r] and against.isdisjoint(negative[r]):
+                    todo.append(heads[r])
+        return frozenset(derived)
+
+    def model(self, facts: Iterable[Atom] = ()) -> ThreeValuedModel:
+        """The well-founded model of the program plus one fact per given atom.
+
+        Alternating fixpoint: K(0) = G(base), U(i) = G(K(i)),
+        K(i+1) = G(U(i)), stopping once K repeats (then U repeats too).
+        """
+        facts = [self._index[atom] for atom in facts]
+        sure = self._least_model(self._base, facts)
+        possible = self._least_model(sure, facts)
+        # the sure set strictly grows until the fixpoint
+        for _ in range(len(self._atoms) + 1):
+            next_sure = self._least_model(possible, facts)
+            if next_sure == sure:
+                break
+            sure = next_sure
+            possible = self._least_model(sure, facts)
+        else:  # pragma: no cover - the alternating fixpoint provably converges
+            raise RuntimeError("alternating fixpoint failed to converge")
+        atoms = self._atoms
+        return ThreeValuedModel(
+            true_atoms=frozenset(atoms[i] for i in sure),
+            false_atoms=frozenset(atoms[i] for i in self._base - possible),
+            undefined_atoms=frozenset(atoms[i] for i in possible - sure),
+        )
+
+
 def well_founded_model(rules: Iterable[Rule], base: Iterable[Atom]) -> ThreeValuedModel:
     """The unique well-founded model of a ground normal program over `base`."""
-    rules = frozenset(rules)
-    base = frozenset(base)
-    sure: frozenset[Atom] = frozenset()
-    possible: frozenset[Atom] = base
-    # the sure set strictly grows until the fixpoint, so |base|+1 rounds suffice
-    for _ in range(len(base) + 2):
-        next_sure = least_model(reduct(rules, possible))
-        next_possible = least_model(reduct(rules, next_sure))
-        if (next_sure, next_possible) == (sure, possible):
-            break
-        sure, possible = next_sure, next_possible
-    else:  # pragma: no cover - the alternating fixpoint provably converges
-        raise RuntimeError("alternating fixpoint failed to converge")
-    return ThreeValuedModel(
-        true_atoms=sure,
-        false_atoms=base - possible,
-        undefined_atoms=possible - sure,
-    )
+    return WellFoundedKernel(rules, base).model()
 
 
 def stable_models(

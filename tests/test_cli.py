@@ -115,6 +115,25 @@ def test_env_cap_is_used_and_flag_wins(capsys, monkeypatch):
     assert code == 0
 
 
+@pytest.mark.parametrize(
+    "env, flags, source",
+    [
+        ({"ARGLOG_WORLDS_CAP": "abc"}, [], "ARGLOG_WORLDS_CAP"),
+        ({"ARGLOG_ARGS_CAP": "-3"}, [], "ARGLOG_ARGS_CAP"),
+        ({}, ["--worlds-cap", "-5"], "--worlds-cap"),
+        ({}, ["--worlds-cap", "abc"], "--worlds-cap"),
+        ({}, ["--args-cap", "-1"], "--args-cap"),
+        ({"ARGLOG_WORLDS_CAP": "2.5"}, ["--worlds-cap", "4"], "ARGLOG_WORLDS_CAP"),
+    ],
+)
+def test_bad_caps_exit_one_naming_their_source(capsys, monkeypatch, env, flags, source):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    code, out, err = run(capsys, "query", TWO_WORLD, "--query", "b", *flags)
+    assert code == 1 and not out
+    assert err.startswith(f"error: {source} must be a non-negative integer")
+
+
 def test_check_smoke_seed(capsys):
     code, out, _ = run(capsys, "check", "--seed-range", "0..0")
     assert code == 0

@@ -141,11 +141,3 @@ def test_argument_probability_sum_counts_duplicate_derivations():
     assert engine.grounded_prob_query(q) == Fraction(1, 2)
     assert engine.argument_probability_sum(q) == 1
 
-
-def test_extension_cache_is_reused_across_passes():
-    engine = engine_of("0.5::x.\n0.5::y.\n0.5::z.\nq :- \\+ r.\nr.\n")
-    first = {w: engine.grounded_indices(w) for w, _ in engine.worlds()}
-    entries = len(engine._extension_cache)
-    second = {w: engine.grounded_indices(w) for w, _ in engine.worlds()}
-    assert first == second
-    assert len(engine._extension_cache) == entries

@@ -93,6 +93,12 @@ def test_parse_reports_validation_violations():
         parse_program("0.3::b.\nb.\n")
 
 
+def test_validation_errors_point_at_the_clause_they_name():
+    # the rule body `c` also names the earlier clause `c.`; the error is about 0.5::b
+    with pytest.raises(ValidationError, match=r"^1:4: probabilistic fact atom b"):
+        parse_program("c. 0.5::b. b :- c.")
+
+
 def test_identical_rules_collapse_silently():
     program = parse_program("a :- b.\na :- b.\n")
     assert len(program.rules) == 1
