@@ -6,8 +6,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator
 
 from .model import Atom, GroundProgram, ProbFact, Rule
-from .wfm import ThreeValuedModel, WellFoundedKernel, succeeds
-from .wfm import well_founded_model  # noqa: F401  (re-exported for callers of this module)
+from .wfm import ThreeValuedModel, WellFoundedKernel, succeeds, well_founded_model
 from .worlds import enumerate_worlds, world_probability
 
 program_probability = world_probability
@@ -32,8 +31,8 @@ def world_models(
     for every total choice, in the shared world order. The program is
     compiled once; each choice only adds its atoms as facts."""
     kernel = WellFoundedKernel(gp.rules, gp.herbrand_base)
-    for _, choice, prob in enumerate_worlds(gp.pfacts, max_pfacts):
-        yield choice, prob, kernel.model(choice)
+    for choice, prob in total_choices(gp.pfacts, max_pfacts):
+        yield choice, prob, well_founded_model(gp.rules, gp.herbrand_base, choice, kernel)
 
 
 def success_mass(

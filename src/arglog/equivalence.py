@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .distribution import success_mass, world_models
+from .distribution import success_mass, success_probability, world_models
 from .limits import Caps
 from .model import Atom, GroundProgram, Literal, ProbFact, Program, Rule
 from .paa import PaaEngine
@@ -93,17 +93,23 @@ def check_query(
     """Compare both back ends on one query; the report is the project's
     primary debugging instrument, so it carries the full per-world trace.
 
-    The success probability is summed from the traces' well-founded models
-    and the grounded probabilities from the engine's per-world extensions, so
-    no world is evaluated twice, whatever the number of queries.
+    Without `traces`, the success probability comes from `success_probability`,
+    the distribution semantics' own pass over the worlds, so a lone query also
+    checks that public function against the traces. Given `traces` (as by
+    `check_program`), it is summed from their well-founded models, so no world
+    is evaluated again, whatever the number of queries. The grounded
+    probabilities always come from the engine's memoised per-world extensions.
     """
     if engine is None:
         engine = PaaEngine(gp, caps)
     if traces is None:
         traces = world_traces(gp, engine)
+        success = success_probability(query, gp, caps.max_pfacts)
+    else:
+        success = success_mass(query, ((t.probability, t.model) for t in traces))
     return EquivalenceReport(
         query=query,
-        success_probability=success_mass(query, ((t.probability, t.model) for t in traces)),
+        success_probability=success,
         grounded_query_probability=engine.grounded_prob_query(query),
         argument_probability_sum=engine.argument_probability_sum(query),
         world_traces=traces,

@@ -20,7 +20,7 @@ from .aba import AaFramework, Argument, build_aa_framework, build_problog_aba
 from .limits import Caps
 from .model import Atom, GroundProgram, Literal, matches
 from .semantics import grounded_extension_of
-from .worlds import enumerate_worlds, world_table
+from .worlds import world_table
 
 
 def applicable(world: frozenset[Atom], argument: Argument) -> bool:
@@ -82,7 +82,7 @@ class PaaEngine:
                         self.applicable_indices(world), self._attackers, self._targets
                     ),
                 )
-                for _, world, prob in enumerate_worlds(self.gp.pfacts, self.caps.max_pfacts)
+                for world, prob in self.worlds()
             ]
         return self._evaluations
 

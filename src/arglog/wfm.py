@@ -151,9 +151,22 @@ class WellFoundedKernel:
         )
 
 
-def well_founded_model(rules: Iterable[Rule], base: Iterable[Atom]) -> ThreeValuedModel:
-    """The unique well-founded model of a ground normal program over `base`."""
-    return WellFoundedKernel(rules, base).model()
+def well_founded_model(
+    rules: Iterable[Rule],
+    base: Iterable[Atom],
+    facts: Iterable[Atom] = (),
+    kernel: WellFoundedKernel | None = None,
+) -> ThreeValuedModel:
+    """The unique well-founded model of a ground normal program over `base`,
+    with one fact added per atom of `facts` (atoms of the program).
+
+    `kernel`, the same rules and base already compiled by
+    `WellFoundedKernel`, saves compiling them again: callers that evaluate
+    many fact sets against one program compile it once and pass it.
+    """
+    if kernel is None:
+        kernel = WellFoundedKernel(rules, base)
+    return kernel.model(facts)
 
 
 def stable_models(

@@ -115,8 +115,11 @@ def test_int_kernel_matches_the_reference_alternating_fixpoint(program, facts):
         map(frozenset, reference_wfm(program, base))
     )
     # facts added to a compiled program act as bodyless rules
-    with_facts = WellFoundedKernel(program, base).model(facts)
+    kernel = WellFoundedKernel(program, base)
+    with_facts = kernel.model(facts)
     assert with_facts == well_founded_model(program | {Rule(a) for a in facts}, base)
+    assert with_facts == well_founded_model(program, base, facts)
+    assert with_facts == well_founded_model(program, base, facts, kernel)
 
 
 # --- world enumeration ---
