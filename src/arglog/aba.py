@@ -17,10 +17,11 @@ probability measure.
 
 from __future__ import annotations
 
+import os
+import sys
 import warnings
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import product
 from typing import Sequence
 
 from .errors import CapExceeded
@@ -103,13 +104,24 @@ def build_problog_aba(gp: GroundProgram) -> AbaFramework:
         warnings.warn(
             "degenerate framework: the program has an empty Herbrand base, "
             "so the assumption set is empty",
-            stacklevel=2,
+            stacklevel=_caller_stacklevel(),
         )
     return AbaFramework(
         rules=gp.rules,
         herbrand_base=gp.herbrand_base,
         fact_assumptions=gp.fact_atoms,
     )
+
+
+def _caller_stacklevel() -> int:
+    """The `warnings.warn` stacklevel, as seen from this function's caller, of
+    the nearest frame outside the package, so that a warning names the
+    library user's call site and not an internal one."""
+    package = os.path.dirname(__file__) + os.sep
+    frame, level = sys._getframe(1), 1
+    while frame is not None and frame.f_code.co_filename.startswith(package):
+        frame, level = frame.f_back, level + 1
+    return level
 
 
 def enumerate_arguments(
@@ -120,57 +132,102 @@ def enumerate_arguments(
     Seeds: one argument ({a}, a, {}) per assumption a, and one ({}, h, {r})
     per bodyless rule r. A rule h :- b1, ..., bm combines any already-found
     arguments for the body sentences into an argument for h, taking unions of
-    their supports and rule sets. Rounds are semi-naive: a combination is
-    retried only when it can involve an argument found in the previous round.
-    The triple space is finite, so saturation terminates; the count guard
-    refuses pathological blow-ups instead of truncating.
-    """
-    found: set[Argument] = set()
-    by_claim: dict[Literal, list[Argument]] = defaultdict(list)
+    their supports and rule sets. The triple space is finite, so saturation
+    terminates; the count guard refuses pathological blow-ups instead of
+    truncating.
 
-    def add(arg: Argument) -> bool:
-        if arg in found:
-            return False
-        found.add(arg)
-        if len(found) > max_arguments:
+    Saturation runs over ints. Assumptions and rules are numbered in sorted
+    order, and an argument is an (assumption mask, rule mask) pair stored
+    under its claim. A rule's body is joined left to right into a set of
+    pairs, so each distinct partial union is extended once, however many
+    combinations produce it. Rounds are semi-naive: a rule fires again only
+    on combinations holding a pair found in the previous round, which takes
+    that round's pool at one body position, older pools before it and full
+    pools after it. Argument objects are built once, at the end.
+    """
+    assumptions = sorted(framework.assumptions)
+    rules = sorted(framework.rules)
+    claim_id: dict[Literal, int] = {}
+
+    def intern(lit: Literal) -> int:
+        return claim_id.setdefault(lit, len(claim_id))
+
+    fresh: dict[int, set[tuple[int, int]]] = defaultdict(set)
+    for bit, assumption in enumerate(assumptions):
+        fresh[intern(assumption)].add((1 << bit, 0))
+    readers: dict[int, list[tuple[int, tuple[int, ...], int]]] = defaultdict(list)
+    for bit, rule in enumerate(rules):
+        head = intern(Literal(rule.head))
+        if rule.is_fact:
+            fresh[head].add((0, 1 << bit))
+            continue
+        compiled = (head, tuple(intern(lit) for lit in rule.body), 1 << bit)
+        for claim in set(compiled[1]):
+            readers[claim].append(compiled)
+    found: list[set[tuple[int, int]]] = [set() for _ in claim_id]
+    count = sum(len(pairs) for pairs in fresh.values())
+
+    def refuse_past_cap() -> None:
+        if count > max_arguments:
             raise CapExceeded(
                 f"argument saturation exceeds the cap of {max_arguments} arguments"
             )
-        by_claim[arg.claim].append(arg)
-        return True
 
-    frontier: list[Argument] = []
-    for assumption in sorted(framework.assumptions):
-        arg = Argument(frozenset({assumption}), assumption, frozenset())
-        if add(arg):
-            frontier.append(arg)
-    rules_with_body: list[Rule] = []
-    for rule in sorted(framework.rules):
-        if rule.is_fact:
-            arg = Argument(frozenset(), Literal(rule.head), frozenset({rule}))
-            if add(arg):
-                frontier.append(arg)
-        else:
-            rules_with_body.append(rule)
-
-    while frontier:
-        frontier_set = frozenset(frontier)
-        candidates = {claim: tuple(args) for claim, args in by_claim.items()}
-        next_frontier: list[Argument] = []
-        for rule in rules_with_body:
-            pools = [candidates.get(lit, ()) for lit in rule.body]
-            if any(not pool for pool in pools):
-                continue
-            for combo in product(*pools):
-                if frontier_set.isdisjoint(combo):
+    while fresh:
+        refuse_past_cap()
+        for claim, pairs in fresh.items():
+            found[claim] |= pairs
+        delta, fresh = fresh, defaultdict(set)
+        old = {claim: found[claim] - pairs for claim, pairs in delta.items()}
+        firing = {rule for claim in delta for rule in readers.get(claim, ())}
+        for head, body, rule_bit in firing:
+            for position, claim in enumerate(body):
+                if claim not in delta:
                     continue
-                support = frozenset().union(*(sub.assumptions for sub in combo))
-                used = frozenset({rule}).union(*(sub.rules_used for sub in combo))
-                arg = Argument(support, Literal(rule.head), used)
-                if add(arg):
-                    next_frontier.append(arg)
-        frontier = next_frontier
-    return frozenset(found)
+                pools = (
+                    [old.get(c, found[c]) for c in body[:position]]
+                    + [delta[claim]]
+                    + [found[c] for c in body[position + 1 :]]
+                )
+                partial = {(0, rule_bit)}
+                for pool in pools:
+                    partial = {(a | a2, r | r2) for a, r in partial for a2, r2 in pool}
+                    if not partial:
+                        break
+                partial -= found[head]
+                if head in fresh:
+                    partial -= fresh[head]
+                if partial:
+                    fresh[head] |= partial
+                    count += len(partial)
+                    refuse_past_cap()
+
+    claims = list(claim_id)
+    assumption_sets: dict[int, frozenset[Literal]] = {}
+    rule_sets: dict[int, frozenset[Rule]] = {}
+    return frozenset(
+        Argument(
+            _decode(a, assumptions, assumption_sets),
+            claims[claim],
+            _decode(r, rules, rule_sets),
+        )
+        for claim, pairs in enumerate(found)
+        for a, r in pairs
+    )
+
+
+def _decode(mask: int, items: list, memo: dict[int, frozenset]) -> frozenset:
+    """The items whose numbers are the set bits of the mask, memoised by mask."""
+    decoded = memo.get(mask)
+    if decoded is None:
+        chosen = []
+        rest = mask
+        while rest:
+            low = rest & -rest
+            chosen.append(items[low.bit_length() - 1])
+            rest ^= low
+        decoded = memo[mask] = frozenset(chosen)
+    return decoded
 
 
 def compute_attacks(
@@ -182,11 +239,11 @@ def compute_attacks(
     for j, arg in enumerate(arguments):
         for assumption in arg.assumptions:
             targets[framework.contrary_of(assumption)].append(j)
-    attacks: set[tuple[int, int]] = set()
-    for i, arg in enumerate(arguments):
-        for j in targets.get(arg.claim, ()):
-            attacks.add((i, j))
-    return frozenset(attacks)
+    # no pair repeats: contrary_of is injective on NAF assumptions and no
+    # argument claims FACT_CONTRARY, so each (i, j) comes from one assumption
+    return frozenset(
+        (i, j) for i, arg in enumerate(arguments) for j in targets.get(arg.claim, ())
+    )
 
 
 def build_aa_framework(

@@ -1,7 +1,10 @@
 import json
+import subprocess
+import sys
 
 import pytest
 
+from arglog import ground, random_program
 from arglog.cli import main
 
 from conftest import fixture_path
@@ -69,6 +72,18 @@ def test_show_empty_program(capsys):
     assert code == 0
     assert "arguments (0):" in out
     assert "(none)" in out
+
+
+def test_check_prints_no_warning_for_empty_generated_programs():
+    assert not ground(random_program(23)).herbrand_base
+    result = subprocess.run(
+        [sys.executable, "-m", "arglog", "check", "--seed-range", "22..24"],
+        capture_output=True,
+        text=True,
+        check=False,
+    )
+    assert result.returncode == 0
+    assert "UserWarning" not in result.stderr
 
 
 def test_worlds_table(capsys):

@@ -1,7 +1,10 @@
-"""The compiled per-world kernels against plain reference implementations,
-the shared world enumeration, and the one-evaluation-per-world contract."""
+"""The compiled kernels against plain reference implementations, the shared
+world enumeration, and the one-evaluation-per-world contract."""
 
 import ast
+from collections import defaultdict
+from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -11,12 +14,19 @@ from hypothesis import strategies as st
 import arglog.paa as paa_module
 import arglog.worlds as worlds_module
 from arglog import (
+    Argument,
     Atom,
+    CapExceeded,
     Literal,
+    ProbFact,
+    Program,
     Rule,
+    build_problog_aba,
     check_program,
+    enumerate_arguments,
     ground,
     parse_program,
+    random_program,
     well_founded_model,
     world_probability,
 )
@@ -120,6 +130,88 @@ def test_int_kernel_matches_the_reference_alternating_fixpoint(program, facts):
     assert with_facts == well_founded_model(program | {Rule(a) for a in facts}, base)
     assert with_facts == well_founded_model(program, base, facts)
     assert with_facts == well_founded_model(program, base, facts, kernel)
+
+
+# --- argument saturation ---
+
+
+def reference_arguments(framework):
+    """Reference: semi-naive saturation over Argument triples, trying every
+    combination of already-found body arguments with itertools.product."""
+    found = set()
+    by_claim = defaultdict(list)
+
+    def add(arg):
+        if arg in found:
+            return False
+        found.add(arg)
+        by_claim[arg.claim].append(arg)
+        return True
+
+    frontier = []
+    for assumption in sorted(framework.assumptions):
+        arg = Argument(frozenset({assumption}), assumption, frozenset())
+        if add(arg):
+            frontier.append(arg)
+    rules_with_body = []
+    for rule in sorted(framework.rules):
+        if rule.is_fact:
+            arg = Argument(frozenset(), Literal(rule.head), frozenset({rule}))
+            if add(arg):
+                frontier.append(arg)
+        else:
+            rules_with_body.append(rule)
+
+    while frontier:
+        frontier_set = frozenset(frontier)
+        candidates = {claim: tuple(args) for claim, args in by_claim.items()}
+        next_frontier = []
+        for rule in rules_with_body:
+            pools = [candidates.get(lit, ()) for lit in rule.body]
+            if any(not pool for pool in pools):
+                continue
+            for combo in product(*pools):
+                if frontier_set.isdisjoint(combo):
+                    continue
+                support = frozenset().union(*(sub.assumptions for sub in combo))
+                used = frozenset({rule}).union(*(sub.rules_used for sub in combo))
+                arg = Argument(support, Literal(rule.head), used)
+                if add(arg):
+                    next_frontier.append(arg)
+        frontier = next_frontier
+    return frozenset(found)
+
+
+@pytest.mark.filterwarnings("ignore:degenerate framework")
+def test_saturation_matches_the_reference_on_the_seeded_corpus():
+    for seed in range(200):
+        framework = build_problog_aba(ground(random_program(seed)))
+        assert enumerate_arguments(framework) == reference_arguments(framework), seed
+
+
+# repeated body literals, such as a :- a, a, \+ a, are what the join dedupes;
+# d is a probabilistic fact, so it is never a head
+body_literals = st.builds(Literal, st.sampled_from(ATOMS[:4]), st.booleans())
+repeating_rules = st.builds(
+    Rule, st.sampled_from(ATOMS[:3]), st.lists(body_literals, max_size=4).map(tuple)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.frozensets(repeating_rules, max_size=6))
+def test_saturation_matches_the_reference_with_repeated_body_literals(program):
+    pfacts = frozenset({ProbFact(Fraction(1, 2), Atom("d"))})
+    framework = build_problog_aba(ground(Program(program, pfacts)))
+    assert enumerate_arguments(framework) == reference_arguments(framework)
+
+
+def test_argument_cap_refuses_exactly_past_the_argument_count():
+    framework = build_problog_aba(ground(random_program(18)))
+    assert len(enumerate_arguments(framework, max_arguments=243)) == 243
+    with pytest.raises(
+        CapExceeded, match=r"^argument saturation exceeds the cap of 242 arguments$"
+    ):
+        enumerate_arguments(framework, max_arguments=242)
 
 
 # --- world enumeration ---

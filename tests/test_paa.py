@@ -141,3 +141,12 @@ def test_argument_probability_sum_counts_duplicate_derivations():
     assert engine.grounded_prob_query(q) == Fraction(1, 2)
     assert engine.argument_probability_sum(q) == 1
 
+
+def test_degenerate_warning_names_the_callers_line_with_its_text_unchanged():
+    message = (
+        "degenerate framework: the program has an empty Herbrand base, "
+        "so the assumption set is empty"
+    )
+    with pytest.warns(UserWarning) as record:
+        PaaEngine(ground(parse_program("")))
+    assert [(str(w.message), w.filename) for w in record] == [(message, __file__)]
