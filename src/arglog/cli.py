@@ -35,7 +35,6 @@ EXIT_COUNTEREXAMPLE = 3
 _ENV_CAPS = {
     "max_pfacts": "ARGLOG_WORLDS_CAP",
     "max_arguments": "ARGLOG_ARGS_CAP",
-    "max_stable_arguments": "ARGLOG_STABLE_CAP",
 }
 
 

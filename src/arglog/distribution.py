@@ -29,8 +29,9 @@ def world_models(
 ) -> Iterator[tuple[frozenset[Atom], Fraction, ThreeValuedModel]]:
     """(total choice, probability, well-founded model of the induced program)
     for every total choice, in the shared world order. The program is
-    compiled once; each choice only adds its atoms as facts."""
-    kernel = WellFoundedKernel(gp.rules, gp.herbrand_base)
+    compiled once with the choice atoms, and the kernel evaluates the
+    choices a block of worlds at a time; each choice reads its row."""
+    kernel = WellFoundedKernel(gp.rules, gp.herbrand_base, gp.fact_atoms)
     for choice, prob in total_choices(gp.pfacts, max_pfacts):
         yield choice, prob, well_founded_model(gp.rules, gp.herbrand_base, choice, kernel)
 

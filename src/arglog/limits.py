@@ -10,12 +10,8 @@ class Caps:
     """Guards against blow-ups; exceeding a cap raises CapExceeded, never truncates.
 
     max_pfacts bounds the number of probabilistic facts (the world space has
-    size 2**n). max_arguments bounds argument saturation. The stable caps
-    bound the brute-force stable-extension / stable-model searches, which are
-    cross-checks only.
+    size 2**n). max_arguments bounds argument saturation.
     """
 
     max_pfacts: int = 24
     max_arguments: int = 100_000
-    max_stable_arguments: int = 25
-    max_stable_atoms: int = 20

@@ -4,6 +4,11 @@ All types are immutable and structurally compared, with a total order used for
 canonical iteration everywhere downstream. Probabilities are exact rationals;
 floats are rejected so that downstream probability sums can be compared with
 ``==`` rather than tolerances.
+
+Atoms, literals and rules fill sets and dict keys on every layer, so each
+computes its hash once, when it is built. Pickling rebuilds them through the
+constructor, so a hash never crosses into a process whose string hashes
+differ.
 """
 
 from __future__ import annotations
@@ -30,6 +35,13 @@ class Atom:
             raise ValueError("atom predicate must be non-empty")
         if any(not t for t in self.args):
             raise ValueError(f"atom {self.predicate!r} has an empty argument term")
+        object.__setattr__(self, "_hash", hash((self.predicate, self.args)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return Atom, (self.predicate, self.args)
 
     @property
     def is_ground(self) -> bool:
@@ -54,6 +66,15 @@ class Literal:
     atom: Atom
     negated: bool = False
 
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.atom, self.negated)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return Literal, (self.atom, self.negated)
+
     def __str__(self) -> str:
         return f"not {self.atom}" if self.negated else str(self.atom)
 
@@ -64,6 +85,15 @@ class Rule:
 
     head: Atom
     body: tuple[Literal, ...] = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.head, self.body)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return Rule, (self.head, self.body)
 
     @property
     def is_fact(self) -> bool:

@@ -8,19 +8,22 @@ exact rational sums of world probabilities.
 The engine compiles the framework once: each argument's fact support becomes
 an int bitmask over the fact atoms, in the bit order of the shared world
 enumeration, and the attack relation becomes int attacker and target lists.
-Every world is then labelled exactly once, and all probabilities are read
-from that one pass.
+Every world is then labelled exactly once, a block of worlds per labelling,
+and all probabilities are read from that one pass.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
+from itertools import chain
+from operator import and_
 
 from .aba import AaFramework, Argument, build_aa_framework, build_problog_aba
 from .limits import Caps
 from .model import Atom, GroundProgram, Literal, matches
-from .semantics import grounded_extension_of
-from .worlds import world_table
+from .semantics import grounded_block
+from .worlds import block_bits, block_fact_vectors, world_columns, world_table
 
 
 def applicable(world: frozenset[Atom], argument: Argument) -> bool:
@@ -53,6 +56,10 @@ class PaaEngine:
         self._needs = [
             sum(self._bit[atom] for atom in arg.fact_support) for arg in self.aaf.arguments
         ]
+        # arguments grouped by fact support, so one test per group decides them
+        self._by_need: dict[int, list[int]] = {}
+        for i, need in enumerate(self._needs):
+            self._by_need.setdefault(need, []).append(i)
         self._attackers: list[list[int]] = [[] for _ in self.aaf.arguments]
         self._targets: list[list[int]] = [[] for _ in self.aaf.arguments]
         for source, target in self.aaf.attacks:
@@ -68,22 +75,35 @@ class PaaEngine:
 
     def applicable_indices(self, world: frozenset[Atom]) -> frozenset[int]:
         mask = self._mask(world)
-        return frozenset(i for i, need in enumerate(self._needs) if need & mask == need)
+        return frozenset(
+            chain.from_iterable(
+                group for need, group in self._by_need.items() if need & mask == need
+            )
+        )
 
     def evaluations(self) -> list[tuple[frozenset[Atom], Fraction, frozenset[int]]]:
         """(world, probability, accepted indices) for every world, in mask
-        order; computed on first use, then shared by every query."""
+        order; computed on first use, then shared by every query.
+
+        Worlds are labelled a block at a time: an argument's active vector is
+        the AND of its facts' vectors over the block, and one block labelling
+        gives each argument's IN vector.
+        """
         if self._evaluations is None:
-            self._evaluations = [
-                (
-                    world,
-                    prob,
-                    grounded_extension_of(
-                        self.applicable_indices(world), self._attackers, self._targets
-                    ),
-                )
-                for world, prob in self.worlds()
-            ]
+            table = self.worlds()
+            n = len(self._bit)
+            width = 1 << block_bits(n)
+            full = (1 << width) - 1
+            supports = [[i for i in range(n) if need >> i & 1] for need in self._needs]
+            self._evaluations = []
+            for start in range(0, len(table), width):
+                vectors = block_fact_vectors(n, start // width)
+                active = [reduce(and_, [vectors[i] for i in s], full) for s in supports]
+                inside = grounded_block(active, self._attackers, self._targets)
+                rows = table[start : start + width]
+                for (world, prob), accepts in zip(rows, world_columns(inside, width)):
+                    accepted = frozenset(i for i in self.applicable_indices(world) if accepts[i])
+                    self._evaluations.append((world, prob, accepted))
         return self._evaluations
 
     def accepted_claims(self, world: frozenset[Atom]) -> frozenset[Literal]:

@@ -34,6 +34,48 @@ def attacker_map(aaf: AaFramework) -> dict[int, frozenset[int]]:
     return {i: frozenset(attackers.get(i, ())) for i in range(len(aaf.arguments))}
 
 
+def grounded_block(
+    active: Sequence[int],
+    attackers: Sequence[Collection[int]],
+    targets: Sequence[Collection[int]],
+) -> list[int]:
+    """Grounded labelling of many restrictions of one framework at once.
+
+    Bit w of `active[i]` says whether argument i is in restriction w; the
+    result's `[i]` has bit w set iff i is in that restriction's grounded
+    extension. `targets` is the inverse of `attackers`, each attack once.
+
+    IN and OUT are vectors per argument. Semi-naive rounds: an argument goes
+    IN in the restrictions where it is active, undecided, and each attacker
+    is inactive or OUT; the targets of arguments that newly went IN go OUT
+    there; only the targets of arguments that newly went OUT are checked in
+    the next round, since nothing else can newly go IN.
+    """
+    inside = [0] * len(active)
+    out = [0] * len(active)
+    check: Collection[int] = [i for i, vector in enumerate(active) if vector]
+    while check:
+        went_in = []
+        for i in check:
+            accept = active[i] & ~(inside[i] | out[i])
+            for a in attackers[i]:
+                if not accept:
+                    break
+                accept &= ~active[a] | out[a]
+            if accept:
+                inside[i] |= accept
+                went_in.append((i, accept))
+        went_out = set()
+        for i, accept in went_in:
+            for t in targets[i]:
+                beaten = accept & active[t] & ~out[t]
+                if beaten:
+                    out[t] |= beaten
+                    went_out.add(t)
+        check = {t for i in went_out for t in targets[i]}
+    return inside
+
+
 def grounded_extension_of(
     active: Collection[int],
     attackers: Mapping[int, Collection[int]] | Sequence[Collection[int]],
@@ -41,37 +83,28 @@ def grounded_extension_of(
 ) -> frozenset[int]:
     """Grounded extension of the framework restricted to the active indices.
 
-    Linear-time labelling: each active argument counts its active attackers
-    not yet defeated; an argument whose count is zero is accepted, and every
-    argument it attacks is defeated, lowering the counts of that argument's
-    targets in turn. `targets`, the inverse of `attackers` over all indices
-    with each attack listed once, may be passed when many restrictions of
-    one framework are labelled; otherwise it is derived from `attackers`
-    over the active indices.
+    The one-restriction case of `grounded_block`, over the active arguments
+    renumbered 0..k-1. `targets`, the inverse of `attackers` over all indices
+    with each attack listed once, may be passed instead of being derived
+    from `attackers`.
     """
-    active = frozenset(active)
-    undefeated = {i: len(active.intersection(attackers[i])) for i in active}
-    if targets is None:
-        inverse: dict[int, list[int]] = defaultdict(list)
-        for i in active:
-            for a in active.intersection(attackers[i]):
-                inverse[a].append(i)
-        targets = inverse
-    todo = [i for i, count in undefeated.items() if not count]
-    extension = set(todo)
-    defeated: set[int] = set()
-    while todo:
-        for beaten in targets[todo.pop()]:
-            if beaten not in active or beaten in defeated:
-                continue
-            defeated.add(beaten)
-            for j in targets[beaten]:
-                if j in active:
-                    undefeated[j] -= 1
-                    if not undefeated[j]:
-                        extension.add(j)
-                        todo.append(j)
-    return frozenset(extension)
+    order = sorted(frozenset(active))
+    number = {i: n for n, i in enumerate(order)}
+    inner_attackers: list[list[int]] = [[] for _ in order]
+    inner_targets: list[list[int]] = [[] for _ in order]
+    for i in order:
+        if targets is None:
+            for a in attackers[i]:
+                if a in number:
+                    inner_attackers[number[i]].append(number[a])
+                    inner_targets[number[a]].append(number[i])
+        else:
+            for t in targets[i]:
+                if t in number:
+                    inner_targets[number[i]].append(number[t])
+                    inner_attackers[number[t]].append(number[i])
+    inside = grounded_block([1] * len(order), inner_attackers, inner_targets)
+    return frozenset(i for i, vector in zip(order, inside) if vector)
 
 
 def grounded_extension(aaf: AaFramework) -> frozenset[int]:

@@ -14,10 +14,12 @@ and everything outside U is false; the remainder is undefined.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable
 
 from .errors import CapExceeded
 from .model import Atom, Rule, matches
+from .worlds import block_bits, block_fact_vectors, world_columns
 
 
 @dataclass(frozen=True)
@@ -78,14 +80,16 @@ class WellFoundedKernel:
     """A ground normal program compiled to ints once, for computing the
     well-founded models of its variants that differ only by added facts.
 
-    Atoms are interned to 0..k-1. Each least model of a reduct is a counter
-    propagation: every rule counts its positive body atoms not yet derived,
-    and fires when the count reaches zero, unless a negative body atom lies
-    in the interpretation the reduct is taken against. One least model costs
-    time linear in the size of the program.
+    Atoms are interned to 0..k-1. `choices`, the atoms of the probabilistic
+    facts, number the worlds as `worlds` does: bit i of a world's mask is the
+    i-th choice atom in sorted order. Worlds are evaluated a block at a time
+    (see `worlds.block_fact_vectors`): each atom's truth is an int with one
+    bit per world of the block, so one pass of int operations runs the
+    alternating fixpoint for every world of the block at once. The block's
+    per-world models are kept until a world of another block is asked for.
     """
 
-    def __init__(self, rules: Iterable[Rule], base: Iterable[Atom]):
+    def __init__(self, rules: Iterable[Rule], base: Iterable[Atom], choices: Iterable[Atom] = ()):
         rules = list(rules)
         base = frozenset(base)
         atoms = set(base)
@@ -94,61 +98,113 @@ class WellFoundedKernel:
             atoms.update(lit.atom for lit in rule.body)
         self._atoms = list(atoms)
         self._index = {atom: i for i, atom in enumerate(self._atoms)}
-        self._base = frozenset(self._index[atom] for atom in base)
+        self._in_base = [atom in base for atom in self._atoms]
         self._heads = [self._index[rule.head] for rule in rules]
+        self._positive = [
+            tuple(self._index[lit.atom] for lit in rule.body if not lit.negated) for rule in rules
+        ]
         self._negative = [
             tuple(self._index[lit.atom] for lit in rule.body if lit.negated) for rule in rules
         ]
-        # positive body occurrences, counted with multiplicity
-        self._pending = [sum(1 for lit in rule.body if not lit.negated) for rule in rules]
         self._watch: list[list[int]] = [[] for _ in self._atoms]
-        for r, rule in enumerate(rules):
-            for lit in rule.body:
-                if not lit.negated:
-                    self._watch[self._index[lit.atom]].append(r)
-        self._unconditional = [r for r, count in enumerate(self._pending) if not count]
+        for r, positive in enumerate(self._positive):
+            for atom in set(positive):
+                self._watch[atom].append(r)
+        choices = sorted(choices)
+        self._choices = [self._index[atom] for atom in choices]
+        self._bit = {atom: 1 << i for i, atom in enumerate(choices)}
+        self._block_bits = block_bits(len(choices))
+        self._block: int | None = None
+        self._rows: list[ThreeValuedModel] = []
 
-    def _least_model(self, against: frozenset[int], facts: list[int]) -> frozenset[int]:
-        """Least model of the reduct with respect to `against`, plus `facts`."""
-        heads, negative, watch = self._heads, self._negative, self._watch
-        pending = self._pending.copy()
-        todo = facts + [heads[r] for r in self._unconditional if against.isdisjoint(negative[r])]
-        derived: set[int] = set()
+    def _least_model(self, against: list[int], facts: list[int], full: int) -> list[int]:
+        """Per world: the least model of the reduct with respect to `against`,
+        plus `facts`, as one vector per atom.
+
+        A rule derives its head in the worlds where every positive body atom
+        is derived and no negative body atom is in `against`. Semi-naive: a
+        rule fires again only when one of its positive body atoms grew.
+        """
+        heads, positive, negative, watch = self._heads, self._positive, self._negative, self._watch
+        derived = facts.copy()
+        todo = list(range(len(heads)))
+        queued = [True] * len(heads)
         while todo:
-            atom = todo.pop()
-            if atom in derived:
-                continue
-            derived.add(atom)
-            for r in watch[atom]:
-                pending[r] -= 1
-                if not pending[r] and against.isdisjoint(negative[r]):
-                    todo.append(heads[r])
-        return frozenset(derived)
+            r = todo.pop()
+            queued[r] = False
+            support = full
+            for atom in negative[r]:
+                support &= ~against[atom]
+            for atom in positive[r]:
+                support &= derived[atom]
+            head = heads[r]
+            if support & ~derived[head]:
+                derived[head] |= support
+                for s in watch[head]:
+                    if not queued[s]:
+                        queued[s] = True
+                        todo.append(s)
+        return derived
+
+    def _evaluate(self, facts: dict[int, int], width: int) -> list[ThreeValuedModel]:
+        """The well-founded model of each of `width` worlds, where `facts`
+        maps an atom to the worlds (a bit vector) that hold it as a fact.
+
+        Alternating fixpoint: K(0) = G(base), U(i) = G(K(i)),
+        K(i+1) = G(U(i)), stopping once K repeats (then U repeats too). The
+        operations are bitwise, so each world follows the sequence it would
+        follow alone, and stays at its fixpoint while other worlds go on.
+        """
+        full = (1 << width) - 1
+        start = [0] * len(self._atoms)
+        for atom, vector in facts.items():
+            start[atom] |= vector
+        base = [full if inside else 0 for inside in self._in_base]
+        sure = self._least_model(base, start, full)
+        possible = self._least_model(sure, start, full)
+        # every world's sure set strictly grows until its fixpoint
+        for _ in range(len(self._atoms) + 1):
+            next_sure = self._least_model(possible, start, full)
+            if next_sure == sure:
+                break
+            sure = next_sure
+            possible = self._least_model(sure, start, full)
+        else:  # pragma: no cover - the alternating fixpoint provably converges
+            raise RuntimeError("alternating fixpoint failed to converge")
+        atoms = self._atoms
+        by_world = [
+            (frozenset(compress(atoms, column)) for column in world_columns(vectors, width))
+            for vectors in (
+                sure,
+                [b & ~p for b, p in zip(base, possible)],
+                [p & ~s for p, s in zip(possible, sure)],
+            )
+        ]
+        return [
+            ThreeValuedModel(true_atoms=t, false_atoms=f, undefined_atoms=u)
+            for t, f, u in zip(*by_world)
+        ]
 
     def model(self, facts: Iterable[Atom] = ()) -> ThreeValuedModel:
         """The well-founded model of the program plus one fact per given atom.
 
-        Alternating fixpoint: K(0) = G(base), U(i) = G(K(i)),
-        K(i+1) = G(U(i)), stopping once K repeats (then U repeats too).
+        Choice atoms name a world: unless its block is the one kept, the
+        block is evaluated and kept, and the world's row is returned. A fact
+        set with other atoms is evaluated as a block of one world.
         """
-        facts = [self._index[atom] for atom in facts]
-        sure = self._least_model(self._base, facts)
-        possible = self._least_model(sure, facts)
-        # the sure set strictly grows until the fixpoint
-        for _ in range(len(self._atoms) + 1):
-            next_sure = self._least_model(possible, facts)
-            if next_sure == sure:
-                break
-            sure = next_sure
-            possible = self._least_model(sure, facts)
-        else:  # pragma: no cover - the alternating fixpoint provably converges
-            raise RuntimeError("alternating fixpoint failed to converge")
-        atoms = self._atoms
-        return ThreeValuedModel(
-            true_atoms=frozenset(atoms[i] for i in sure),
-            false_atoms=frozenset(atoms[i] for i in self._base - possible),
-            undefined_atoms=frozenset(atoms[i] for i in possible - sure),
-        )
+        facts = tuple(facts)
+        mask = 0
+        for atom in facts:
+            bit = self._bit.get(atom)
+            if bit is None:
+                return self._evaluate({self._index[atom]: 1 for atom in facts}, 1)[0]
+            mask |= bit
+        block = mask >> self._block_bits
+        if block != self._block:
+            vectors = block_fact_vectors(len(self._choices), block)
+            self._rows = self._evaluate(dict(zip(self._choices, vectors)), 1 << self._block_bits)
+            self._block = block
+        return self._rows[mask & ((1 << self._block_bits) - 1)]
 
 
 def well_founded_model(

@@ -4,15 +4,26 @@ A world is the set of probabilistic-fact atoms chosen true. Worlds are
 numbered by bitmask: bit i stands for the i-th fact atom in sorted order, and
 worlds come in mask order 0, 1, ..., 2**n - 1. Both back ends enumerate worlds
 here and nowhere else, so their per-world results line up index by index.
+
+Both back ends also evaluate worlds in blocks of 2**min(n, BLOCK_BITS)
+consecutive masks: inside a block, a Boolean fact holds one bit per world,
+bit w standing for the world whose mask is the block's first mask plus w.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 from typing import Iterable, Iterator
 
 from .errors import CapExceeded
 from .model import Atom, ProbFact
+
+# a block of worlds spans at most 2**BLOCK_BITS masks, so a per-world bit
+# vector is an int of at most 2**BLOCK_BITS bits
+BLOCK_BITS = 10
+
+_BYTE_OF_BIT = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def world_probability(world: frozenset[Atom], pfacts: Iterable[ProbFact]) -> Fraction:
@@ -28,10 +39,11 @@ def enumerate_worlds(
 ) -> Iterator[tuple[int, frozenset[Atom], Fraction]]:
     """Every world as (mask, world, probability), in mask order.
 
-    Probabilities sum to exactly 1. Refuses more than `max_pfacts` facts. The
-    probability of a world reuses the product over the high bits it shares
-    with the previous world, so the whole enumeration takes fewer than
-    2**(n+1) + n exact multiplications instead of n per world.
+    Probabilities sum to exactly 1. Refuses more than `max_pfacts` facts. A
+    world reuses the numerator product and the chosen atoms of the high bits
+    it shares with the previous world, so the whole enumeration takes fewer
+    than 2**(n+1) + n int multiplications and set unions, plus one exact
+    division by the common denominator per world.
     """
     facts = sorted(pfacts, key=lambda pf: pf.atom)
     n = len(facts)
@@ -40,17 +52,25 @@ def enumerate_worlds(
             f"{n} probabilistic facts exceed the world-enumeration "
             f"cap of {max_pfacts} (2**{n} worlds)"
         )
-    atoms = [pf.atom for pf in facts]
-    factors = [(1 - pf.prob, pf.prob) for pf in facts]  # by bit: (absent, chosen)
-    # partial[i]: product of the factors of bits i..n-1 of the current mask
-    partial = [Fraction(1)] * (n + 1)
+    singletons = [frozenset({pf.atom}) for pf in facts]
+    # by bit: the numerators of (absent, chosen) over the fact's denominator
+    factors = [(pf.prob.denominator - pf.prob.numerator, pf.prob.numerator) for pf in facts]
+    denominator = prod(pf.prob.denominator for pf in facts)
+    # partial[i], chosen[i]: the numerator product and the chosen atoms of
+    # bits i..n-1 of the current mask
+    partial = [1] * (n + 1)
+    chosen = [frozenset()] * (n + 1)
     for mask in range(1 << n):
         # going from mask-1 to mask changes exactly the bits up to the lowest set one
         top = (mask & -mask).bit_length() - 1 if mask else n - 1
         for i in range(top, -1, -1):
-            partial[i] = partial[i + 1] * factors[i][mask >> i & 1]
-        world = frozenset(atoms[i] for i in range(n) if mask >> i & 1)
-        yield mask, world, partial[0]
+            if mask >> i & 1:
+                partial[i] = partial[i + 1] * factors[i][1]
+                chosen[i] = chosen[i + 1] | singletons[i]
+            else:
+                partial[i] = partial[i + 1] * factors[i][0]
+                chosen[i] = chosen[i + 1]
+        yield mask, chosen[0], Fraction(partial[0], denominator)
 
 
 def world_table(
@@ -58,3 +78,35 @@ def world_table(
 ) -> list[tuple[frozenset[Atom], Fraction]]:
     """All 2**n (world, probability) pairs, in mask order."""
     return [(world, prob) for _, world, prob in enumerate_worlds(pfacts, max_pfacts)]
+
+
+def block_bits(n: int) -> int:
+    """log2 of the number of worlds per block, over n probabilistic facts."""
+    return min(n, BLOCK_BITS)
+
+
+def block_fact_vectors(n: int, block: int) -> list[int]:
+    """For each of n facts, in bit order, its truth in each world of a block.
+
+    Bit w of the i-th int is bit i of the mask (block << b) + w, with
+    b = block_bits(n). The b low facts alternate in runs of 2**i worlds; the
+    high facts are constant over the block, all ones or zero by `block`.
+    """
+    b = block_bits(n)
+    width = 1 << b
+    full = (1 << width) - 1
+    vectors = []
+    for i in range(b):
+        run = 1 << i
+        # one bit at the start of every period of 2*run worlds, times a run of
+        # ones shifted into the period's upper half
+        vectors.append(full // ((1 << 2 * run) - 1) * (((1 << run) - 1) << run))
+    vectors += [full if block >> (i - b) & 1 else 0 for i in range(b, n)]
+    return vectors
+
+
+def world_columns(vectors: list[int], width: int) -> Iterator[tuple[int, ...]]:
+    """Transpose per-item vectors over a block of `width` worlds: one tuple
+    per world, in world order, holding each item's bit there (0 or 1)."""
+    rows = [format(v, f"0{width}b").encode().translate(_BYTE_OF_BIT)[::-1] for v in vectors]
+    return zip(*rows) if rows else iter([()] * width)

@@ -1,5 +1,5 @@
 """The compiled kernels against plain reference implementations, the shared
-world enumeration, and the one-evaluation-per-world contract."""
+world enumeration and its blocks, and the one-evaluation-per-world contract."""
 
 import ast
 from collections import defaultdict
@@ -23,6 +23,7 @@ from arglog import (
     Rule,
     build_problog_aba,
     check_program,
+    check_query,
     enumerate_arguments,
     ground,
     parse_program,
@@ -31,9 +32,9 @@ from arglog import (
     world_probability,
 )
 from arglog.cli import main
-from arglog.semantics import grounded_extension_of
+from arglog.semantics import grounded_block, grounded_extension_of
 from arglog.wfm import WellFoundedKernel
-from arglog.worlds import enumerate_worlds
+from arglog.worlds import block_bits, block_fact_vectors, enumerate_worlds
 
 from conftest import FIXTURES, chain_source
 
@@ -76,6 +77,41 @@ def test_linear_labelling_matches_the_defense_fixpoint(framework):
     assert grounded_extension_of(active, attackers) == expected
     assert grounded_extension_of(active, attackers, targets) == expected
     assert grounded_extension_of(list(active), dict(enumerate(attackers))) == expected
+
+
+@st.composite
+def frameworks_with_fact_needs(draw):
+    n, attacks, _ = draw(restricted_frameworks())
+    k = draw(st.integers(0, 4))
+    needs = draw(st.lists(st.integers(0, 2**k - 1), min_size=n, max_size=n))
+    return n, attacks, k, needs
+
+
+@pytest.mark.parametrize("bits", [worlds_module.BLOCK_BITS, 1])
+@settings(max_examples=200, deadline=None)
+@given(frameworks_with_fact_needs())
+def test_block_labelling_matches_the_defense_fixpoint_in_every_world(bits, framework):
+    n, attacks, k, needs = framework
+    attackers = [[s for s, t in sorted(attacks) if t == i] for i in range(n)]
+    targets = [[t for s, t in sorted(attacks) if s == i] for i in range(n)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(worlds_module, "BLOCK_BITS", bits)
+        b = block_bits(k)
+        for block in range(2 ** (k - b)):
+            vectors = block_fact_vectors(k, block)
+            active = []
+            for need in needs:
+                vector = 2 ** 2**b - 1
+                for i in range(k):
+                    if need >> i & 1:
+                        vector &= vectors[i]
+                active.append(vector)
+            inside = grounded_block(active, attackers, targets)
+            for w in range(2**b):
+                mask = (block << b) + w
+                world_active = {i for i, need in enumerate(needs) if need & mask == need}
+                accepted = {i for i in range(n) if inside[i] >> w & 1}
+                assert accepted == defense_fixpoint(world_active, attacks), mask
 
 
 # --- well-founded model ---
@@ -130,6 +166,29 @@ def test_int_kernel_matches_the_reference_alternating_fixpoint(program, facts):
     assert with_facts == well_founded_model(program | {Rule(a) for a in facts}, base)
     assert with_facts == well_founded_model(program, base, facts)
     assert with_facts == well_founded_model(program, base, facts, kernel)
+
+
+@pytest.mark.parametrize("bits", [worlds_module.BLOCK_BITS, 1])
+@settings(max_examples=200, deadline=None)
+@given(
+    st.frozensets(rules, max_size=10),
+    st.lists(st.sampled_from(ATOMS), max_size=4, unique=True),
+    st.data(),
+)
+def test_block_kernel_matches_the_reference_in_every_world(bits, program, choices, data):
+    base = frozenset(ATOMS)
+    choices = sorted(choices)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(worlds_module, "BLOCK_BITS", bits)
+        kernel = WellFoundedKernel(program, base, choices)
+        # any order, so that blocks are left and evaluated again
+        for mask in data.draw(st.permutations(range(2 ** len(choices)))):
+            chosen = {atom for i, atom in enumerate(choices) if mask >> i & 1}
+            model = kernel.model(chosen)
+            expected = reference_wfm(program | {Rule(atom) for atom in chosen}, base)
+            assert (model.true_atoms, model.false_atoms, model.undefined_atoms) == tuple(
+                map(frozenset, expected)
+            ), mask
 
 
 # --- argument saturation ---
@@ -252,23 +311,46 @@ def test_worlds_command_checks_the_sum_without_assert(monkeypatch):
 
 
 def test_check_program_evaluates_each_world_once_per_route(monkeypatch):
-    counts = {"wfm": 0, "grounded": 0}
-    model, grounded = WellFoundedKernel.model, paa_module.grounded_extension_of
+    """Each route evaluates the 16 worlds of chain-2 in one block call, and
+    the distribution route still asks for one model per world."""
+    covered = {"wfm": [], "grounded": []}
+    models = 0
+    evaluate, model, grounded = (
+        WellFoundedKernel._evaluate,
+        WellFoundedKernel.model,
+        paa_module.grounded_block,
+    )
+
+    def counting_evaluate(self, facts, width):
+        covered["wfm"].append(width)
+        return evaluate(self, facts, width)
 
     def counting_model(self, facts=()):
-        counts["wfm"] += 1
+        nonlocal models
+        models += 1
         return model(self, facts)
 
-    def counting_grounded(*args):
-        counts["grounded"] += 1
-        return grounded(*args)
+    def counting_grounded(active, attackers, targets):
+        # a0's argument needs no fact, so it is active in every world covered
+        covered["grounded"].append(max(vector.bit_length() for vector in active))
+        return grounded(active, attackers, targets)
 
+    monkeypatch.setattr(WellFoundedKernel, "_evaluate", counting_evaluate)
     monkeypatch.setattr(WellFoundedKernel, "model", counting_model)
-    monkeypatch.setattr(paa_module, "grounded_extension_of", counting_grounded)
+    monkeypatch.setattr(paa_module, "grounded_block", counting_grounded)
     gp = ground(parse_program(chain_source(2)))
     reports = check_program(gp)
     assert len(gp.pfacts) == 4 and len(reports) == len(gp.herbrand_base) == 11
-    assert counts == {"wfm": 2**4, "grounded": 2**4}
+    assert covered == {"wfm": [2**4], "grounded": [2**4]}
+    assert models == 2**4
+
+
+def test_chain_6_spans_four_blocks_and_both_routes_give_one_64th():
+    gp = ground(parse_program(chain_source(6)))
+    assert 2 ** len(gp.pfacts) == 4 * 2**worlds_module.BLOCK_BITS
+    report = check_query(Atom("a6"), gp)
+    assert report.success_probability == report.grounded_query_probability == Fraction(1, 64)
+    assert report.holds
 
 
 # --- separation of the two routes ---

@@ -1,6 +1,13 @@
+import os
+import pickle
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+
+import arglog
 
 from arglog import (
     Atom,
@@ -143,3 +150,41 @@ def test_format_probability_prefers_finite_decimals():
     assert format_probability(Fraction(1)) == "1"
     assert format_probability(Fraction(0)) == "0"
     assert format_probability(Fraction(1, 3)) == "1/3"
+
+
+def test_cached_hashes_leave_equality_order_and_repr_alone():
+    rule = Rule(Atom("p", ("x",)), (Literal(B, negated=True),))
+    twin = Rule(Atom("p", ("x",)), (Literal(B, negated=True),))
+    assert rule == twin and hash(rule) == hash(twin) and not rule < twin
+    assert repr(rule) == (
+        "Rule(head=Atom(predicate='p', args=('x',)), "
+        "body=(Literal(atom=Atom(predicate='b', args=()), negated=True),))"
+    )
+    assert hash(A) == hash(("a", ()))
+
+
+UNPICKLE = """
+import pickle, sys
+from arglog import Atom, Literal, Rule
+atom, rule = pickle.loads(sys.stdin.buffer.read())
+fresh = Atom("p", ("x", "y"))
+print(hash("p"), atom in {fresh}, rule in {Rule(fresh, (Literal(fresh, True),))})
+"""
+
+
+def test_hashes_do_not_survive_pickling_into_another_hash_seed():
+    atom = Atom("p", ("x", "y"))
+    rule = Rule(atom, (Literal(atom, True),))
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(Path(arglog.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", UNPICKLE],
+        input=pickle.dumps((atom, rule)),
+        env=env,
+        capture_output=True,
+        check=True,
+        timeout=60,
+    )
+    str_hash, atom_found, rule_found = done.stdout.decode().split()
+    assert int(str_hash) != hash("p")  # string hashes differ between the processes
+    assert (atom_found, rule_found) == ("True", "True")
