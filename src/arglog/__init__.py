@@ -57,7 +57,7 @@ from .model import (
     unifies,
     validate,
 )
-from .paa import PaaEngine, applicable, restrict
+from .paa import PaaEngine
 from .parser import parse_program, parse_query
 from .semantics import (
     Label,

@@ -13,6 +13,11 @@ stay finite even when trees do not (e.g. "p :- p." next to "p."). All triples
 with a derivation are kept, not just subset-minimal ones, because distinct
 derivations of one claim are counted separately by the per-argument
 probability measure.
+
+Since the framework is flat, argument i attacks argument j exactly when i's
+claim is the contrary of one of j's assumptions. `argument_table` keeps that
+relation factored through claims, one entry per assumption;
+`compute_attacks` expands it into one pair per attack.
 """
 
 from __future__ import annotations
@@ -124,6 +129,25 @@ def _caller_stacklevel() -> int:
     return level
 
 
+@dataclass(frozen=True)
+class ArgumentTable:
+    """A framework's arguments in canonical order, with the attack relation
+    in factored form.
+
+    Sentences are numbered in sorted order. `claims[i]` is the number of
+    argument i's claim, and `contraries[j]` holds the numbers of the claimed
+    contraries of argument j's assumptions. So argument i attacks argument j
+    iff `claims[i]` is in `contraries[j]`, and the arguments claiming one
+    sentence attack the same arguments. `fact_masks[i]` has bit k set iff
+    argument i uses the k-th fact assumption in sorted order.
+    """
+
+    arguments: tuple[Argument, ...]
+    claims: tuple[int, ...]
+    contraries: tuple[tuple[int, ...], ...]
+    fact_masks: tuple[int, ...]
+
+
 def enumerate_arguments(
     framework: AbaFramework, max_arguments: int = 100_000
 ) -> frozenset[Argument]:
@@ -135,6 +159,15 @@ def enumerate_arguments(
     their supports and rule sets. The triple space is finite, so saturation
     terminates; the count guard refuses pathological blow-ups instead of
     truncating.
+    """
+    return frozenset(argument_table(framework, max_arguments).arguments)
+
+
+def argument_table(
+    framework: AbaFramework, max_arguments: int = 100_000
+) -> ArgumentTable:
+    """The arguments of `enumerate_arguments`, sorted as by
+    `argument_sort_key`, with the attack relation factored through claims.
 
     Saturation runs over ints. Assumptions and rules are numbered in sorted
     order, and an argument is an (assumption mask, rule mask) pair stored
@@ -144,6 +177,10 @@ def enumerate_arguments(
     on combinations holding a pair found in the previous round, which takes
     that round's pool at one body position, older pools before it and full
     pools after it. Argument objects are built once, at the end.
+
+    Since the numbering follows the sorted order, sorting on (claim number,
+    assumption bit positions, rule bit positions) gives the canonical order
+    without comparing any `Literal` or `Rule`.
     """
     assumptions = sorted(framework.assumptions)
     rules = sorted(framework.rules)
@@ -202,39 +239,54 @@ def enumerate_arguments(
                     count += len(partial)
                     refuse_past_cap()
 
-    claims = list(claim_id)
-    assumption_sets: dict[int, frozenset[Literal]] = {}
-    rule_sets: dict[int, frozenset[Rule]] = {}
-    return frozenset(
-        Argument(
-            _decode(a, assumptions, assumption_sets),
-            claims[claim],
-            _decode(r, rules, rule_sets),
+    sentences = sorted(claim_id)
+    number = {lit: n for n, lit in enumerate(sentences)}
+    # by assumption bit: the number of its contrary when some rule or
+    # assumption can claim it, and its bit among the fact assumptions
+    contrary = [number.get(framework.contrary_of(a)) for a in assumptions]
+    facts = [a for a in assumptions if not a.negated]
+    fact_bit = [1 << facts.index(a) if not a.negated else 0 for a in assumptions]
+    found_pairs = [
+        (number[lit], a, r) for lit, pairs in zip(claim_id, found) for a, r in pairs
+    ]
+    assumption_bits = {a: _bits(a) for _, a, _ in found_pairs}
+    rule_bits = {r: _bits(r) for _, _, r in found_pairs}
+    found_pairs.sort(key=lambda row: (row[0], assumption_bits[row[1]], rule_bits[row[2]]))
+    decoded = {
+        a: (
+            frozenset(assumptions[b] for b in bits),
+            tuple(contrary[b] for b in bits if contrary[b] is not None),
+            sum(fact_bit[b] for b in bits),
         )
-        for claim, pairs in enumerate(found)
-        for a, r in pairs
+        for a, bits in assumption_bits.items()
+    }
+    rules_used = {r: frozenset(rules[b] for b in bits) for r, bits in rule_bits.items()}
+    return ArgumentTable(
+        tuple(Argument(decoded[a][0], sentences[c], rules_used[r]) for c, a, r in found_pairs),
+        tuple(c for c, _, _ in found_pairs),
+        tuple(decoded[a][1] for _, a, _ in found_pairs),
+        tuple(decoded[a][2] for _, a, _ in found_pairs),
     )
 
 
-def _decode(mask: int, items: list, memo: dict[int, frozenset]) -> frozenset:
-    """The items whose numbers are the set bits of the mask, memoised by mask."""
-    decoded = memo.get(mask)
-    if decoded is None:
-        chosen = []
-        rest = mask
-        while rest:
-            low = rest & -rest
-            chosen.append(items[low.bit_length() - 1])
-            rest ^= low
-        decoded = memo[mask] = frozenset(chosen)
-    return decoded
+def _bits(mask: int) -> tuple[int, ...]:
+    """The positions of the set bits of a mask, in increasing order."""
+    positions = []
+    while mask:
+        low = mask & -mask
+        positions.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(positions)
 
 
 def compute_attacks(
     framework: AbaFramework, arguments: Sequence[Argument]
 ) -> frozenset[tuple[int, int]]:
     """All pairs (i, j) where argument i's claim is the contrary of an
-    assumption supporting argument j. Self-attacks included."""
+    assumption supporting argument j. Self-attacks included.
+
+    This expands the relation that `ArgumentTable` keeps factored through
+    claims; only listings of the pairs need it."""
     targets: dict[Literal, list[int]] = defaultdict(list)
     for j, arg in enumerate(arguments):
         for assumption in arg.assumptions:
@@ -250,7 +302,5 @@ def build_aa_framework(
     framework: AbaFramework, max_arguments: int = 100_000
 ) -> AaFramework:
     """Enumerate arguments in canonical order and derive the attack relation."""
-    arguments = tuple(
-        sorted(enumerate_arguments(framework, max_arguments), key=argument_sort_key)
-    )
+    arguments = argument_table(framework, max_arguments).arguments
     return AaFramework(arguments, compute_attacks(framework, arguments))

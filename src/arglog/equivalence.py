@@ -59,27 +59,29 @@ class EquivalenceReport:
         )
 
 
-def _claims_match_model(model: ThreeValuedModel, claims: frozenset[Literal]) -> bool:
-    atomic = frozenset(c.atom for c in claims if not c.negated)
-    negated = frozenset(c.atom for c in claims if c.negated)
-    return model.true_atoms == atomic and model.false_atoms == negated
-
-
 def world_traces(gp: GroundProgram, engine: PaaEngine) -> tuple[WorldTrace, ...]:
     """Evaluate every world (including zero-probability ones) on both routes.
 
     Each route evaluates each world once; both enumerate worlds in the same
-    order, so their results pair up row by row.
+    order, so their results pair up row by row. The model matches the claims
+    when its true atoms are the accepted atomic claims and its false atoms
+    the atoms of the accepted negated claims.
     """
-    claim_of = [arg.claim for arg in engine.aaf.arguments]
+    claim_of = [arg.claim for arg in engine.arguments]
+    atomic = frozenset(i for i, claim in enumerate(claim_of) if not claim.negated)
+    # the base's own atom objects, which the models hold, so that comparing
+    # the sets below mostly finds elements by identity
+    base = {atom: atom for atom in gp.herbrand_base}
+    atom_of = [base.get(claim.atom, claim.atom) for claim in claim_of]
     traces = []
     for (world, prob, model), (_, _, accepted) in zip(
         world_models(gp, engine.caps.max_pfacts), engine.evaluations()
     ):
-        claims = frozenset(claim_of[i] for i in accepted)
-        traces.append(
-            WorldTrace(world, prob, model, claims, _claims_match_model(model, claims))
-        )
+        true_atoms = set(map(atom_of.__getitem__, accepted & atomic))
+        false_atoms = set(map(atom_of.__getitem__, accepted - atomic))
+        matches = model.true_atoms == true_atoms and model.false_atoms == false_atoms
+        claims = frozenset(map(claim_of.__getitem__, accepted))
+        traces.append(WorldTrace(world, prob, model, claims, matches))
     return tuple(traces)
 
 

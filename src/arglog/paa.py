@@ -5,43 +5,36 @@ arguments whose fact support it contains, and the grounded extension of that
 restricted framework decides acceptance. Probabilities of acceptance are
 exact rational sums of world probabilities.
 
-The engine compiles the framework once: each argument's fact support becomes
-an int bitmask over the fact atoms, in the bit order of the shared world
-enumeration, and the attack relation becomes int attacker and target lists.
-Every world is then labelled exactly once, a block of worlds per labelling,
-and all probabilities are read from that one pass.
+The engine compiles the framework once. `aba` gives the arguments in
+canonical order, each with its fact support as an int bitmask over the fact
+atoms (in the bit order of the shared world enumeration), and the attack
+relation factored through claims: the arguments claiming one sentence attack
+the arguments assuming its contrary, so it costs one entry per assumption
+and never one per attack. Every world is then labelled exactly once, a block
+of worlds per labelling. Each block's IN vectors are kept, and a probability
+is the sum of the worlds' integer numerators at the set bits of a vector,
+over one common denominator.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
-from itertools import chain
-from operator import and_
+from functools import cached_property, reduce
+from itertools import chain, compress
+from operator import and_, or_
 
-from .aba import AaFramework, Argument, build_aa_framework, build_problog_aba
+from .aba import AaFramework, Argument, argument_table, build_problog_aba, compute_attacks
 from .limits import Caps
 from .model import Atom, GroundProgram, Literal, matches
 from .semantics import grounded_block
-from .worlds import block_bits, block_fact_vectors, world_columns, world_table
-
-
-def applicable(world: frozenset[Atom], argument: Argument) -> bool:
-    """An argument applies in a world iff the world chose all its fact assumptions."""
-    return argument.fact_support <= world
-
-
-def restrict(aaf: AaFramework, world: frozenset[Atom]) -> AaFramework:
-    """The framework with respect to a world: applicable arguments only,
-    attacks restricted to the survivors (indices are compacted)."""
-    keep = [i for i, arg in enumerate(aaf.arguments) if applicable(world, arg)]
-    renumber = {old: new for new, old in enumerate(keep)}
-    attacks = frozenset(
-        (renumber[i], renumber[j])
-        for i, j in aaf.attacks
-        if i in renumber and j in renumber
-    )
-    return AaFramework(tuple(aaf.arguments[i] for i in keep), attacks)
+from .worlds import (
+    block_bits,
+    block_fact_vectors,
+    common_numerators,
+    masked_sum,
+    world_columns,
+    world_table,
+)
 
 
 class PaaEngine:
@@ -51,21 +44,25 @@ class PaaEngine:
         self.gp = gp
         self.caps = caps
         self.framework = build_problog_aba(gp)
-        self.aaf = build_aa_framework(self.framework, caps.max_arguments)
+        self._table = argument_table(self.framework, caps.max_arguments)
+        self.arguments = self._table.arguments
         self._bit = {atom: 1 << i for i, atom in enumerate(sorted(gp.fact_atoms))}
-        self._needs = [
-            sum(self._bit[atom] for atom in arg.fact_support) for arg in self.aaf.arguments
-        ]
         # arguments grouped by fact support, so one test per group decides them
         self._by_need: dict[int, list[int]] = {}
-        for i, need in enumerate(self._needs):
+        for i, need in enumerate(self._table.fact_masks):
             self._by_need.setdefault(need, []).append(i)
-        self._attackers: list[list[int]] = [[] for _ in self.aaf.arguments]
-        self._targets: list[list[int]] = [[] for _ in self.aaf.arguments]
-        for source, target in self.aaf.attacks:
-            self._attackers[target].append(source)
-            self._targets[source].append(target)
+        self._claiming: dict[Atom, list[int]] = {}
+        for i, arg in enumerate(self.arguments):
+            if not arg.claim.negated:
+                self._claiming.setdefault(arg.claim.atom, []).append(i)
+        self._labels: tuple[list, list[tuple[list[int], list[int]]], int] | None = None
         self._evaluations: list[tuple[frozenset[Atom], Fraction, frozenset[int]]] | None = None
+
+    @cached_property
+    def aaf(self) -> AaFramework:
+        """The abstract view with explicit attack pairs, built on first use;
+        inference reads the factored relation instead."""
+        return AaFramework(self.arguments, compute_attacks(self.framework, self.arguments))
 
     def _mask(self, world: frozenset[Atom]) -> int:
         return sum(self._bit[atom] for atom in world if atom in self._bit)
@@ -81,46 +78,76 @@ class PaaEngine:
             )
         )
 
-    def evaluations(self) -> list[tuple[frozenset[Atom], Fraction, frozenset[int]]]:
-        """(world, probability, accepted indices) for every world, in mask
-        order; computed on first use, then shared by every query.
+    def _labelling(self) -> tuple[list, list[tuple[list[int], list[int]]], int]:
+        """The world table, and per block of worlds the worlds' probability
+        numerators and each argument's IN vector, with the common denominator;
+        computed on first use.
 
-        Worlds are labelled a block at a time: an argument's active vector is
-        the AND of its facts' vectors over the block, and one block labelling
-        gives each argument's IN vector.
+        An argument's active vector is the AND of its facts' vectors over the
+        block, and one block labelling gives each argument's IN vector.
         """
-        if self._evaluations is None:
+        if self._labels is None:
             table = self.worlds()
+            numerators, denominator = common_numerators(prob for _, prob in table)
             n = len(self._bit)
             width = 1 << block_bits(n)
             full = (1 << width) - 1
-            supports = [[i for i in range(n) if need >> i & 1] for need in self._needs]
-            self._evaluations = []
+            supports = {
+                need: [i for i in range(n) if need >> i & 1] for need in self._by_need
+            }
+            blocks = []
+            active = [0] * len(self.arguments)
             for start in range(0, len(table), width):
                 vectors = block_fact_vectors(n, start // width)
-                active = [reduce(and_, [vectors[i] for i in s], full) for s in supports]
-                inside = grounded_block(active, self._attackers, self._targets)
+                for need, group in self._by_need.items():
+                    vector = reduce(and_, [vectors[i] for i in supports[need]], full)
+                    for i in group:
+                        active[i] = vector
+                inside = grounded_block(active, self._table.claims, self._table.contraries)
+                blocks.append((numerators[start : start + width], inside))
+            self._labels = table, blocks, denominator
+        return self._labels
+
+    def evaluations(self) -> list[tuple[frozenset[Atom], Fraction, frozenset[int]]]:
+        """(world, probability, accepted indices) for every world, in mask
+        order, read from the block labellings; computed on first use, then
+        shared by every query."""
+        if self._evaluations is None:
+            table, blocks, _ = self._labelling()
+            width = 1 << block_bits(len(self._bit))
+            indices = range(len(self.arguments))
+            self._evaluations = []
+            for start, (_, inside) in zip(range(0, len(table), width), blocks):
                 rows = table[start : start + width]
                 for (world, prob), accepts in zip(rows, world_columns(inside, width)):
-                    accepted = frozenset(i for i in self.applicable_indices(world) if accepts[i])
+                    accepted = self.applicable_indices(world).intersection(
+                        compress(indices, accepts)
+                    )
                     self._evaluations.append((world, prob, accepted))
         return self._evaluations
 
+    def _mass(self, pick) -> Fraction:
+        """Probability mass at the set bits of the IN vectors that `pick`
+        takes from each block's labelling; a world counts once per vector."""
+        _, blocks, denominator = self._labelling()
+        total = sum(
+            masked_sum(numerators, vector)
+            for numerators, inside in blocks
+            for vector in pick(inside)
+        )
+        return Fraction(total, denominator)
+
     def accepted_claims(self, world: frozenset[Atom]) -> frozenset[Literal]:
         _, _, accepted = self.evaluations()[self._mask(world)]
-        return frozenset(self.aaf.arguments[i].claim for i in accepted)
+        return frozenset(self.arguments[i].claim for i in accepted)
 
     def grounded_prob_argument(self, argument: Argument) -> Fraction:
         """Probability mass of worlds whose grounded extension holds the argument."""
         try:
-            index = self.aaf.arguments.index(argument)
+            index = self.arguments.index(argument)
         except ValueError:
             raise KeyError(f"{argument} is not an argument of this framework") from None
-        total = Fraction(0)
-        for world, prob, accepted in self.evaluations():
-            if prob and index in accepted:
-                total += prob
-        return total
+        return self._mass(lambda inside: [inside[index]])
 
     def _instance_atoms(self, query: Atom) -> frozenset[Atom]:
         if query.is_ground:
@@ -129,30 +156,19 @@ class PaaEngine:
 
     def query_argument_indices(self, query: Atom) -> frozenset[int]:
         """Indices of arguments whose claim is an instance of the query atom."""
-        instances = self._instance_atoms(query)
         return frozenset(
-            i
-            for i, arg in enumerate(self.aaf.arguments)
-            if not arg.claim.negated and arg.claim.atom in instances
+            chain.from_iterable(self._claiming.get(a, ()) for a in self._instance_atoms(query))
         )
 
     def grounded_prob_query(self, query: Atom) -> Fraction:
         """Probability mass of worlds accepting at least one argument claiming
         (an instance of) the query; each world counted once."""
         claiming = self.query_argument_indices(query)
-        total = Fraction(0)
-        for world, prob, accepted in self.evaluations():
-            if prob and not claiming.isdisjoint(accepted):
-                total += prob
-        return total
+        return self._mass(lambda inside: [reduce(or_, [inside[i] for i in claiming], 0)])
 
     def argument_probability_sum(self, query: Atom) -> Fraction:
         """Sum of per-argument probabilities over all arguments claiming the
         query; counts a world once per accepted argument, so it can exceed
         the query probability."""
         claiming = self.query_argument_indices(query)
-        total = Fraction(0)
-        for world, prob, accepted in self.evaluations():
-            if prob:
-                total += prob * len(claiming & accepted)
-        return total
+        return self._mass(lambda inside: [inside[i] for i in claiming])

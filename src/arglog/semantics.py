@@ -5,6 +5,8 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
+from functools import reduce
+from operator import and_
 from typing import Collection, Mapping, Sequence
 
 from .aba import AaFramework
@@ -36,74 +38,78 @@ def attacker_map(aaf: AaFramework) -> dict[int, frozenset[int]]:
 
 def grounded_block(
     active: Sequence[int],
-    attackers: Sequence[Collection[int]],
-    targets: Sequence[Collection[int]],
+    groups: Sequence[int],
+    attacked_by: Sequence[Collection[int]],
 ) -> list[int]:
     """Grounded labelling of many restrictions of one framework at once.
 
     Bit w of `active[i]` says whether argument i is in restriction w; the
     result's `[i]` has bit w set iff i is in that restriction's grounded
-    extension. `targets` is the inverse of `attackers`, each attack once.
+    extension. Attacks come by group: argument i belongs to group
+    `groups[i]`, and j is attacked by every member of each group in
+    `attacked_by[j]`. In a flat ABA framework a group is the arguments
+    claiming one sentence; in an abstract one, each argument is its own group.
 
     IN and OUT are vectors per argument. Semi-naive rounds: an argument goes
-    IN in the restrictions where it is active, undecided, and each attacker
-    is inactive or OUT; the targets of arguments that newly went IN go OUT
-    there; only the targets of arguments that newly went OUT are checked in
-    the next round, since nothing else can newly go IN.
+    IN in the restrictions where it is active, undecided, and every member of
+    each attacking group is inactive or OUT; the targets of arguments that
+    newly went IN go OUT there; only the targets of groups with a member that
+    newly went OUT are checked in the next round, since nothing else can
+    newly go IN.
     """
+    members: dict[int, list[int]] = defaultdict(list)
+    for i, group in enumerate(groups):
+        members[group].append(i)
+    targets: dict[int, list[int]] = defaultdict(list)
+    for j, attacking in enumerate(attacked_by):
+        for group in attacking:
+            targets[group].append(j)
     inside = [0] * len(active)
     out = [0] * len(active)
+
+    def defeat(group: int) -> int:
+        """The restrictions where every member of the group is inactive or OUT."""
+        return reduce(and_, [~active[m] | out[m] for m in members[group]], -1)
+
+    defeated = {group: defeat(group) for group in targets}
     check: Collection[int] = [i for i, vector in enumerate(active) if vector]
     while check:
         went_in = []
         for i in check:
             accept = active[i] & ~(inside[i] | out[i])
-            for a in attackers[i]:
+            for group in attacked_by[i]:
                 if not accept:
                     break
-                accept &= ~active[a] | out[a]
+                accept &= defeated[group]
             if accept:
                 inside[i] |= accept
                 went_in.append((i, accept))
-        went_out = set()
+        hit = set()
         for i, accept in went_in:
-            for t in targets[i]:
+            for t in targets[groups[i]]:
                 beaten = accept & active[t] & ~out[t]
                 if beaten:
                     out[t] |= beaten
-                    went_out.add(t)
-        check = {t for i in went_out for t in targets[i]}
+                    hit.add(groups[t])
+        for group in hit:
+            defeated[group] = defeat(group)
+        check = {t for group in hit for t in targets[group]}
     return inside
 
 
 def grounded_extension_of(
     active: Collection[int],
     attackers: Mapping[int, Collection[int]] | Sequence[Collection[int]],
-    targets: Mapping[int, Collection[int]] | Sequence[Collection[int]] | None = None,
 ) -> frozenset[int]:
     """Grounded extension of the framework restricted to the active indices.
 
     The one-restriction case of `grounded_block`, over the active arguments
-    renumbered 0..k-1. `targets`, the inverse of `attackers` over all indices
-    with each attack listed once, may be passed instead of being derived
-    from `attackers`.
+    renumbered 0..k-1, each its own group.
     """
     order = sorted(frozenset(active))
     number = {i: n for n, i in enumerate(order)}
-    inner_attackers: list[list[int]] = [[] for _ in order]
-    inner_targets: list[list[int]] = [[] for _ in order]
-    for i in order:
-        if targets is None:
-            for a in attackers[i]:
-                if a in number:
-                    inner_attackers[number[i]].append(number[a])
-                    inner_targets[number[a]].append(number[i])
-        else:
-            for t in targets[i]:
-                if t in number:
-                    inner_targets[number[i]].append(number[t])
-                    inner_attackers[number[t]].append(number[i])
-    inside = grounded_block([1] * len(order), inner_attackers, inner_targets)
+    attacked_by = [[number[a] for a in attackers[i] if a in number] for i in order]
+    inside = grounded_block([1] * len(order), range(len(order)), attacked_by)
     return frozenset(i for i, vector in zip(order, inside) if vector)
 
 

@@ -13,8 +13,9 @@ bit w standing for the world whose mask is the block's first mask plus w.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import prod
-from typing import Iterable, Iterator
+from itertools import compress
+from math import lcm, prod
+from typing import Iterable, Iterator, Sequence
 
 from .errors import CapExceeded
 from .model import Atom, ProbFact
@@ -110,3 +111,19 @@ def world_columns(vectors: list[int], width: int) -> Iterator[tuple[int, ...]]:
     per world, in world order, holding each item's bit there (0 or 1)."""
     rows = [format(v, f"0{width}b").encode().translate(_BYTE_OF_BIT)[::-1] for v in vectors]
     return zip(*rows) if rows else iter([()] * width)
+
+
+def common_numerators(probabilities: Iterable[Fraction]) -> tuple[list[int], int]:
+    """The probabilities as integer numerators over one common denominator,
+    their least common one: (numerators, denominator)."""
+    probabilities = list(probabilities)
+    denominator = lcm(*{prob.denominator for prob in probabilities})
+    numerators = [prob.numerator * (denominator // prob.denominator) for prob in probabilities]
+    return numerators, denominator
+
+
+def masked_sum(values: Sequence[int], vector: int) -> int:
+    """The sum of `values[w]` over the set bits w of a per-world vector."""
+    if not vector:
+        return 0
+    return sum(compress(values, format(vector, "b").encode().translate(_BYTE_OF_BIT)[::-1]))

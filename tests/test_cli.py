@@ -165,17 +165,23 @@ def test_check_json_summary(capsys):
 
 
 def test_check_catches_a_corrupted_build(capsys, monkeypatch, tmp_path):
-    # mutation: a build that forgets self-attacks must be caught with a trace
-    import arglog.aba as aba_module
+    # mutation: a build that forgets self-attacks must be caught with a trace;
+    # an argument attacks itself when it assumes the contrary of its claim
+    import dataclasses
 
-    original = aba_module.compute_attacks
+    import arglog.paa as paa_module
 
-    def drop_self_attacks(framework, arguments):
-        return frozenset(
-            (i, j) for i, j in original(framework, arguments) if i != j
+    original = paa_module.argument_table
+
+    def drop_self_attacks(framework, max_arguments):
+        table = original(framework, max_arguments)
+        contraries = tuple(
+            tuple(c for c in attacking if c != claim)
+            for claim, attacking in zip(table.claims, table.contraries)
         )
+        return dataclasses.replace(table, contraries=contraries)
 
-    monkeypatch.setattr(aba_module, "compute_attacks", drop_self_attacks)
+    monkeypatch.setattr(paa_module, "argument_table", drop_self_attacks)
     dump = tmp_path / "counterexample.pl"
     code, _, err = run(
         capsys, "check", "--seed-range", "0..20", "--dump", str(dump)

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import arglog.aba as aba_module
 import arglog.paa as paa_module
 import arglog.worlds as worlds_module
 from arglog import (
@@ -18,12 +19,15 @@ from arglog import (
     Atom,
     CapExceeded,
     Literal,
+    PaaEngine,
     ProbFact,
     Program,
     Rule,
+    argument_sort_key,
     build_problog_aba,
     check_program,
     check_query,
+    compute_attacks,
     enumerate_arguments,
     ground,
     parse_program,
@@ -31,6 +35,7 @@ from arglog import (
     well_founded_model,
     world_probability,
 )
+from arglog.aba import argument_table
 from arglog.cli import main
 from arglog.semantics import grounded_block, grounded_extension_of
 from arglog.wfm import WellFoundedKernel
@@ -44,14 +49,17 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "arglog"
 
 
 def defense_fixpoint(active, attacks):
-    """Reference: least fixpoint of the defense function, by iteration."""
-    attackers = {i: {s for s, t in attacks if t == i and s in active} for i in active}
+    """Reference: least fixpoint of the defense function, by iteration. An
+    argument is defended when each of its active attackers has an attacker
+    in the extension."""
+    attackers = {i: set() for i in active}
+    for s, t in attacks:
+        if s in active and t in active:
+            attackers[t].add(s)
     extension = set()
     while True:
         defended = {
-            i
-            for i in active
-            if all(any((g, a) in attacks for g in extension) for a in attackers[i])
+            i for i in active if all(attackers[a] & extension for a in attackers[i])
         }
         if defended == extension:
             return frozenset(extension)
@@ -72,28 +80,31 @@ def restricted_frameworks(draw):
 def test_linear_labelling_matches_the_defense_fixpoint(framework):
     n, attacks, active = framework
     attackers = [[s for s, t in sorted(attacks) if t == i] for i in range(n)]
-    targets = [[t for s, t in sorted(attacks) if s == i] for i in range(n)]
     expected = defense_fixpoint(active, attacks)
     assert grounded_extension_of(active, attackers) == expected
-    assert grounded_extension_of(active, attackers, targets) == expected
     assert grounded_extension_of(list(active), dict(enumerate(attackers))) == expected
 
 
 @st.composite
-def frameworks_with_fact_needs(draw):
-    n, attacks, _ = draw(restricted_frameworks())
+def grouped_frameworks_with_fact_needs(draw):
+    """Arguments in groups, each attacked by whole groups, and each needing
+    some of k facts."""
+    n = draw(st.integers(0, 8))
+    groups = draw(st.lists(st.integers(0, max(n - 1, 0)), min_size=n, max_size=n))
+    attacked_by = draw(
+        st.lists(st.frozensets(st.integers(0, max(n - 1, 0)), max_size=3), min_size=n, max_size=n)
+    )
     k = draw(st.integers(0, 4))
     needs = draw(st.lists(st.integers(0, 2**k - 1), min_size=n, max_size=n))
-    return n, attacks, k, needs
+    return n, groups, [sorted(g) for g in attacked_by], k, needs
 
 
 @pytest.mark.parametrize("bits", [worlds_module.BLOCK_BITS, 1])
 @settings(max_examples=200, deadline=None)
-@given(frameworks_with_fact_needs())
+@given(grouped_frameworks_with_fact_needs())
 def test_block_labelling_matches_the_defense_fixpoint_in_every_world(bits, framework):
-    n, attacks, k, needs = framework
-    attackers = [[s for s, t in sorted(attacks) if t == i] for i in range(n)]
-    targets = [[t for s, t in sorted(attacks) if s == i] for i in range(n)]
+    n, groups, attacked_by, k, needs = framework
+    attacks = {(i, j) for j in range(n) for i in range(n) if groups[i] in attacked_by[j]}
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(worlds_module, "BLOCK_BITS", bits)
         b = block_bits(k)
@@ -106,7 +117,7 @@ def test_block_labelling_matches_the_defense_fixpoint_in_every_world(bits, frame
                     if need >> i & 1:
                         vector &= vectors[i]
                 active.append(vector)
-            inside = grounded_block(active, attackers, targets)
+            inside = grounded_block(active, groups, attacked_by)
             for w in range(2**b):
                 mask = (block << b) + w
                 world_active = {i for i, need in enumerate(needs) if need & mask == need}
@@ -273,6 +284,139 @@ def test_argument_cap_refuses_exactly_past_the_argument_count():
         enumerate_arguments(framework, max_arguments=242)
 
 
+# --- the argumentation route on ints ---
+
+
+def table_programs():
+    """The seeded corpus' ground programs, seeds 0..399."""
+    for seed in range(400):
+        yield seed, ground(random_program(seed))
+
+
+@pytest.mark.filterwarnings("ignore:degenerate framework")
+def test_mask_keyed_order_is_the_canonical_order_on_the_seeded_corpus():
+    for seed, gp in table_programs():
+        framework = build_problog_aba(gp)
+        table = argument_table(framework)
+        assert table.arguments == tuple(
+            sorted(enumerate_arguments(framework), key=argument_sort_key)
+        ), seed
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.frozensets(repeating_rules, max_size=6))
+def test_mask_keyed_order_is_the_canonical_order_with_repeated_body_literals(program):
+    pfacts = frozenset({ProbFact(Fraction(1, 2), Atom("d"))})
+    framework = build_problog_aba(ground(Program(program, pfacts)))
+    table = argument_table(framework)
+    assert table.arguments == tuple(sorted(reference_arguments(framework), key=argument_sort_key))
+
+
+def assert_factored_labelling_matches_the_pairs(gp):
+    """Every world's accepted set, labelled over claim groups, against the
+    defense fixpoint over the expanded attack pairs."""
+    engine = PaaEngine(gp)
+    attacks = compute_attacks(engine.framework, engine.arguments)
+    expected = {}
+    for world, _, accepted in engine.evaluations():
+        active = frozenset(
+            i for i, arg in enumerate(engine.arguments) if arg.fact_support <= world
+        )
+        if active not in expected:
+            expected[active] = defense_fixpoint(active, attacks)
+        assert accepted == expected[active], sorted(world)
+
+
+@pytest.mark.filterwarnings("ignore:degenerate framework")
+def test_factored_labelling_matches_the_attack_pairs_on_the_seeded_corpus():
+    for seed, gp in table_programs():
+        try:
+            assert_factored_labelling_matches_the_pairs(gp)
+        except AssertionError as failure:
+            raise AssertionError(f"seed {seed}: {failure}") from None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.frozensets(repeating_rules, max_size=6))
+def test_factored_labelling_matches_the_attack_pairs_with_repeated_body_literals(program):
+    pfacts = frozenset({ProbFact(Fraction(1, 2), Atom("d"))})
+    assert_factored_labelling_matches_the_pairs(ground(Program(program, pfacts)))
+
+
+def reference_probabilities(engine, atom):
+    """Reference: the query probability and the per-argument sum as
+    per-world `Fraction` sums over the engine's accepted sets."""
+    claiming = engine.query_argument_indices(atom)
+    query = argument_sum = Fraction(0)
+    for _, prob, accepted in engine.evaluations():
+        if not claiming.isdisjoint(accepted):
+            query += prob
+        argument_sum += prob * len(claiming & accepted)
+    return query, argument_sum
+
+
+CERTAIN_AND_IMPOSSIBLE = """
+0::a. 1::b. 0.3::c. 1/3::e. 1::f. 0::g.
+q :- a. q :- b, \\+ c. q :- e.
+r :- b, f. r :- \\+ q. s :- g, \\+ r. s :- c, e. t :- \\+ t, e.
+"""
+
+
+def uneven_chain(n):
+    """chain-n with a different probability on each fact, so that no two
+    blocks of worlds carry the same probabilities."""
+    source = chain_source(n)
+    for i in range(1, n + 1):
+        source = source.replace(f"0.5::x{i}.", f"{i}/7::x{i}.")
+        source = source.replace(f"0.5::y{i}.", f"{i}/9::y{i}.")
+    return source
+
+
+@pytest.mark.parametrize(
+    "source",
+    [CERTAIN_AND_IMPOSSIBLE, uneven_chain(6)]
+    + [random_program(seed).to_source() for seed in (3, 5, 12, 41, 77)],
+    ids=["certain-and-impossible", "chain-6", "seed3", "seed5", "seed12", "seed41", "seed77"],
+)
+def test_vector_probabilities_equal_per_world_fraction_sums(source):
+    gp = ground(parse_program(source))
+    engine = PaaEngine(gp)
+    for atom in sorted(gp.herbrand_base):
+        query, argument_sum = reference_probabilities(engine, atom)
+        assert engine.grounded_prob_query(atom) == query, atom
+        assert engine.argument_probability_sum(atom) == argument_sum, atom
+    by_argument = [Fraction(0)] * len(engine.arguments)
+    for _, prob, accepted in engine.evaluations():
+        for i in accepted:
+            by_argument[i] += prob
+    for arg, prob in zip(engine.arguments, by_argument):
+        assert engine.grounded_prob_argument(arg) == prob, arg
+
+
+def test_certain_and_impossible_facts_reach_both_ends_of_the_probabilities():
+    gp = ground(parse_program(CERTAIN_AND_IMPOSSIBLE))
+    probabilities = {p.prob for p in gp.pfacts}
+    assert {Fraction(0), Fraction(1)} <= probabilities
+    engine = PaaEngine(gp)
+    assert engine.grounded_prob_query(Atom("r")) == 1
+    assert engine.grounded_prob_query(Atom("a")) == 0
+    assert engine.grounded_prob_query(Atom("q")) == 1 - Fraction(3, 10) * Fraction(2, 3)
+    assert engine.grounded_prob_query(Atom("s")) == Fraction(3, 10) * Fraction(1, 3)
+
+
+def test_the_query_path_never_builds_attack_pairs(monkeypatch):
+    def refuse(framework, arguments):
+        raise AssertionError("attack pairs were built")
+
+    for module in (aba_module, paa_module):
+        monkeypatch.setattr(module, "compute_attacks", refuse)
+    gp = ground(parse_program(chain_source(2) + "d :- \\+ d.\n"))
+    reports = check_program(gp)
+    assert reports and all(report.holds for report in reports)
+    with pytest.raises(AssertionError, match="attack pairs were built"):
+        PaaEngine(gp).aaf
+
+
 # --- world enumeration ---
 
 
@@ -330,10 +474,10 @@ def test_check_program_evaluates_each_world_once_per_route(monkeypatch):
         models += 1
         return model(self, facts)
 
-    def counting_grounded(active, attackers, targets):
+    def counting_grounded(active, groups, attacked_by):
         # a0's argument needs no fact, so it is active in every world covered
         covered["grounded"].append(max(vector.bit_length() for vector in active))
-        return grounded(active, attackers, targets)
+        return grounded(active, groups, attacked_by)
 
     monkeypatch.setattr(WellFoundedKernel, "_evaluate", counting_evaluate)
     monkeypatch.setattr(WellFoundedKernel, "model", counting_model)

@@ -3,23 +3,40 @@ from fractions import Fraction
 import pytest
 
 from arglog import (
+    AaFramework,
     Argument,
     Atom,
     CapExceeded,
     Caps,
     Literal,
     PaaEngine,
-    applicable,
     ground,
     grounded_extension,
     parse_program,
     parse_query,
-    restrict,
     world_probability,
     world_table,
 )
 
 B = Atom("b")
+
+
+def applicable(world, argument):
+    """An argument applies in a world iff the world chose all its fact assumptions."""
+    return argument.fact_support <= world
+
+
+def restrict(aaf, world):
+    """The framework with respect to a world: applicable arguments only,
+    attacks restricted to the survivors (indices are compacted)."""
+    keep = [i for i, arg in enumerate(aaf.arguments) if applicable(world, arg)]
+    renumber = {old: new for new, old in enumerate(keep)}
+    attacks = frozenset(
+        (renumber[i], renumber[j])
+        for i, j in aaf.attacks
+        if i in renumber and j in renumber
+    )
+    return AaFramework(tuple(aaf.arguments[i] for i in keep), attacks)
 
 
 def engine_of(source, **caps):
