@@ -30,7 +30,8 @@ def world_models(
     """(total choice, probability, well-founded model of the induced program)
     for every total choice, in the shared world order. The program is
     compiled once with the choice atoms, and the kernel evaluates the
-    choices a block of worlds at a time; each choice reads its row."""
+    choices a block of worlds at a time; each choice's model is a view of
+    its block's vectors."""
     kernel = WellFoundedKernel(gp.rules, gp.herbrand_base, gp.fact_atoms)
     for choice, prob in total_choices(gp.pfacts, max_pfacts):
         yield choice, prob, well_founded_model(gp.rules, gp.herbrand_base, choice, kernel)

@@ -15,12 +15,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
-from .distribution import success_mass, success_probability, world_models
+from .distribution import success_mass, success_probability
 from .limits import Caps
 from .model import Atom, GroundProgram, Literal, ProbFact, Program, Rule
 from .paa import PaaEngine
-from .wfm import ThreeValuedModel
+from .wfm import ThreeValuedModel, WellFoundedKernel, well_founded_model
+from .worlds import block_bits
 
 
 @dataclass(frozen=True)
@@ -59,29 +61,59 @@ class EquivalenceReport:
         )
 
 
+def mismatched_worlds(
+    sure: Sequence[int],
+    false: Sequence[int],
+    inside: Sequence[int],
+    claiming: Sequence[tuple[Sequence[int], Sequence[int]]],
+) -> int:
+    """The worlds of a block, as a bit vector, whose well-founded model does
+    not match the accepted claims.
+
+    `sure[k]` and `false[k]` are the worlds where atom k is true and false,
+    `inside[i]` the worlds whose grounded extension accepts argument i, and
+    `claiming[k]` the arguments claiming atom k and those claiming its
+    negation. A world matches when, for every atom, the atom is true iff an
+    argument claiming it is accepted, and false iff an argument claiming its
+    negation is.
+    """
+    mismatch = 0
+    for true_vector, false_vector, (positive, negative) in zip(sure, false, claiming):
+        accepted = 0
+        for i in positive:
+            accepted |= inside[i]
+        mismatch |= true_vector ^ accepted
+        accepted = 0
+        for i in negative:
+            accepted |= inside[i]
+        mismatch |= false_vector ^ accepted
+    return mismatch
+
+
 def world_traces(gp: GroundProgram, engine: PaaEngine) -> tuple[WorldTrace, ...]:
     """Evaluate every world (including zero-probability ones) on both routes.
 
-    Each route evaluates each world once; both enumerate worlds in the same
-    order, so their results pair up row by row. The model matches the claims
-    when its true atoms are the accepted atomic claims and its false atoms
-    the atoms of the accepted negated claims.
+    The worlds, their probabilities and accepted arguments come from the
+    engine's table, in mask order. Each route evaluates each world once, a
+    block of worlds at a time, and whether a world's model matches its
+    accepted claims is read from one `mismatched_worlds` vector per block.
     """
+    kernel = WellFoundedKernel(gp.rules, gp.herbrand_base, gp.fact_atoms)
     claim_of = [arg.claim for arg in engine.arguments]
-    atomic = frozenset(i for i, claim in enumerate(claim_of) if not claim.negated)
-    # the base's own atom objects, which the models hold, so that comparing
-    # the sets below mostly finds elements by identity
-    base = {atom: atom for atom in gp.herbrand_base}
-    atom_of = [base.get(claim.atom, claim.atom) for claim in claim_of]
+    claiming: list[tuple[list[int], list[int]]] = [([], []) for _ in kernel.atoms]
+    for i, claim in enumerate(claim_of):
+        claiming[kernel.index[claim.atom]][claim.negated].append(i)
+    evaluations = engine.evaluations()
+    width = 1 << block_bits(len(gp.pfacts))
     traces = []
-    for (world, prob, model), (_, _, accepted) in zip(
-        world_models(gp, engine.caps.max_pfacts), engine.evaluations()
-    ):
-        true_atoms = set(map(atom_of.__getitem__, accepted & atomic))
-        false_atoms = set(map(atom_of.__getitem__, accepted - atomic))
-        matches = model.true_atoms == true_atoms and model.false_atoms == false_atoms
-        claims = frozenset(map(claim_of.__getitem__, accepted))
-        traces.append(WorldTrace(world, prob, model, claims, matches))
+    for block, inside in enumerate(engine.in_vectors()):
+        sure, false, _ = kernel.block_vectors(block)
+        mismatch = mismatched_worlds(sure, false, inside, claiming)
+        for world, prob, accepted in evaluations[block * width : (block + 1) * width]:
+            model = well_founded_model(gp.rules, gp.herbrand_base, world, kernel)
+            claims = frozenset(map(claim_of.__getitem__, accepted))
+            traces.append(WorldTrace(world, prob, model, claims, not mismatch & 1))
+            mismatch >>= 1
     return tuple(traces)
 
 
@@ -100,7 +132,8 @@ def check_query(
     checks that public function against the traces. Given `traces` (as by
     `check_program`), it is summed from their well-founded models, so no world
     is evaluated again, whatever the number of queries. The grounded
-    probabilities always come from the engine's memoised per-world extensions.
+    probabilities always come from the engine's IN vectors, one per argument
+    and block of worlds, labelled once and shared by every query.
     """
     if engine is None:
         engine = PaaEngine(gp, caps)

@@ -12,6 +12,8 @@ from .model import (
     Rule,
     herbrand_base,
     is_variable,
+    nonground_reason,
+    unrestricted_reason,
 )
 
 
@@ -32,7 +34,9 @@ def ground(program: Program) -> GroundProgram:
     universe is the (finite) set of constants that occur in the program.
     Rules must be range-restricted: every head variable has to occur in a
     positive body literal, which rules out bodyless clauses with variables.
-    Identical instantiations are deduplicated.
+    `parse_program` already rejects such clauses, with their positions;
+    here they raise `GroundingError`, for programs built in code. Identical
+    instantiations are deduplicated.
     """
     constants = _constants(program)
     ground_rules: set[Rule] = set()
@@ -41,15 +45,9 @@ def ground(program: Program) -> GroundProgram:
         if not variables:
             ground_rules.add(rule)
             continue
-        positive_vars = set()
-        for atom in rule.positive_atoms():
-            positive_vars |= atom.variables()
-        unrestricted = sorted(rule.head.variables() - positive_vars)
-        if unrestricted:
-            raise GroundingError(
-                f"rule '{rule}' is not range-restricted: head variable(s) "
-                f"{', '.join(unrestricted)} never occur in a positive body literal"
-            )
+        reason = unrestricted_reason(rule)
+        if reason is not None:
+            raise GroundingError(reason)
         if not constants:
             raise GroundingError(
                 f"rule '{rule}' contains variables but the program has no "
@@ -59,11 +57,9 @@ def ground(program: Program) -> GroundProgram:
             ground_rules.add(rule.substitute(dict(zip(variables, values))))
     ground_pfacts: set[ProbFact] = set()
     for pf in sorted(program.pfacts):
-        if not pf.atom.is_ground:
-            raise GroundingError(
-                f"probabilistic fact '{pf}' is not ground; a bodyless clause "
-                "has no positive body literal to restrict its variables"
-            )
+        reason = nonground_reason(pf)
+        if reason is not None:
+            raise GroundingError(reason)
         ground_pfacts.add(pf)
     return GroundProgram(
         rules=frozenset(ground_rules),

@@ -216,8 +216,9 @@ def validate(program: Program) -> list[Violation]:
                     f"predicate {atom.predicate!r} uses the reserved '_' prefix",
                 )
             )
+    rules, pfacts = sorted(program.rules), sorted(program.pfacts)
     seen: dict[Atom, ProbFact] = {}
-    for pf in sorted(program.pfacts):
+    for pf in pfacts:
         if pf.atom in seen:
             violations.append(
                 Violation(
@@ -228,8 +229,16 @@ def validate(program: Program) -> list[Violation]:
             )
         else:
             seen[pf.atom] = pf
-    for pf in sorted(program.pfacts):
-        for rule in sorted(program.rules):
+    for rule in rules:
+        reason = unrestricted_reason(rule)
+        if reason is not None:
+            violations.append(Violation("rule_not_range_restricted", reason, rule))
+    for pf in pfacts:
+        reason = nonground_reason(pf)
+        if reason is not None:
+            violations.append(Violation("probabilistic_fact_not_ground", reason, pf))
+    for pf in pfacts:
+        for rule in rules:
             if unifies(pf.atom, rule.head):
                 violations.append(
                     Violation(
@@ -239,6 +248,31 @@ def validate(program: Program) -> list[Violation]:
                     )
                 )
     return violations
+
+
+def unrestricted_reason(rule: Rule) -> str | None:
+    """Why the rule cannot be finitely grounded: some head variable occurs
+    in no positive body literal. None when the rule is range-restricted."""
+    unrestricted = rule.head.variables()
+    if unrestricted:
+        for atom in rule.positive_atoms():
+            unrestricted -= atom.variables()
+    if not unrestricted:
+        return None
+    return (
+        f"rule '{rule}' is not range-restricted: head variable(s) "
+        f"{', '.join(sorted(unrestricted))} never occur in a positive body literal"
+    )
+
+
+def nonground_reason(pf: ProbFact) -> str | None:
+    """Why the probabilistic fact cannot be grounded, or None when it is ground."""
+    if pf.atom.is_ground:
+        return None
+    return (
+        f"probabilistic fact '{pf}' is not ground; a bodyless clause "
+        "has no positive body literal to restrict its variables"
+    )
 
 
 def _all_atoms(program: Program) -> set[Atom]:

@@ -65,7 +65,12 @@ class PaaEngine:
         return AaFramework(self.arguments, compute_attacks(self.framework, self.arguments))
 
     def _mask(self, world: frozenset[Atom]) -> int:
-        return sum(self._bit[atom] for atom in world if atom in self._bit)
+        """The world's mask; the world is a set of probabilistic-fact atoms."""
+        try:
+            return sum(map(self._bit.__getitem__, world))
+        except KeyError as missing:
+            atom = missing.args[0]
+            raise KeyError(f"{atom} is not a probabilistic fact of this program") from None
 
     def worlds(self) -> list[tuple[frozenset[Atom], Fraction]]:
         return world_table(self.gp.pfacts, self.caps.max_pfacts)
@@ -108,6 +113,10 @@ class PaaEngine:
             self._labels = table, blocks, denominator
         return self._labels
 
+    def in_vectors(self) -> list[list[int]]:
+        """Per block of worlds, in mask order, each argument's IN vector."""
+        return [inside for _, inside in self._labelling()[1]]
+
     def evaluations(self) -> list[tuple[frozenset[Atom], Fraction, frozenset[int]]]:
         """(world, probability, accepted indices) for every world, in mask
         order, read from the block labellings; computed on first use, then
@@ -138,6 +147,7 @@ class PaaEngine:
         return Fraction(total, denominator)
 
     def accepted_claims(self, world: frozenset[Atom]) -> frozenset[Literal]:
+        """The claims of the arguments the world's grounded extension accepts."""
         _, _, accepted = self.evaluations()[self._mask(world)]
         return frozenset(self.arguments[i].claim for i in accepted)
 

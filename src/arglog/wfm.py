@@ -13,34 +13,98 @@ and everything outside U is false; the remainder is undefined.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress
 from typing import Iterable
 
 from .errors import CapExceeded
 from .model import Atom, Rule, matches
-from .worlds import block_bits, block_fact_vectors, world_columns
+from .worlds import block_bits, block_fact_vectors
 
 
-@dataclass(frozen=True)
 class ThreeValuedModel:
-    """Partition of the Herbrand base into true / false / undefined atoms."""
+    """Partition of the Herbrand base into true / false / undefined atoms.
 
-    true_atoms: frozenset[Atom]
-    false_atoms: frozenset[Atom]
-    undefined_atoms: frozenset[Atom]
+    A model is built either from its three sets or, by `WellFoundedKernel`,
+    as a view of one world of an evaluated block: the kernel's atoms, the
+    block's sure, false and undefined vectors, and the world's bit in them.
+    A view builds each set the first time it is read, then keeps it. Either
+    way the model compares, hashes and prints as its three sets.
+    """
 
-    def __post_init__(self):
+    __slots__ = ("_sections", "_atoms", "_index", "_vectors", "_bit")
+
+    def __init__(
+        self,
+        true_atoms: frozenset[Atom],
+        false_atoms: frozenset[Atom],
+        undefined_atoms: frozenset[Atom],
+    ):
         if (
-            self.true_atoms & self.false_atoms
-            or self.true_atoms & self.undefined_atoms
-            or self.false_atoms & self.undefined_atoms
+            true_atoms & false_atoms
+            or true_atoms & undefined_atoms
+            or false_atoms & undefined_atoms
         ):
             raise ValueError("model sections must be pairwise disjoint")
+        self._sections = [true_atoms, false_atoms, undefined_atoms]
+
+    @classmethod
+    def _view(
+        cls, atoms: list[Atom], index: dict[Atom, int], vectors: tuple[list[int], ...], bit: int
+    ) -> ThreeValuedModel:
+        """The model of the world at `bit` of the (sure, false, undefined)
+        vectors over `atoms`; `index` numbers the atoms."""
+        model = object.__new__(cls)
+        model._sections = [None, None, None]
+        model._atoms, model._index, model._vectors, model._bit = atoms, index, vectors, bit
+        return model
+
+    def _section(self, k: int) -> frozenset[Atom]:
+        section = self._sections[k]
+        if section is None:
+            bit = self._bit
+            section = frozenset(compress(self._atoms, [v & bit for v in self._vectors[k]]))
+            self._sections[k] = section
+        return section
+
+    @property
+    def true_atoms(self) -> frozenset[Atom]:
+        return self._section(0)
+
+    @property
+    def false_atoms(self) -> frozenset[Atom]:
+        return self._section(1)
+
+    @property
+    def undefined_atoms(self) -> frozenset[Atom]:
+        return self._section(2)
+
+    def is_true(self, atom: Atom) -> bool:
+        """Whether the atom is true; a view reads one bit and builds no set."""
+        if self._sections[0] is not None:
+            return atom in self._sections[0]
+        k = self._index.get(atom)
+        return k is not None and bool(self._vectors[0][k] & self._bit)
 
     @property
     def is_two_valued(self) -> bool:
         return not self.undefined_atoms
+
+    def _key(self) -> tuple[frozenset[Atom], frozenset[Atom], frozenset[Atom]]:
+        return (self.true_atoms, self.false_atoms, self.undefined_atoms)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (
+            f"{self.__class__.__qualname__}(true_atoms={self.true_atoms!r}, "
+            f"false_atoms={self.false_atoms!r}, undefined_atoms={self.undefined_atoms!r})"
+        )
 
 
 def least_model(rules: Iterable[Rule]) -> frozenset[Atom]:
@@ -86,7 +150,9 @@ class WellFoundedKernel:
     (see `worlds.block_fact_vectors`): each atom's truth is an int with one
     bit per world of the block, so one pass of int operations runs the
     alternating fixpoint for every world of the block at once. The block's
-    per-world models are kept until a world of another block is asked for.
+    sure, false and undefined vectors are kept until a world of another block
+    is asked for; a world's model is a view of them (see `ThreeValuedModel`).
+    `atoms` lists the interned atoms and `index` numbers them.
     """
 
     def __init__(self, rules: Iterable[Rule], base: Iterable[Atom], choices: Iterable[Atom] = ()):
@@ -96,26 +162,26 @@ class WellFoundedKernel:
         for rule in rules:
             atoms.add(rule.head)
             atoms.update(lit.atom for lit in rule.body)
-        self._atoms = list(atoms)
-        self._index = {atom: i for i, atom in enumerate(self._atoms)}
-        self._in_base = [atom in base for atom in self._atoms]
-        self._heads = [self._index[rule.head] for rule in rules]
+        self.atoms = list(atoms)
+        self.index = {atom: i for i, atom in enumerate(self.atoms)}
+        self._in_base = [atom in base for atom in self.atoms]
+        self._heads = [self.index[rule.head] for rule in rules]
         self._positive = [
-            tuple(self._index[lit.atom] for lit in rule.body if not lit.negated) for rule in rules
+            tuple(self.index[lit.atom] for lit in rule.body if not lit.negated) for rule in rules
         ]
         self._negative = [
-            tuple(self._index[lit.atom] for lit in rule.body if lit.negated) for rule in rules
+            tuple(self.index[lit.atom] for lit in rule.body if lit.negated) for rule in rules
         ]
-        self._watch: list[list[int]] = [[] for _ in self._atoms]
+        self._watch: list[list[int]] = [[] for _ in self.atoms]
         for r, positive in enumerate(self._positive):
             for atom in set(positive):
                 self._watch[atom].append(r)
         choices = sorted(choices)
-        self._choices = [self._index[atom] for atom in choices]
+        self._choices = [self.index[atom] for atom in choices]
         self._bit = {atom: 1 << i for i, atom in enumerate(choices)}
         self._block_bits = block_bits(len(choices))
         self._block: int | None = None
-        self._rows: list[ThreeValuedModel] = []
+        self._vectors: tuple[list[int], list[int], list[int]] = ([], [], [])
 
     def _least_model(self, against: list[int], facts: list[int], full: int) -> list[int]:
         """Per world: the least model of the reduct with respect to `against`,
@@ -146,9 +212,12 @@ class WellFoundedKernel:
                         todo.append(s)
         return derived
 
-    def _evaluate(self, facts: dict[int, int], width: int) -> list[ThreeValuedModel]:
-        """The well-founded model of each of `width` worlds, where `facts`
-        maps an atom to the worlds (a bit vector) that hold it as a fact.
+    def _evaluate(
+        self, facts: dict[int, int], width: int
+    ) -> tuple[list[int], list[int], list[int]]:
+        """The well-founded models of `width` worlds, where `facts` maps an
+        atom to the worlds (a bit vector) that hold it as a fact: per atom,
+        the vectors of the worlds where it is true, false and undefined.
 
         Alternating fixpoint: K(0) = G(base), U(i) = G(K(i)),
         K(i+1) = G(U(i)), stopping once K repeats (then U repeats too). The
@@ -156,14 +225,14 @@ class WellFoundedKernel:
         follow alone, and stays at its fixpoint while other worlds go on.
         """
         full = (1 << width) - 1
-        start = [0] * len(self._atoms)
+        start = [0] * len(self.atoms)
         for atom, vector in facts.items():
             start[atom] |= vector
         base = [full if inside else 0 for inside in self._in_base]
         sure = self._least_model(base, start, full)
         possible = self._least_model(sure, start, full)
         # every world's sure set strictly grows until its fixpoint
-        for _ in range(len(self._atoms) + 1):
+        for _ in range(len(self.atoms) + 1):
             next_sure = self._least_model(possible, start, full)
             if next_sure == sure:
                 break
@@ -171,40 +240,37 @@ class WellFoundedKernel:
             possible = self._least_model(sure, start, full)
         else:  # pragma: no cover - the alternating fixpoint provably converges
             raise RuntimeError("alternating fixpoint failed to converge")
-        atoms = self._atoms
-        by_world = [
-            (frozenset(compress(atoms, column)) for column in world_columns(vectors, width))
-            for vectors in (
-                sure,
-                [b & ~p for b, p in zip(base, possible)],
-                [p & ~s for p, s in zip(possible, sure)],
-            )
-        ]
-        return [
-            ThreeValuedModel(true_atoms=t, false_atoms=f, undefined_atoms=u)
-            for t, f, u in zip(*by_world)
-        ]
+        return (
+            sure,
+            [b & ~p for b, p in zip(base, possible)],
+            [p & ~s for p, s in zip(possible, sure)],
+        )
+
+    def block_vectors(self, block: int) -> tuple[list[int], list[int], list[int]]:
+        """The (true, false, undefined) vectors of a block of worlds, one int
+        per atom: the kept ones, unless the block must be evaluated first."""
+        if block != self._block:
+            vectors = block_fact_vectors(len(self._choices), block)
+            self._vectors = self._evaluate(dict(zip(self._choices, vectors)), 1 << self._block_bits)
+            self._block = block
+        return self._vectors
 
     def model(self, facts: Iterable[Atom] = ()) -> ThreeValuedModel:
         """The well-founded model of the program plus one fact per given atom.
 
-        Choice atoms name a world: unless its block is the one kept, the
-        block is evaluated and kept, and the world's row is returned. A fact
-        set with other atoms is evaluated as a block of one world.
+        Choice atoms name a world, and the model is a view of the world's
+        bit in its block's vectors. A fact set with other atoms is evaluated
+        as a block of one world.
         """
-        facts = tuple(facts)
-        mask = 0
-        for atom in facts:
-            bit = self._bit.get(atom)
-            if bit is None:
-                return self._evaluate({self._index[atom]: 1 for atom in facts}, 1)[0]
-            mask |= bit
-        block = mask >> self._block_bits
-        if block != self._block:
-            vectors = block_fact_vectors(len(self._choices), block)
-            self._rows = self._evaluate(dict(zip(self._choices, vectors)), 1 << self._block_bits)
-            self._block = block
-        return self._rows[mask & ((1 << self._block_bits) - 1)]
+        facts = frozenset(facts)
+        bits = [*map(self._bit.get, facts)]
+        if None in bits:
+            vectors = self._evaluate({self.index[atom]: 1 for atom in facts}, 1)
+            return ThreeValuedModel._view(self.atoms, self.index, vectors, 1)
+        mask = sum(bits)
+        vectors = self.block_vectors(mask >> self._block_bits)
+        bit = 1 << (mask & ((1 << self._block_bits) - 1))
+        return ThreeValuedModel._view(self.atoms, self.index, vectors, bit)
 
 
 def well_founded_model(
@@ -256,5 +322,5 @@ def succeeds(model: ThreeValuedModel, query: Atom) -> bool:
     equivalent to instantiating the query over the full base first.
     """
     if query.is_ground:
-        return query in model.true_atoms
+        return model.is_true(query)
     return any(matches(query, atom) for atom in model.true_atoms)

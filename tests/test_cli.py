@@ -110,6 +110,21 @@ def test_parse_error_exits_one(capsys, tmp_path):
     assert "outside [0,1]" in err
 
 
+@pytest.mark.parametrize(
+    "source, message",
+    [
+        ("0.5::b(X).\n", "error: 1:1: probabilistic fact '0.5::b(X)' is not ground;"),
+        ("q(a).\np(X,Y) :- q(X).\n", "error: 2:1: rule 'p(X,Y) :- q(X)' is not range-restricted"),
+    ],
+)
+def test_ungroundable_clauses_exit_one_at_their_position(capsys, tmp_path, source, message):
+    path = tmp_path / "ungroundable.pl"
+    path.write_text(source, encoding="utf-8")
+    code, out, err = run(capsys, "query", str(path), "--query", "p")
+    assert code == 1 and not out
+    assert err.startswith(message)
+
+
 def test_missing_file_exits_one(capsys):
     code, _, err = run(capsys, "query", "no_such_file.pl", "--query", "a")
     assert code == 1

@@ -1,8 +1,15 @@
+from fractions import Fraction
+
 import pytest
 
 from arglog import (
     Atom,
     GroundingError,
+    Literal,
+    ProbFact,
+    Program,
+    Rule,
+    ValidationError,
     ground,
     ground_program_from_parts,
     parse_program,
@@ -32,14 +39,21 @@ def test_grounding_deduplicates_identical_instances():
     assert gp.rules == parse_program("p :- q(1), q(1).").rules
 
 
+def built_in_code(rules=(), pfacts=()):
+    """A program assembled without the parser, whose validation would
+    reject the clauses these tests give to `ground`."""
+    return Program(frozenset(rules), frozenset(pfacts))
+
+
 def test_nonground_fact_is_rejected():
     with pytest.raises(GroundingError, match="range-restricted"):
-        ground(parse_program("p(X)."))
+        ground(built_in_code([Rule(Atom("p", ("X",)))]))
 
 
 def test_head_variable_missing_from_positive_body_is_rejected():
+    rule = Rule(Atom("p", ("X",)), (Literal(Atom("q", ("X",)), negated=True),))
     with pytest.raises(GroundingError, match="range-restricted"):
-        ground(parse_program("p(X) :- \\+ q(X).\nq(1).\n"))
+        ground(built_in_code([rule, Rule(Atom("q", ("1",)))]))
 
 
 def test_variables_without_constants_are_rejected():
@@ -48,8 +62,25 @@ def test_variables_without_constants_are_rejected():
 
 
 def test_nonground_probabilistic_fact_is_rejected():
+    pfact = ProbFact(Fraction(1, 2), Atom("q", ("X",)))
     with pytest.raises(GroundingError, match="not ground"):
-        ground(parse_program("0.5::q(X).\np(1).\n"))
+        ground(built_in_code([Rule(Atom("p", ("1",)))], [pfact]))
+
+
+@pytest.mark.parametrize(
+    "source, message",
+    [
+        ("p(X).", r"^1:1: rule 'p\(X\)' is not range-restricted"),
+        (
+            "q(1).\np(X) :- \\+ q(X).\n",
+            r"^2:1: rule 'p\(X\) :- not q\(X\)' is not range-restricted",
+        ),
+        ("p(1).\n0.5::q(X).\n", r"^2:1: probabilistic fact '0.5::q\(X\)' is not ground"),
+    ],
+)
+def test_parser_rejects_what_cannot_be_grounded_at_its_position(source, message):
+    with pytest.raises(ValidationError, match=message):
+        parse_program(source)
 
 
 def test_negative_only_variables_are_instantiated():

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import arglog.aba as aba_module
 import arglog.paa as paa_module
+import arglog.wfm as wfm_module
 import arglog.worlds as worlds_module
 from arglog import (
     Argument,
@@ -32,13 +33,16 @@ from arglog import (
     ground,
     parse_program,
     random_program,
+    succeeds,
     well_founded_model,
     world_probability,
+    world_table,
 )
 from arglog.aba import argument_table
 from arglog.cli import main
+from arglog.equivalence import mismatched_worlds, world_traces
 from arglog.semantics import grounded_block, grounded_extension_of
-from arglog.wfm import WellFoundedKernel
+from arglog.wfm import ThreeValuedModel, WellFoundedKernel
 from arglog.worlds import block_bits, block_fact_vectors, enumerate_worlds
 
 from conftest import FIXTURES, chain_source
@@ -197,9 +201,153 @@ def test_block_kernel_matches_the_reference_in_every_world(bits, program, choice
             chosen = {atom for i, atom in enumerate(choices) if mask >> i & 1}
             model = kernel.model(chosen)
             expected = reference_wfm(program | {Rule(atom) for atom in chosen}, base)
-            assert (model.true_atoms, model.false_atoms, model.undefined_atoms) == tuple(
-                map(frozenset, expected)
-            ), mask
+            expected = tuple(map(frozenset, expected))
+            # the model is a view: truth is read off a bit before any set is built
+            assert [model.is_true(atom) for atom in ATOMS] == [a in expected[0] for a in ATOMS]
+            sections = (model.true_atoms, model.false_atoms, model.undefined_atoms)
+            assert sections == expected, mask
+            assert model.is_two_valued == (not expected[2])
+            assert frozenset().union(*sections) == base
+            assert sum(map(len, sections)) == len(base)
+
+
+# --- models as views of block vectors, and the per-block correspondence ---
+
+HEADS = [Atom(ch) for ch in "abcd"]
+CHOICES = [Atom(ch) for ch in "efg"]
+view_rules = st.builds(
+    Rule,
+    st.sampled_from(HEADS),
+    st.lists(st.builds(Literal, st.sampled_from(HEADS + CHOICES), st.booleans()), max_size=3).map(
+        tuple
+    ),
+)
+
+
+@st.composite
+def probabilistic_programs(draw):
+    """Rules over a..d, probabilistic facts on some of e..g."""
+    rules = draw(st.frozensets(view_rules, max_size=8))
+    chosen = draw(st.lists(st.sampled_from(CHOICES), unique=True, max_size=3))
+    pfacts = frozenset(ProbFact(Fraction(draw(st.integers(0, 4)), 4), atom) for atom in chosen)
+    return Program(rules, pfacts)
+
+
+def reference_world_models(gp):
+    """Per world, in mask order: the world and the reference model's
+    (true, false, undefined) sets."""
+    choices = sorted(gp.fact_atoms)
+    for mask in range(2 ** len(choices)):
+        world = frozenset(atom for i, atom in enumerate(choices) if mask >> i & 1)
+        facts = {Rule(atom) for atom in world}
+        yield world, tuple(map(frozenset, reference_wfm(gp.rules | facts, gp.herbrand_base)))
+
+
+@pytest.mark.parametrize("bits", [worlds_module.BLOCK_BITS, 1])
+@settings(max_examples=150, deadline=None)
+@given(probabilistic_programs())
+def test_views_and_models_built_from_sets_compare_and_hash_equal(bits, program):
+    gp = ground(program)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(worlds_module, "BLOCK_BITS", bits)
+        kernel = WellFoundedKernel(gp.rules, gp.herbrand_base, gp.fact_atoms)
+        for world, expected in reference_world_models(gp):
+            built = ThreeValuedModel(*expected)
+            # one view compared before its sets are read, one hashed first
+            assert kernel.model(world) == built and built == kernel.model(world)
+            view = kernel.model(world)
+            # the hash a frozen dataclass of the three sets would have
+            assert hash(view) == hash(built) == hash(expected)
+            # equal frozensets may iterate in different orders, so the text
+            # is compared with a model built from the view's own sets
+            sections = (view.true_atoms, view.false_atoms, view.undefined_atoms)
+            assert repr(view) == repr(ThreeValuedModel(*sections)) == (
+                "ThreeValuedModel(true_atoms={!r}, false_atoms={!r}, undefined_atoms={!r})"
+            ).format(*sections)
+            assert {view: world}[built] == world
+            other = ThreeValuedModel(expected[0], expected[1] | expected[2], frozenset())
+            assert (kernel.model(world) != other) == bool(expected[2])
+
+
+def test_the_answer_path_reads_bits_and_builds_no_atom_set(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a model's atom set was built")
+
+    gp = ground(parse_program(chain_source(2)))
+    kernel = WellFoundedKernel(gp.rules, gp.herbrand_base, gp.fact_atoms)
+    monkeypatch.setattr(wfm_module, "compress", refuse)
+    models = [kernel.model(world) for world, _ in world_table(gp.pfacts)]
+    # bits 0 and 1 are x1 and x2, and a2 is true exactly when both are chosen
+    assert [succeeds(model, Atom("a2")) for model in models] == [m & 3 == 3 for m in range(16)]
+    reports = check_program(gp)
+    assert reports and all(report.holds for report in reports)
+    with pytest.raises(AssertionError, match="atom set was built"):
+        models[0].true_atoms
+
+
+def accepted_claim_sets(engine, inside, w):
+    """The reference's side of the correspondence in world w of a block:
+    the atoms of the accepted atomic claims and of the accepted negated ones."""
+    claims = [arg.claim for i, arg in enumerate(engine.arguments) if inside[i] >> w & 1]
+    return (
+        frozenset(c.atom for c in claims if not c.negated),
+        frozenset(c.atom for c in claims if c.negated),
+    )
+
+
+@pytest.mark.parametrize("bits", [worlds_module.BLOCK_BITS, 1])
+@settings(max_examples=150, deadline=None)
+@pytest.mark.filterwarnings("ignore:degenerate framework")
+@given(probabilistic_programs(), st.data())
+def test_mismatch_vector_flags_the_worlds_the_set_comparison_flags(bits, program, data):
+    gp = ground(program)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(worlds_module, "BLOCK_BITS", bits)
+        engine = PaaEngine(gp)
+        kernel = WellFoundedKernel(gp.rules, gp.herbrand_base, gp.fact_atoms)
+        claiming = [([], []) for _ in kernel.atoms]
+        for i, arg in enumerate(engine.arguments):
+            claiming[kernel.index[arg.claim.atom]][arg.claim.negated].append(i)
+        width = 2 ** block_bits(len(gp.pfacts))
+        models = [expected for _, expected in reference_world_models(gp)]
+        for block, inside in enumerate(engine.in_vectors()):
+            sure, false, _ = kernel.block_vectors(block)
+            in_block = models[block * width : (block + 1) * width]
+
+            def reference(inside):
+                # the per-world set comparison world_traces made before
+                return sum(
+                    (model[:2] != accepted_claim_sets(engine, inside, w)) << w
+                    for w, model in enumerate(in_block)
+                )
+
+            assert mismatched_worlds(sure, false, inside, claiming) == reference(inside) == 0
+            if not engine.arguments:
+                continue
+            i = data.draw(st.integers(0, len(engine.arguments) - 1))
+            w = data.draw(st.integers(0, len(in_block) - 1))
+            flipped = list(inside)
+            flipped[i] ^= 1 << w
+            before, after = (accepted_claim_sets(engine, v, w) for v in (inside, flipped))
+            changed = before != after
+            assert mismatched_worlds(sure, false, flipped, claiming) == reference(flipped)
+            assert reference(flipped) == (changed << w)
+
+
+@pytest.mark.parametrize("bits", [worlds_module.BLOCK_BITS, 1])
+def test_world_traces_flag_exactly_the_world_whose_in_bit_flipped(bits, monkeypatch):
+    monkeypatch.setattr(worlds_module, "BLOCK_BITS", bits)
+    gp = ground(parse_program(chain_source(3)))
+    width = 2 ** block_bits(len(gp.pfacts))
+    for mask in (0, 5, 37, 63):
+        engine = PaaEngine(gp)
+        # the one argument claiming x1, so that its IN bit decides the claim
+        (x1,) = engine.query_argument_indices(Atom("x1"))
+        vectors = [list(inside) for inside in engine.in_vectors()]
+        vectors[mask // width][x1] ^= 1 << mask % width
+        engine.in_vectors = lambda: vectors
+        traces = world_traces(gp, engine)
+        assert [not t.model_matches_claims for t in traces] == [m == mask for m in range(64)]
 
 
 # --- argument saturation ---

@@ -131,6 +131,16 @@ def test_grounded_prob_argument_values(two_world_engine):
         )
 
 
+def test_accepted_claims_refuses_atoms_that_are_not_probabilistic_facts():
+    engine = engine_of("0.5::a.\n0.5::b.\nc :- a.\n")
+    a, b = Atom("a"), Atom("b")
+    assert Literal(Atom("c")) in engine.accepted_claims(frozenset({a}))
+    assert Literal(Atom("c"), True) in engine.accepted_claims(frozenset({b}))
+    for outsider in (Atom("c"), Atom("zz")):
+        with pytest.raises(KeyError, match=f"{outsider} is not a probabilistic fact"):
+            engine.accepted_claims(frozenset({b, outsider}))
+
+
 def test_zero_probability_fact_gives_zero_argument_probability():
     engine = engine_of("0::g.\nq :- g.\n")
     q_argument = next(
