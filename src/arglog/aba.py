@@ -31,6 +31,7 @@ from typing import Sequence
 
 from .errors import CapExceeded
 from .model import Atom, GroundProgram, Literal, Rule
+from .worlds import fact_bits
 
 FACT_CONTRARY = Literal(Atom("_chi"))
 
@@ -47,13 +48,6 @@ class AbaFramework:
     def assumptions(self) -> frozenset[Literal]:
         naf = {Literal(atom, negated=True) for atom in self.herbrand_base}
         return frozenset(naf | {Literal(atom) for atom in self.fact_assumptions})
-
-    @property
-    def language(self) -> frozenset[Literal]:
-        sentences = {Literal(atom) for atom in self.herbrand_base}
-        sentences |= {Literal(atom, negated=True) for atom in self.herbrand_base}
-        sentences.add(FACT_CONTRARY)
-        return frozenset(sentences)
 
     def contrary_of(self, assumption: Literal) -> Literal:
         """Total map from assumptions to their contraries."""
@@ -138,8 +132,9 @@ class ArgumentTable:
     argument i's claim, and `contraries[j]` holds the numbers of the claimed
     contraries of argument j's assumptions. So argument i attacks argument j
     iff `claims[i]` is in `contraries[j]`, and the arguments claiming one
-    sentence attack the same arguments. `fact_masks[i]` has bit k set iff
-    argument i uses the k-th fact assumption in sorted order.
+    sentence attack the same arguments. `fact_masks[i]` is the mask of the
+    fact assumptions argument i uses, in the world numbering of
+    `worlds.fact_bits`.
     """
 
     arguments: tuple[Argument, ...]
@@ -244,8 +239,8 @@ def argument_table(
     # by assumption bit: the number of its contrary when some rule or
     # assumption can claim it, and its bit among the fact assumptions
     contrary = [number.get(framework.contrary_of(a)) for a in assumptions]
-    facts = [a for a in assumptions if not a.negated]
-    fact_bit = [1 << facts.index(a) if not a.negated else 0 for a in assumptions]
+    bit_of = fact_bits(framework.fact_assumptions)
+    fact_bit = [0 if a.negated else bit_of[a.atom] for a in assumptions]
     found_pairs = [
         (number[lit], a, r) for lit, pairs in zip(claim_id, found) for a, r in pairs
     ]
@@ -297,10 +292,3 @@ def compute_attacks(
         (i, j) for i, arg in enumerate(arguments) for j in targets.get(arg.claim, ())
     )
 
-
-def build_aa_framework(
-    framework: AbaFramework, max_arguments: int = 100_000
-) -> AaFramework:
-    """Enumerate arguments in canonical order and derive the attack relation."""
-    arguments = argument_table(framework, max_arguments).arguments
-    return AaFramework(arguments, compute_attacks(framework, arguments))

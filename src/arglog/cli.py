@@ -19,11 +19,11 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 
 from .distribution import success_probability
-from .equivalence import EquivalenceReport, check_program, check_query, random_program
+from .equivalence import EquivalenceReport, WorldTrace, check_program, check_query, random_program
 from .errors import ArglogError, CapExceeded
 from .grounder import ground
 from .limits import Caps
-from .model import GroundProgram, format_probability
+from .model import GroundProgram
 from .paa import PaaEngine
 from .parser import parse_program, parse_query
 
@@ -49,12 +49,16 @@ def decimal_repr(value: Fraction, digits: int = 12) -> str:
     return text or "0"
 
 
-def render_probability(value: Fraction) -> str:
-    return f"{value} ({decimal_repr(value)})"
-
-
 def probability_doc(value: Fraction) -> dict:
     return {"fraction": str(value), "decimal": decimal_repr(value)}
+
+
+def _probability_text(doc: dict) -> str:
+    return f"{doc['fraction']} ({doc['decimal']})"
+
+
+def render_probability(value: Fraction) -> str:
+    return _probability_text(probability_doc(value))
 
 
 _FLAG_CAPS = {"max_pfacts": "worlds_cap", "max_arguments": "args_cap"}
@@ -95,17 +99,41 @@ def _rule_index(gp: GroundProgram) -> dict:
 
 
 def _argument_line(arg, rule_names: dict) -> str:
-    support = ", ".join(str(a) for a in sorted(arg.assumptions))
+    support = ", ".join(_names(arg.assumptions))
     used = ",".join(rule_names[r] for r in sorted(arg.rules_used))
     return f"{{{support}}} ⊢[{used}] {arg.claim}"
 
 
-def _world_name(world) -> str:
-    return "{" + ", ".join(str(a) for a in sorted(world)) + "}"
+def _names(items) -> list[str]:
+    return [str(item) for item in sorted(items)]
 
 
-def _claims_text(claims) -> str:
-    return ", ".join(str(c) for c in sorted(claims)) if claims else "(none)"
+def _braced(names: list[str]) -> str:
+    return "{" + ", ".join(names) + "}"
+
+
+def _trace_row(t: WorldTrace) -> dict:
+    """One world of a trace, as the JSON row that every rendering reads."""
+    return {
+        "world": _names(t.world),
+        "probability": probability_doc(t.probability),
+        "true_atoms": _names(t.model.true_atoms),
+        "false_atoms": _names(t.model.false_atoms),
+        "undefined_atoms": _names(t.model.undefined_atoms),
+        "accepted_claims": _names(t.accepted_claims),
+        "model_matches_claims": t.model_matches_claims,
+    }
+
+
+def _trace_line(row: dict) -> str:
+    """The human form of a `_trace_row`."""
+    undefined = f" undefined={_braced(row['undefined_atoms'])}" if row["undefined_atoms"] else ""
+    return (
+        f"  {_braced(row['world'])} p={_probability_text(row['probability'])}"
+        f" true={_braced(row['true_atoms'])}{undefined}"
+        f" accepted={_braced(row['accepted_claims'])}"
+        f" match={'yes' if row['model_matches_claims'] else 'NO'}"
+    )
 
 
 # --- commands ---
@@ -147,18 +175,7 @@ def _report_doc(report: EquivalenceReport, include_traces: bool) -> dict:
         "sum_bounds_success": report.sum_bounds_success,
     }
     if include_traces:
-        doc["worlds"] = [
-            {
-                "world": [str(a) for a in sorted(t.world)],
-                "probability": probability_doc(t.probability),
-                "true_atoms": [str(a) for a in sorted(t.model.true_atoms)],
-                "false_atoms": [str(a) for a in sorted(t.model.false_atoms)],
-                "undefined_atoms": [str(a) for a in sorted(t.model.undefined_atoms)],
-                "accepted_claims": [str(c) for c in sorted(t.accepted_claims)],
-                "model_matches_claims": t.model_matches_claims,
-            }
-            for t in report.world_traces
-        ]
+        doc["worlds"] = [_trace_row(t) for t in report.world_traces]
     return doc
 
 
@@ -172,18 +189,7 @@ def _report_lines(report: EquivalenceReport, include_traces: bool) -> list[str]:
     ]
     if include_traces:
         lines.append("worlds:")
-        for t in report.world_traces:
-            undef = ""
-            if t.model.undefined_atoms:
-                atoms = ", ".join(str(a) for a in sorted(t.model.undefined_atoms))
-                undef = f" undefined={{{atoms}}}"
-            lines.append(
-                f"  {_world_name(t.world)} p={render_probability(t.probability)}"
-                f" true={{{', '.join(str(a) for a in sorted(t.model.true_atoms))}}}"
-                f"{undef}"
-                f" accepted={{{', '.join(str(c) for c in sorted(t.accepted_claims))}}}"
-                f" match={'yes' if t.model_matches_claims else 'NO'}"
-            )
+        lines += [_trace_line(_trace_row(t)) for t in report.world_traces]
     return lines
 
 
@@ -198,8 +204,8 @@ def cmd_show(args: argparse.Namespace) -> int:
         doc = {
             "command": "show",
             "rules": {name: str(rule) for rule, name in rule_names.items()},
-            "fact_assumptions": [str(a) for a in sorted(framework.fact_assumptions)],
-            "assumptions": [str(a) for a in sorted(framework.assumptions)],
+            "fact_assumptions": _names(framework.fact_assumptions),
+            "assumptions": _names(framework.assumptions),
             "contraries": {str(a): str(c) for a, c in framework.contraries()},
             "arguments": {
                 arg_names[i]: _argument_line(arg, rule_names)
@@ -215,7 +221,7 @@ def cmd_show(args: argparse.Namespace) -> int:
     def section(header: str, rows: list[str]) -> list[str]:
         return [header] + (rows if rows else ["  (none)"])
 
-    facts = ", ".join(str(a) for a in sorted(framework.fact_assumptions)) or "(none)"
+    facts = ", ".join(_names(framework.fact_assumptions)) or "(none)"
     lines = section("rules:", [f"  {name}: {rule}" for rule, name in rule_names.items()])
     lines.append(f"fact assumptions: {facts}")
     lines += section(
@@ -243,32 +249,23 @@ def cmd_worlds(args: argparse.Namespace) -> int:
     engine = PaaEngine(gp, caps)
     rows = []
     total = Fraction(0)
-    for world, prob in engine.worlds():
+    for world, prob, _ in engine.evaluations():
         total += prob
-        rows.append((world, prob, engine.accepted_claims(world)))
+        claims = _names(engine.accepted_claims(world))
+        rows.append(
+            dict(world=_names(world), probability=probability_doc(prob), accepted_claims=claims)
+        )
     if total != 1:
         raise RuntimeError(f"internal error: world probabilities sum to {total}, not exactly 1")
     if args.format == "json":
-        doc = {
-            "command": "worlds",
-            "worlds": [
-                {
-                    "world": [str(a) for a in sorted(world)],
-                    "probability": probability_doc(prob),
-                    "accepted_claims": [str(c) for c in sorted(claims)],
-                }
-                for world, prob, claims in rows
-            ],
-            "total_probability": probability_doc(total),
-        }
+        doc = {"command": "worlds", "worlds": rows, "total_probability": probability_doc(total)}
         print(json.dumps(doc, indent=2, sort_keys=True))
         return EXIT_OK
-    lines = []
-    for world, prob, claims in rows:
-        lines.append(
-            f"{_world_name(world)}  p={render_probability(prob)}  "
-            f"accepted: {_claims_text(claims)}"
-        )
+    lines = [
+        f"{_braced(row['world'])}  p={_probability_text(row['probability'])}  "
+        f"accepted: {', '.join(row['accepted_claims']) or '(none)'}"
+        for row in rows
+    ]
     lines.append(f"total probability: {render_probability(total)}")
     print("\n".join(lines))
     return EXIT_OK
@@ -314,13 +311,7 @@ def cmd_check(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         for t in report.world_traces:
-            print(
-                f"  world {_world_name(t.world)} p={format_probability(t.probability)}"
-                f" true={{{', '.join(str(a) for a in sorted(t.model.true_atoms))}}}"
-                f" accepted={{{_claims_text(t.accepted_claims)}}}"
-                f" match={t.model_matches_claims}",
-                file=sys.stderr,
-            )
+            print(_trace_line(_trace_row(t)), file=sys.stderr)
         return EXIT_COUNTEREXAMPLE
     if args.format == "json":
         doc = {

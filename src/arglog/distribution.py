@@ -7,9 +7,7 @@ from typing import Iterable, Iterator
 
 from .model import Atom, GroundProgram, ProbFact, Rule
 from .wfm import ThreeValuedModel, WellFoundedKernel, succeeds, well_founded_model
-from .worlds import enumerate_worlds, world_probability
-
-program_probability = world_probability
+from .worlds import enumerate_worlds
 
 
 def induced_program(total_choice: frozenset[Atom], gp: GroundProgram) -> frozenset[Rule]:

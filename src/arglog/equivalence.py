@@ -22,7 +22,7 @@ from .limits import Caps
 from .model import Atom, GroundProgram, Literal, ProbFact, Program, Rule
 from .paa import PaaEngine
 from .wfm import ThreeValuedModel, WellFoundedKernel, well_founded_model
-from .worlds import block_bits
+from .worlds import block_width
 
 
 @dataclass(frozen=True)
@@ -104,7 +104,7 @@ def world_traces(gp: GroundProgram, engine: PaaEngine) -> tuple[WorldTrace, ...]
     for i, claim in enumerate(claim_of):
         claiming[kernel.index[claim.atom]][claim.negated].append(i)
     evaluations = engine.evaluations()
-    width = 1 << block_bits(len(gp.pfacts))
+    width = block_width(len(gp.pfacts))
     traces = []
     for block, inside in enumerate(engine.in_vectors()):
         sure, false, _ = kernel.block_vectors(block)

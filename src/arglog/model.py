@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Collection, Iterable
 
 RESERVED_PREFIX = "_"
 
@@ -103,10 +103,8 @@ class Rule:
         return frozenset(lit.atom for lit in self.body if not lit.negated)
 
     def variables(self) -> frozenset[str]:
-        out = set(self.head.variables())
-        for lit in self.body:
-            out |= lit.atom.variables()
-        return frozenset(out)
+        atoms = (self.head, *(lit.atom for lit in self.body))
+        return frozenset(t for atom in atoms for t in atom.args if is_variable(t))
 
     def substitute(self, binding: dict[str, str]) -> "Rule":
         return Rule(
@@ -208,7 +206,8 @@ def validate(program: Program) -> list[Violation]:
     well formed. The check is deterministic (sorted iteration) and idempotent.
     """
     violations: list[Violation] = []
-    for atom in sorted(_all_atoms(program)):
+    atoms = herbrand_base(program.rules, program.pfacts)
+    for atom in sorted(atoms):
         if atom.predicate.startswith(RESERVED_PREFIX):
             violations.append(
                 Violation(
@@ -229,10 +228,11 @@ def validate(program: Program) -> list[Violation]:
             )
         else:
             seen[pf.atom] = pf
+    constants = constants_of(atoms)
     for rule in rules:
-        reason = unrestricted_reason(rule)
+        reason = ungroundable_reason(rule, constants)
         if reason is not None:
-            violations.append(Violation("rule_not_range_restricted", reason, rule))
+            violations.append(Violation("rule_not_groundable", reason, rule))
     for pf in pfacts:
         reason = nonground_reason(pf)
         if reason is not None:
@@ -250,19 +250,26 @@ def validate(program: Program) -> list[Violation]:
     return violations
 
 
-def unrestricted_reason(rule: Rule) -> str | None:
-    """Why the rule cannot be finitely grounded: some head variable occurs
-    in no positive body literal. None when the rule is range-restricted."""
-    unrestricted = rule.head.variables()
-    if unrestricted:
-        for atom in rule.positive_atoms():
-            unrestricted -= atom.variables()
-    if not unrestricted:
+def ungroundable_reason(rule: Rule, constants: Collection[str]) -> str | None:
+    """Why the rule cannot be finitely grounded over the program's
+    `constants`: some head variable occurs in no positive body literal, or
+    the rule has variables and there are no constants. None when it can be."""
+    if not rule.variables():
         return None
-    return (
-        f"rule '{rule}' is not range-restricted: head variable(s) "
-        f"{', '.join(sorted(unrestricted))} never occur in a positive body literal"
-    )
+    unrestricted = rule.head.variables()
+    for atom in rule.positive_atoms():
+        unrestricted -= atom.variables()
+    if unrestricted:
+        return (
+            f"rule '{rule}' is not range-restricted: head variable(s) "
+            f"{', '.join(sorted(unrestricted))} never occur in a positive body literal"
+        )
+    if not constants:
+        return (
+            f"rule '{rule}' contains variables but the program has no "
+            "constants to instantiate them with"
+        )
+    return None
 
 
 def nonground_reason(pf: ProbFact) -> str | None:
@@ -273,14 +280,6 @@ def nonground_reason(pf: ProbFact) -> str | None:
         f"probabilistic fact '{pf}' is not ground; a bodyless clause "
         "has no positive body literal to restrict its variables"
     )
-
-
-def _all_atoms(program: Program) -> set[Atom]:
-    atoms = {pf.atom for pf in program.pfacts}
-    for rule in program.rules:
-        atoms.add(rule.head)
-        atoms.update(lit.atom for lit in rule.body)
-    return atoms
 
 
 def unifies(left: Atom, right: Atom) -> bool:
@@ -325,13 +324,16 @@ def matches(pattern: Atom, ground: Atom) -> bool:
 
 
 def herbrand_base(rules: Iterable[Rule], pfacts: Iterable[ProbFact]) -> frozenset[Atom]:
-    """All ground atoms occurring in heads, bodies, and probabilistic facts.
-
-    Inputs are expected to be ground (post-grounding).
-    """
+    """All atoms occurring in heads, bodies, and probabilistic facts: the
+    Herbrand base, once the rules and facts are ground."""
     atoms: set[Atom] = set()
     for rule in rules:
         atoms.add(rule.head)
         atoms.update(lit.atom for lit in rule.body)
     atoms.update(pf.atom for pf in pfacts)
     return frozenset(atoms)
+
+
+def constants_of(atoms: Iterable[Atom]) -> list[str]:
+    """The constants among the atoms' arguments, sorted."""
+    return sorted({t for atom in atoms for t in atom.args if not is_variable(t)})

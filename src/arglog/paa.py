@@ -28,9 +28,10 @@ from .limits import Caps
 from .model import Atom, GroundProgram, Literal, matches
 from .semantics import grounded_block
 from .worlds import (
-    block_bits,
     block_fact_vectors,
+    block_width,
     common_numerators,
+    fact_bits,
     masked_sum,
     world_columns,
     world_table,
@@ -46,7 +47,8 @@ class PaaEngine:
         self.framework = build_problog_aba(gp)
         self._table = argument_table(self.framework, caps.max_arguments)
         self.arguments = self._table.arguments
-        self._bit = {atom: 1 << i for i, atom in enumerate(sorted(gp.fact_atoms))}
+        self._bit = fact_bits(gp.fact_atoms)
+        self._width = block_width(len(self._bit))
         # arguments grouped by fact support, so one test per group decides them
         self._by_need: dict[int, list[int]] = {}
         for i, need in enumerate(self._table.fact_masks):
@@ -94,8 +96,7 @@ class PaaEngine:
         if self._labels is None:
             table = self.worlds()
             numerators, denominator = common_numerators(prob for _, prob in table)
-            n = len(self._bit)
-            width = 1 << block_bits(n)
+            n, width = len(self._bit), self._width
             full = (1 << width) - 1
             supports = {
                 need: [i for i in range(n) if need >> i & 1] for need in self._by_need
@@ -123,7 +124,7 @@ class PaaEngine:
         shared by every query."""
         if self._evaluations is None:
             table, blocks, _ = self._labelling()
-            width = 1 << block_bits(len(self._bit))
+            width = self._width
             indices = range(len(self.arguments))
             self._evaluations = []
             for start, (_, inside) in zip(range(0, len(table), width), blocks):

@@ -3,30 +3,12 @@
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
-from enum import Enum
 from functools import reduce
 from operator import and_
 from typing import Collection, Mapping, Sequence
 
 from .aba import AaFramework
 from .errors import CapExceeded
-
-
-class Label(Enum):
-    IN = "in"
-    OUT = "out"
-    UNDEC = "undec"
-
-
-@dataclass(frozen=True)
-class Labelling:
-    """Index-aligned argument labels; IN iff all attackers OUT, OUT iff some attacker IN."""
-
-    labels: tuple[Label, ...]
-
-    def indices_with(self, label: Label) -> frozenset[int]:
-        return frozenset(i for i, lab in enumerate(self.labels) if lab is label)
 
 
 def attacker_map(aaf: AaFramework) -> dict[int, frozenset[int]]:
@@ -116,21 +98,6 @@ def grounded_extension_of(
 def grounded_extension(aaf: AaFramework) -> frozenset[int]:
     """Indices of the grounded extension (unique, maximally skeptical)."""
     return grounded_extension_of(range(len(aaf.arguments)), attacker_map(aaf))
-
-
-def grounded_labelling(aaf: AaFramework) -> Labelling:
-    """Three-way labelling induced by the grounded extension."""
-    inside = grounded_extension(aaf)
-    attackers = attacker_map(aaf)
-    labels = []
-    for i in range(len(aaf.arguments)):
-        if i in inside:
-            labels.append(Label.IN)
-        elif any(a in inside for a in attackers[i]):
-            labels.append(Label.OUT)
-        else:
-            labels.append(Label.UNDEC)
-    return Labelling(tuple(labels))
 
 
 def stable_extensions(

@@ -18,7 +18,7 @@ from typing import Iterable
 
 from .errors import CapExceeded
 from .model import Atom, Rule, matches
-from .worlds import block_bits, block_fact_vectors
+from .worlds import block_fact_vectors, block_width, fact_bits
 
 
 class ThreeValuedModel:
@@ -145,14 +145,14 @@ class WellFoundedKernel:
     well-founded models of its variants that differ only by added facts.
 
     Atoms are interned to 0..k-1. `choices`, the atoms of the probabilistic
-    facts, number the worlds as `worlds` does: bit i of a world's mask is the
-    i-th choice atom in sorted order. Worlds are evaluated a block at a time
-    (see `worlds.block_fact_vectors`): each atom's truth is an int with one
-    bit per world of the block, so one pass of int operations runs the
-    alternating fixpoint for every world of the block at once. The block's
-    sure, false and undefined vectors are kept until a world of another block
-    is asked for; a world's model is a view of them (see `ThreeValuedModel`).
-    `atoms` lists the interned atoms and `index` numbers them.
+    facts, number the worlds by `worlds.fact_bits`. Worlds are evaluated a
+    block at a time (see `worlds.block_fact_vectors`): each atom's truth is
+    an int with one bit per world of the block, so one pass of int
+    operations runs the alternating fixpoint for every world of the block at
+    once. The block's sure, false and undefined vectors are kept until a
+    world of another block is asked for; a world's model is a view of them
+    (see `ThreeValuedModel`). `atoms` lists the interned atoms and `index`
+    numbers them.
     """
 
     def __init__(self, rules: Iterable[Rule], base: Iterable[Atom], choices: Iterable[Atom] = ()):
@@ -176,10 +176,9 @@ class WellFoundedKernel:
         for r, positive in enumerate(self._positive):
             for atom in set(positive):
                 self._watch[atom].append(r)
-        choices = sorted(choices)
-        self._choices = [self.index[atom] for atom in choices]
-        self._bit = {atom: 1 << i for i, atom in enumerate(choices)}
-        self._block_bits = block_bits(len(choices))
+        self._bit = fact_bits(choices)
+        self._choices = [self.index[atom] for atom in self._bit]
+        self._width = block_width(len(self._bit))
         self._block: int | None = None
         self._vectors: tuple[list[int], list[int], list[int]] = ([], [], [])
 
@@ -251,7 +250,7 @@ class WellFoundedKernel:
         per atom: the kept ones, unless the block must be evaluated first."""
         if block != self._block:
             vectors = block_fact_vectors(len(self._choices), block)
-            self._vectors = self._evaluate(dict(zip(self._choices, vectors)), 1 << self._block_bits)
+            self._vectors = self._evaluate(dict(zip(self._choices, vectors)), self._width)
             self._block = block
         return self._vectors
 
@@ -268,9 +267,8 @@ class WellFoundedKernel:
             vectors = self._evaluate({self.index[atom]: 1 for atom in facts}, 1)
             return ThreeValuedModel._view(self.atoms, self.index, vectors, 1)
         mask = sum(bits)
-        vectors = self.block_vectors(mask >> self._block_bits)
-        bit = 1 << (mask & ((1 << self._block_bits) - 1))
-        return ThreeValuedModel._view(self.atoms, self.index, vectors, bit)
+        vectors = self.block_vectors(mask // self._width)
+        return ThreeValuedModel._view(self.atoms, self.index, vectors, 1 << mask % self._width)
 
 
 def well_founded_model(

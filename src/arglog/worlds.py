@@ -1,13 +1,15 @@
 """Possible worlds of a program's probabilistic facts, shared by both routes.
 
 A world is the set of probabilistic-fact atoms chosen true. Worlds are
-numbered by bitmask: bit i stands for the i-th fact atom in sorted order, and
-worlds come in mask order 0, 1, ..., 2**n - 1. Both back ends enumerate worlds
-here and nowhere else, so their per-world results line up index by index.
+numbered by bitmask: bit i stands for the i-th fact atom in sorted order
+(`fact_bits`), and worlds come in mask order 0, 1, ..., 2**n - 1. Both back
+ends enumerate and number worlds here and nowhere else, so their per-world
+results line up index by index.
 
-Both back ends also evaluate worlds in blocks of 2**min(n, BLOCK_BITS)
-consecutive masks: inside a block, a Boolean fact holds one bit per world,
-bit w standing for the world whose mask is the block's first mask plus w.
+Both back ends also evaluate worlds in blocks of `block_width(n)`, that is
+2**min(n, BLOCK_BITS), consecutive masks: inside a block, a Boolean fact
+holds one bit per world, bit w standing for the world whose mask is the
+block's first mask plus w.
 """
 
 from __future__ import annotations
@@ -81,9 +83,20 @@ def world_table(
     return [(world, prob) for _, world, prob in enumerate_worlds(pfacts, max_pfacts)]
 
 
+def fact_bits(atoms: Iterable[Atom]) -> dict[Atom, int]:
+    """The world numbering: each probabilistic-fact atom's bit in a world's
+    mask, in sorted atom order; the dict iterates in bit order."""
+    return {atom: 1 << i for i, atom in enumerate(sorted(atoms))}
+
+
 def block_bits(n: int) -> int:
     """log2 of the number of worlds per block, over n probabilistic facts."""
     return min(n, BLOCK_BITS)
+
+
+def block_width(n: int) -> int:
+    """The number of worlds per block, over n probabilistic facts."""
+    return 1 << block_bits(n)
 
 
 def block_fact_vectors(n: int, block: int) -> list[int]:
@@ -94,8 +107,7 @@ def block_fact_vectors(n: int, block: int) -> list[int]:
     high facts are constant over the block, all ones or zero by `block`.
     """
     b = block_bits(n)
-    width = 1 << b
-    full = (1 << width) - 1
+    full = (1 << block_width(n)) - 1
     vectors = []
     for i in range(b):
         run = 1 << i

@@ -14,23 +14,21 @@ from fractions import Fraction
 import pytest
 
 from arglog import (
-    AaFramework,
-    Argument,
     Atom,
-    Literal,
     PaaEngine,
     check_program,
     check_query,
     ground,
-    grounded_extension,
     parse_query,
     random_program,
-    stable_extensions,
-    stable_models,
     success_probability,
-    total_choices,
-    world_table,
 )
+from arglog.aba import AaFramework, Argument
+from arglog.distribution import total_choices
+from arglog.model import Literal
+from arglog.semantics import grounded_extension, stable_extensions
+from arglog.wfm import stable_models
+from arglog.worlds import world_table
 
 from conftest import FIXTURES
 
@@ -49,7 +47,12 @@ def corpus():
     entries = []
     for seed in CORPUS_SEEDS:
         gp = ground(random_program(seed))
-        entries.append((seed, gp, check_program(gp)))
+        if gp.herbrand_base:
+            reports = check_program(gp)
+        else:  # an empty program's framework is degenerate, and says so
+            with pytest.warns(UserWarning, match="degenerate framework"):
+                reports = check_program(gp)
+        entries.append((seed, gp, reports))
     elapsed = time.monotonic() - started
     return entries, elapsed
 

@@ -94,6 +94,21 @@ def test_worlds_table(capsys):
     assert "total probability: 1 (1)" in out
 
 
+def test_worlds_enumerates_the_worlds_once(capsys, monkeypatch):
+    import arglog.paa as paa_module
+
+    calls = []
+    original = paa_module.world_table
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(paa_module, "world_table", counting)
+    code, _, _ = run(capsys, "worlds", TWO_WORLD)
+    assert code == 0 and len(calls) == 1
+
+
 def test_worlds_uniform_rows(capsys, tmp_path):
     path = tmp_path / "three.pl"
     path.write_text("0.5::x.\n0.5::y.\n0.5::z.\n", encoding="utf-8")
@@ -115,6 +130,7 @@ def test_parse_error_exits_one(capsys, tmp_path):
     [
         ("0.5::b(X).\n", "error: 1:1: probabilistic fact '0.5::b(X)' is not ground;"),
         ("q(a).\np(X,Y) :- q(X).\n", "error: 2:1: rule 'p(X,Y) :- q(X)' is not range-restricted"),
+        ("p(X) :- q(X).\n", "error: 1:1: rule 'p(X) :- q(X)' contains variables but the program"),
     ],
 )
 def test_ungroundable_clauses_exit_one_at_their_position(capsys, tmp_path, source, message):
@@ -207,3 +223,10 @@ def test_check_catches_a_corrupted_build(capsys, monkeypatch, tmp_path):
     assert "::" in dump.read_text(encoding="utf-8") or ":-" in dump.read_text(
         encoding="utf-8"
     )
+    # the stderr rows are the `query --trace` rows of the dumped program and query
+    headline, *rows = err.splitlines()
+    query = headline.split(", query ")[1].split(";")[0]
+    code, out, _ = run(capsys, "query", str(dump), "--query", query, "--trace")
+    assert code == 0
+    assert rows == out.split("worlds:\n")[1].splitlines()
+    assert any(row.endswith(" match=NO") for row in rows)

@@ -5,17 +5,15 @@ import pytest
 from arglog import (
     Atom,
     CapExceeded,
-    Rule,
     ground,
-    induced_program,
     parse_program,
     parse_query,
-    program_probability,
     random_program,
     success_probability,
-    total_choices,
-    world_probability,
 )
+from arglog.distribution import induced_program, total_choices
+from arglog.model import Rule
+from arglog.worlds import world_probability
 
 B = Atom("b")
 
@@ -37,9 +35,9 @@ def test_induced_program_on_ruleless_program():
 
 
 def test_program_probability_products(two_world):
-    assert program_probability(frozenset({B}), two_world.pfacts) == Fraction(3, 10)
-    assert program_probability(frozenset(), two_world.pfacts) == Fraction(7, 10)
-    assert program_probability(frozenset(), ()) == 1
+    assert world_probability(frozenset({B}), two_world.pfacts) == Fraction(3, 10)
+    assert world_probability(frozenset(), two_world.pfacts) == Fraction(7, 10)
+    assert world_probability(frozenset(), ()) == 1
 
 
 def test_total_choice_probabilities_sum_to_one():

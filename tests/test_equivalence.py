@@ -1,14 +1,8 @@
 from fractions import Fraction
 
-from arglog import (
-    Atom,
-    GenLimits,
-    check_program,
-    check_query,
-    ground,
-    random_program,
-    validate,
-)
+from arglog import Atom, check_program, check_query, ground, random_program
+from arglog.equivalence import GenLimits
+from arglog.model import validate
 
 
 def test_report_on_the_two_world_program(two_world):

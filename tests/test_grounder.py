@@ -5,17 +5,13 @@ import pytest
 from arglog import (
     Atom,
     GroundingError,
-    Literal,
-    ProbFact,
     Program,
-    Rule,
     ValidationError,
     ground,
-    ground_program_from_parts,
     parse_program,
     random_program,
-    validate,
 )
+from arglog.model import Literal, ProbFact, Rule, validate
 
 
 def test_grounding_is_identity_on_ground_programs():
@@ -57,8 +53,9 @@ def test_head_variable_missing_from_positive_body_is_rejected():
 
 
 def test_variables_without_constants_are_rejected():
+    rule = Rule(Atom("p", ("X",)), (Literal(Atom("q", ("X",))),))
     with pytest.raises(GroundingError, match="no\\s+constants"):
-        ground(parse_program("p(X) :- q(X)."))
+        ground(built_in_code([rule]))
 
 
 def test_nonground_probabilistic_fact_is_rejected():
@@ -76,6 +73,10 @@ def test_nonground_probabilistic_fact_is_rejected():
             r"^2:1: rule 'p\(X\) :- not q\(X\)' is not range-restricted",
         ),
         ("p(1).\n0.5::q(X).\n", r"^2:1: probabilistic fact '0.5::q\(X\)' is not ground"),
+        (
+            "p(X) :- q(X).",
+            r"^1:1: rule 'p\(X\) :- q\(X\)' contains variables but the program has no constants",
+        ),
     ],
 )
 def test_parser_rejects_what_cannot_be_grounded_at_its_position(source, message):
@@ -111,7 +112,3 @@ def test_herbrand_base_covers_every_atom():
         for lit in rule.body:
             assert lit.atom in gp.herbrand_base
 
-
-def test_ground_program_from_parts_rejects_variables():
-    with pytest.raises(GroundingError):
-        ground_program_from_parts(parse_program("p(X) :- q(X).").rules, ())

@@ -16,34 +16,36 @@ import arglog.paa as paa_module
 import arglog.wfm as wfm_module
 import arglog.worlds as worlds_module
 from arglog import (
-    Argument,
     Atom,
     CapExceeded,
-    Literal,
     PaaEngine,
-    ProbFact,
     Program,
-    Rule,
-    argument_sort_key,
-    build_problog_aba,
     check_program,
     check_query,
-    compute_attacks,
-    enumerate_arguments,
     ground,
     parse_program,
     random_program,
-    succeeds,
-    well_founded_model,
+)
+from arglog.aba import (
+    Argument,
+    argument_sort_key,
+    argument_table,
+    build_problog_aba,
+    compute_attacks,
+    enumerate_arguments,
+)
+from arglog.cli import main
+from arglog.equivalence import mismatched_worlds, world_traces
+from arglog.model import Literal, ProbFact, Rule
+from arglog.semantics import grounded_block, grounded_extension_of
+from arglog.wfm import ThreeValuedModel, WellFoundedKernel, succeeds, well_founded_model
+from arglog.worlds import (
+    block_bits,
+    block_fact_vectors,
+    enumerate_worlds,
     world_probability,
     world_table,
 )
-from arglog.aba import argument_table
-from arglog.cli import main
-from arglog.equivalence import mismatched_worlds, world_traces
-from arglog.semantics import grounded_block, grounded_extension_of
-from arglog.wfm import ThreeValuedModel, WellFoundedKernel
-from arglog.worlds import block_bits, block_fact_vectors, enumerate_worlds
 
 from conftest import FIXTURES, chain_source
 

@@ -9,19 +9,8 @@ import pytest
 
 import arglog
 
-from arglog import (
-    Atom,
-    Literal,
-    ProbFact,
-    Program,
-    Rule,
-    format_probability,
-    herbrand_base,
-    matches,
-    parse_program,
-    unifies,
-    validate,
-)
+from arglog import Atom, Program, format_probability, matches, parse_program
+from arglog.model import Literal, ProbFact, Rule, herbrand_base, unifies, validate
 
 A, B, C, D = Atom("a"), Atom("b"), Atom("c"), Atom("d")
 RULE_A = Rule(A, (Literal(B), Literal(C, negated=True)))
@@ -165,7 +154,7 @@ def test_cached_hashes_leave_equality_order_and_repr_alone():
 
 UNPICKLE = """
 import pickle, sys
-from arglog import Atom, Literal, Rule
+from arglog.model import Atom, Literal, Rule
 atom, rule = pickle.loads(sys.stdin.buffer.read())
 fresh = Atom("p", ("x", "y"))
 print(hash("p"), atom in {fresh}, rule in {Rule(fresh, (Literal(fresh, True),))})

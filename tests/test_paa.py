@@ -2,21 +2,11 @@ from fractions import Fraction
 
 import pytest
 
-from arglog import (
-    AaFramework,
-    Argument,
-    Atom,
-    CapExceeded,
-    Caps,
-    Literal,
-    PaaEngine,
-    ground,
-    grounded_extension,
-    parse_program,
-    parse_query,
-    world_probability,
-    world_table,
-)
+from arglog import Atom, CapExceeded, Caps, PaaEngine, ground, parse_program, parse_query
+from arglog.aba import AaFramework, Argument
+from arglog.model import Literal
+from arglog.semantics import grounded_extension
+from arglog.worlds import world_probability, world_table
 
 B = Atom("b")
 

@@ -2,17 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from arglog import (
-    Atom,
-    Literal,
-    ParseError,
-    ProbFact,
-    Program,
-    Rule,
-    ValidationError,
-    parse_program,
-    parse_query,
-)
+from arglog import Atom, ParseError, Program, ValidationError, parse_program, parse_query
+from arglog.model import Literal, ProbFact, Rule
 
 
 def test_parse_rules_and_pfacts():

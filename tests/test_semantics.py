@@ -2,23 +2,10 @@ import random
 
 import pytest
 
-from arglog import (
-    AaFramework,
-    Argument,
-    Atom,
-    CapExceeded,
-    Label,
-    Literal,
-    PaaEngine,
-    build_aa_framework,
-    build_problog_aba,
-    grounded_extension,
-    grounded_labelling,
-    ground,
-    parse_program,
-    random_program,
-    stable_extensions,
-)
+from arglog import Atom, CapExceeded, PaaEngine, ground, parse_program, random_program
+from arglog.aba import AaFramework, Argument
+from arglog.model import Literal
+from arglog.semantics import grounded_extension, stable_extensions
 
 
 def abstract_framework(n, attacks):
@@ -61,8 +48,7 @@ def test_even_cycle_stays_undecided():
 
 
 def test_grounded_extension_of_the_deterministic_program():
-    framework = build_problog_aba(ground(parse_program("a :- b, \\+ c.\nb.\nd :- \\+ d.\n")))
-    aaf = build_aa_framework(framework)
+    aaf = PaaEngine(ground(parse_program("a :- b, \\+ c.\nb.\nd :- \\+ d.\n"))).aaf
     accepted = {aaf.arguments[i] for i in grounded_extension(aaf)}
     assert {(a.claim, a.assumptions) for a in accepted} == {
         (Literal(Atom("a")), frozenset({Literal(Atom("c"), True)})),
@@ -70,19 +56,6 @@ def test_grounded_extension_of_the_deterministic_program():
         (Literal(Atom("c"), True), frozenset({Literal(Atom("c"), True)})),
     }
     assert stable_extensions(aaf) == frozenset()
-
-
-def test_labelling_is_legal_and_matches_extension():
-    aaf = abstract_framework(4, {(0, 1), (1, 2), (2, 2), (3, 2)})
-    labelling = grounded_labelling(aaf)
-    inside = labelling.indices_with(Label.IN)
-    assert inside == grounded_extension(aaf)
-    attackers = {i: {s for s, t in aaf.attacks if t == i} for i in range(4)}
-    for i, label in enumerate(labelling.labels):
-        if label is Label.IN:
-            assert all(labelling.labels[a] is Label.OUT for a in attackers[i])
-        if label is Label.OUT:
-            assert any(labelling.labels[a] is Label.IN for a in attackers[i])
 
 
 def test_stable_extension_cap():

@@ -2,18 +2,9 @@ import random
 
 import pytest
 
-from arglog import (
-    Atom,
-    CapExceeded,
-    Literal,
-    Rule,
-    least_model,
-    parse_program,
-    parse_query,
-    stable_models,
-    succeeds,
-    well_founded_model,
-)
+from arglog import Atom, CapExceeded, parse_program, parse_query
+from arglog.model import Literal, Rule
+from arglog.wfm import least_model, stable_models, succeeds, well_founded_model
 
 A, B, C, D = Atom("a"), Atom("b"), Atom("c"), Atom("d")
 RULE_A = Rule(A, (Literal(B), Literal(C, negated=True)))  # a :- b, not c
