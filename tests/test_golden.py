@@ -1,8 +1,9 @@
 """The CLI listings, byte for byte, against files kept under tests/golden/.
 
-`show`, `worlds` and `query --trace`, in human form and as JSON, for the four
-fixtures and the chain-1..3 ladder rungs. When a change of output is
-intended, rewrite the files with
+`show`, `worlds`, `query --trace` and `query` under each `--semantics`, in
+human form and as JSON, for the four fixtures and the chain-1..3 ladder
+rungs, and `check --seed-range 0..9`. When a change of output is intended,
+rewrite the files with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -36,30 +37,45 @@ COMMANDS = {
     "show": lambda path, query: ["show", path],
     "worlds": lambda path, query: ["worlds", path],
     "query": lambda path, query: ["query", path, "--query", query, "--trace"],
+} | {
+    f"query-{semantics}": lambda path, query, semantics=semantics: [
+        "query", path, "--query", query, "--semantics", semantics
+    ]
+    for semantics in ("dist", "arg", "both")
 }
+
+# the seeded cross-check reads no program file; its golden is `check.*`
+CHECK = ["check", "--seed-range", "0..9"]
+
+FORMS = ("human", "json")
 
 CASES = [
     (program, command, form)
     for program in PROGRAMS
     for command in COMMANDS
-    for form in ("human", "json")
-]
+    for form in FORMS
+] + [(None, "check", form) for form in FORMS]
 
 
-def golden_path(program: str, command: str, form: str) -> Path:
-    return GOLDEN / f"{program}.{command}.{'json' if form == 'json' else 'txt'}"
+def golden_path(program: str | None, command: str, form: str) -> Path:
+    stem = command if program is None else f"{program}.{command}"
+    return GOLDEN / f"{stem}.{'json' if form == 'json' else 'txt'}"
 
 
-def cli_output(program: str, command: str, form: str, directory: Path) -> str:
+def cli_output(program: str | None, command: str, form: str, directory: Path) -> str:
     """What the command writes to standard output for the program."""
-    source, query = PROGRAMS[program]
-    path = directory / f"{program}.pl"
-    path.write_text(source, encoding="utf-8")
+    if program is None:
+        argv = CHECK
+    else:
+        source, query = PROGRAMS[program]
+        path = directory / f"{program}.pl"
+        path.write_text(source, encoding="utf-8")
+        argv = COMMANDS[command](str(path), query)
     out = StringIO()
     with warnings.catch_warnings(), redirect_stdout(out):
         # the empty program's framework is degenerate, and says so
         warnings.simplefilter("ignore")
-        code = main(COMMANDS[command](str(path), query) + ["--format", form])
+        code = main(argv + ["--format", form])
     assert code == 0
     return out.getvalue()
 
