@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import CapExceeded
+from .limits import Caps
 from .model import Atom, GroundProgram, Literal, Rule
 from .worlds import fact_bits
 
@@ -144,7 +145,7 @@ class ArgumentTable:
 
 
 def enumerate_arguments(
-    framework: AbaFramework, max_arguments: int = 100_000
+    framework: AbaFramework, max_arguments: int = Caps.max_arguments
 ) -> frozenset[Argument]:
     """All argument triples admitting a derivation tree, by saturation.
 
@@ -159,7 +160,7 @@ def enumerate_arguments(
 
 
 def argument_table(
-    framework: AbaFramework, max_arguments: int = 100_000
+    framework: AbaFramework, max_arguments: int = Caps.max_arguments
 ) -> ArgumentTable:
     """The arguments of `enumerate_arguments`, sorted as by
     `argument_sort_key`, with the attack relation factored through claims.
@@ -202,7 +203,9 @@ def argument_table(
     def refuse_past_cap() -> None:
         if count > max_arguments:
             raise CapExceeded(
-                f"argument saturation exceeds the cap of {max_arguments} arguments"
+                f"argument saturation reached {count} arguments, "
+                f"past the cap of {max_arguments}",
+                cap="max_arguments",
             )
 
     while fresh:

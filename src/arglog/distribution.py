@@ -5,6 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Iterator
 
+from .limits import Caps
 from .model import Atom, GroundProgram, ProbFact, Rule
 from .wfm import ThreeValuedModel, WellFoundedKernel, succeeds, well_founded_model
 from .worlds import enumerate_worlds
@@ -16,14 +17,14 @@ def induced_program(total_choice: frozenset[Atom], gp: GroundProgram) -> frozens
 
 
 def total_choices(
-    pfacts: Iterable[ProbFact], max_pfacts: int = 24
+    pfacts: Iterable[ProbFact], max_pfacts: int = Caps.max_pfacts
 ) -> Iterator[tuple[frozenset[Atom], Fraction]]:
     """All subsets of the probabilistic-fact atoms with their probabilities."""
     return ((choice, prob) for _, choice, prob in enumerate_worlds(pfacts, max_pfacts))
 
 
 def world_models(
-    gp: GroundProgram, max_pfacts: int = 24
+    gp: GroundProgram, max_pfacts: int = Caps.max_pfacts
 ) -> Iterator[tuple[frozenset[Atom], Fraction, ThreeValuedModel]]:
     """(total choice, probability, well-founded model of the induced program)
     for every total choice, in the shared world order. The program is
@@ -47,7 +48,7 @@ def success_mass(
     return total
 
 
-def success_probability(query: Atom, gp: GroundProgram, max_pfacts: int = 24) -> Fraction:
+def success_probability(query: Atom, gp: GroundProgram, max_pfacts: int = Caps.max_pfacts) -> Fraction:
     """Exact probability mass of the total choices whose induced program makes
     some ground instance of the query true in its well-founded model."""
     return success_mass(query, ((prob, model) for _, prob, model in world_models(gp, max_pfacts)))

@@ -44,4 +44,11 @@ class GroundingError(ArglogError):
 
 
 class CapExceeded(ArglogError):
-    """A configured resource cap would be exceeded; the operation refuses to run."""
+    """A configured resource cap would be exceeded; the operation refuses to run.
+
+    `cap` names the `Caps` field that refused, when the cap is one of them.
+    """
+
+    def __init__(self, message: str, cap: str | None = None):
+        self.cap = cap
+        super().__init__(message)

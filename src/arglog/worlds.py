@@ -20,6 +20,7 @@ from math import lcm, prod
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CapExceeded
+from .limits import Caps
 from .model import Atom, ProbFact
 
 # a block of worlds spans at most 2**BLOCK_BITS masks, so a per-world bit
@@ -38,7 +39,7 @@ def world_probability(world: frozenset[Atom], pfacts: Iterable[ProbFact]) -> Fra
 
 
 def enumerate_worlds(
-    pfacts: Iterable[ProbFact], max_pfacts: int = 24
+    pfacts: Iterable[ProbFact], max_pfacts: int = Caps.max_pfacts
 ) -> Iterator[tuple[int, frozenset[Atom], Fraction]]:
     """Every world as (mask, world, probability), in mask order.
 
@@ -53,7 +54,8 @@ def enumerate_worlds(
     if n > max_pfacts:
         raise CapExceeded(
             f"{n} probabilistic facts exceed the world-enumeration "
-            f"cap of {max_pfacts} (2**{n} worlds)"
+            f"cap of {max_pfacts} (2**{n} worlds)",
+            cap="max_pfacts",
         )
     singletons = [frozenset({pf.atom}) for pf in facts]
     # by bit: the numerators of (absent, chosen) over the fact's denominator
@@ -77,7 +79,7 @@ def enumerate_worlds(
 
 
 def world_table(
-    pfacts: Iterable[ProbFact], max_pfacts: int = 24
+    pfacts: Iterable[ProbFact], max_pfacts: int = Caps.max_pfacts
 ) -> list[tuple[frozenset[Atom], Fraction]]:
     """All 2**n (world, probability) pairs, in mask order."""
     return [(world, prob) for _, world, prob in enumerate_worlds(pfacts, max_pfacts)]

@@ -195,9 +195,9 @@ def test_check_json_summary(capsys):
     assert doc["counterexamples"] == 0
 
 
-def test_check_catches_a_corrupted_build(capsys, monkeypatch, tmp_path):
-    # mutation: a build that forgets self-attacks must be caught with a trace;
-    # an argument attacks itself when it assumes the contrary of its claim
+def forget_self_attacks(monkeypatch):
+    """Mutation: a build that forgets self-attacks; an argument attacks itself
+    when it assumes the contrary of its claim."""
     import dataclasses
 
     import arglog.paa as paa_module
@@ -213,6 +213,11 @@ def test_check_catches_a_corrupted_build(capsys, monkeypatch, tmp_path):
         return dataclasses.replace(table, contraries=contraries)
 
     monkeypatch.setattr(paa_module, "argument_table", drop_self_attacks)
+
+
+def test_check_catches_a_corrupted_build(capsys, monkeypatch, tmp_path):
+    # the mutated build must be caught with a trace
+    forget_self_attacks(monkeypatch)
     dump = tmp_path / "counterexample.pl"
     code, _, err = run(
         capsys, "check", "--seed-range", "0..20", "--dump", str(dump)
@@ -230,3 +235,83 @@ def test_check_catches_a_corrupted_build(capsys, monkeypatch, tmp_path):
     assert code == 0
     assert rows == out.split("worlds:\n")[1].splitlines()
     assert any(row.endswith(" match=NO") for row in rows)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["bogus"], "invalid choice: 'bogus'"),
+        (["query", TWO_WORLD], "the following arguments are required: --query"),
+        (["check", "--seed-range", "foo"], "bad seed range 'foo'; expected the form A..B"),
+        (["check", "--seed-range", "5..1"], "bad seed range '5..1'; 5 is above 1"),
+    ],
+)
+def test_usage_errors_exit_one_with_the_usage_on_stderr(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and not out
+    assert err.startswith("usage: arglog") and message in err
+
+
+def test_help_exits_zero(capsys):
+    code, out, _ = run(capsys, "--help")
+    assert code == 0 and out.startswith("usage: arglog")
+
+
+def test_non_utf8_program_exits_one_naming_the_file_and_offset(capsys, tmp_path):
+    path = tmp_path / "bad.pl"
+    path.write_bytes(b"a.\n\xff\xfe a.\n")
+    code, out, err = run(capsys, "show", str(path))
+    assert code == 1 and not out
+    assert err == f"error: {path}: not UTF-8 text at byte offset 3\n"
+
+
+@pytest.mark.parametrize(
+    "argv, env, refusal, hint",
+    [
+        (
+            ["query", TWO_WORLD, "--query", "a", "--worlds-cap", "0"],
+            {},
+            "1 probabilistic facts exceed the world-enumeration cap of 0 (2**1 worlds)",
+            "--worlds-cap or ARGLOG_WORLDS_CAP",
+        ),
+        (
+            ["query", ODD_LOOP, "--query", "a", "--args-cap", "2"],
+            {},
+            "argument saturation reached 5 arguments, past the cap of 2",
+            "--args-cap or ARGLOG_ARGS_CAP",
+        ),
+        (
+            ["show", ODD_LOOP],
+            {"ARGLOG_ARGS_CAP": "2"},
+            "argument saturation reached 5 arguments, past the cap of 2",
+            "--args-cap or ARGLOG_ARGS_CAP",
+        ),
+        (
+            ["query", TWO_WORLD, "--query", "a", "--semantics", "dist"],
+            {"ARGLOG_WORLDS_CAP": "0"},
+            "1 probabilistic facts exceed the world-enumeration cap of 0 (2**1 worlds)",
+            "--worlds-cap or ARGLOG_WORLDS_CAP",
+        ),
+    ],
+)
+def test_cap_refusals_name_the_setting_that_would_admit_the_run(
+    capsys, monkeypatch, argv, env, refusal, hint
+):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and not out
+    assert err == f"error: {refusal}; raise it with {hint}\n"
+
+
+def test_check_counterexample_as_json_goes_to_stderr(capsys, monkeypatch, tmp_path):
+    forget_self_attacks(monkeypatch)
+    dump = tmp_path / "counterexample.pl"
+    code, out, err = run(
+        capsys, "check", "--seed-range", "0..20", "--dump", str(dump), "--format", "json"
+    )
+    assert code == 3 and not out
+    doc = json.loads(err)
+    assert doc["pass"] is False and doc["counterexamples"] >= 1
+    assert doc["dump"] == str(dump) and dump.exists()
+    assert any(not row["model_matches_claims"] for row in doc["worlds"])

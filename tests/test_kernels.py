@@ -429,7 +429,7 @@ def test_argument_cap_refuses_exactly_past_the_argument_count():
     framework = build_problog_aba(ground(random_program(18)))
     assert len(enumerate_arguments(framework, max_arguments=243)) == 243
     with pytest.raises(
-        CapExceeded, match=r"^argument saturation exceeds the cap of 242 arguments$"
+        CapExceeded, match=r"^argument saturation reached 243 arguments, past the cap of 242$"
     ):
         enumerate_arguments(framework, max_arguments=242)
 
