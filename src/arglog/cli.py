@@ -237,8 +237,7 @@ def cmd_worlds(args: argparse.Namespace) -> tuple[int, dict, list[str]]:
 
 def _parse_seed_range(text: str) -> tuple[int, int]:
     try:
-        first, last = text.split("..", 1)
-        first, last = int(first), int(last)
+        first, last = map(int, text.split("..", 1))
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"bad seed range {text!r}; expected the form A..B"
@@ -300,8 +299,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name: str, func, text: str, with_file: bool = True) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=text)
+    def command(name: str, func, summary: str, with_file: bool = True) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary)
         p.set_defaults(func=func)
         if with_file:
             p.add_argument("file", help="program file")

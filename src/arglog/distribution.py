@@ -48,7 +48,9 @@ def success_mass(
     return total
 
 
-def success_probability(query: Atom, gp: GroundProgram, max_pfacts: int = Caps.max_pfacts) -> Fraction:
+def success_probability(
+    query: Atom, gp: GroundProgram, max_pfacts: int = Caps.max_pfacts
+) -> Fraction:
     """Exact probability mass of the total choices whose induced program makes
     some ground instance of the query true in its well-founded model."""
     return success_mass(query, ((prob, model) for _, prob, model in world_models(gp, max_pfacts)))
