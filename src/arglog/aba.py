@@ -96,9 +96,9 @@ def build_problog_aba(gp: GroundProgram) -> AbaFramework:
     """The framework corresponding to a ground program: rules stay as given,
     probabilistic-fact atoms become fact assumptions.
 
-    Flatness is guaranteed upstream: validation rejects programs where a
-    probabilistic-fact atom unifies with a rule head, and negation-as-failure
-    literals can never be rule heads.
+    Flatness is guaranteed upstream: `ground` validates its program, which
+    rejects a probabilistic-fact atom that is an instance of a rule head, and
+    negation-as-failure literals can never be rule heads.
     """
     if not gp.herbrand_base:
         warnings.warn(
@@ -224,11 +224,28 @@ def argument_table(
                     + [delta[claim]]
                     + [found[c] for c in body[position + 1 :]]
                 )
+                if not all(pools):
+                    continue
                 partial = {(0, rule_bit)}
                 for pool in pools:
-                    partial = {(a | a2, r | r2) for a, r in partial for a2, r2 in pool}
-                    if not partial:
-                        break
+                    # the unions a join holds count against the cap like
+                    # arguments: their number grows with the product of the
+                    # pool sizes, however few arguments come out. A join
+                    # that cannot pass the cap is built in one go.
+                    if len(partial) * len(pool) <= max_arguments:
+                        partial = {(a | a2, r | r2) for a, r in partial for a2, r2 in pool}
+                        continue
+                    joined: set[tuple[int, int]] = set()
+                    for a, r in partial:
+                        joined.update([(a | a2, r | r2) for a2, r2 in pool])
+                        if len(joined) > max_arguments:
+                            raise CapExceeded(
+                                f"argument saturation held {len(joined)} partial unions in "
+                                f"the join of rule '{rules[rule_bit.bit_length() - 1]}', "
+                                f"past the cap of {max_arguments}",
+                                cap="max_arguments",
+                            )
+                    partial = joined
                 partial -= found[head]
                 if head in fresh:
                     partial -= fresh[head]

@@ -40,7 +40,7 @@ CAP_SETTINGS = {
         "ARGLOG_WORLDS_CAP",
         "max probabilistic facts for world enumeration (2**N worlds)",
     ),
-    "max_arguments": ("--args-cap", "ARGLOG_ARGS_CAP", "max enumerated arguments"),
+    "max_arguments": ("--args-cap", "ARGLOG_ARGS_CAP", "max arguments, and unions in one join"),
 }
 
 

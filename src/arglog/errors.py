@@ -11,7 +11,6 @@ class SourceSpan:
 
     line: int
     column: int
-    length: int = 0
 
     def __str__(self) -> str:
         return f"{self.line}:{self.column}"

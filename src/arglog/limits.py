@@ -10,7 +10,8 @@ class Caps:
     """Guards against blow-ups; exceeding a cap raises CapExceeded, never truncates.
 
     max_pfacts bounds the number of probabilistic facts (the world space has
-    size 2**n). max_arguments bounds argument saturation.
+    size 2**n). max_arguments bounds argument saturation: the arguments
+    found, and the partial unions that one rule's join holds.
     """
 
     max_pfacts: int = 24

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Collection, Iterable
+from typing import Callable, Collection, Iterable, Sequence
 
 RESERVED_PREFIX = "_"
 
@@ -203,11 +203,17 @@ def validate(program: Program) -> list[Violation]:
     """Check program invariants; returns one record per broken constraint.
 
     Violations are data, not exceptions: an empty list means the program is
-    well formed. The check is deterministic (sorted iteration) and idempotent.
+    well formed. The check is deterministic and idempotent: the records come
+    in sorted clause order, and since whether a constraint is broken does
+    not depend on the order, the clauses are sorted only once one is.
     """
+    return _violations(program, tuple) and _violations(program, sorted)
+
+
+def _violations(program: Program, order: Callable[[Iterable], Sequence]) -> list[Violation]:
     violations: list[Violation] = []
     atoms = herbrand_base(program.rules, program.pfacts)
-    for atom in sorted(atoms):
+    for atom in order(atoms):
         if atom.predicate.startswith(RESERVED_PREFIX):
             violations.append(
                 Violation(
@@ -215,7 +221,7 @@ def validate(program: Program) -> list[Violation]:
                     f"predicate {atom.predicate!r} uses the reserved '_' prefix",
                 )
             )
-    rules, pfacts = sorted(program.rules), sorted(program.pfacts)
+    rules, pfacts = order(program.rules), order(program.pfacts)
     seen: dict[Atom, ProbFact] = {}
     for pf in pfacts:
         if pf.atom in seen:
@@ -237,9 +243,11 @@ def validate(program: Program) -> list[Violation]:
         reason = nonground_reason(pf)
         if reason is not None:
             violations.append(Violation("probabilistic_fact_not_ground", reason, pf))
-    for pf in pfacts:
+    # a fact atom that is an instance of a rule head breaks flatness; a fact
+    # that is not ground is reported above
+    for pf in (pf for pf in pfacts if pf.atom.is_ground):
         for rule in rules:
-            if unifies(pf.atom, rule.head):
+            if matches(rule.head, pf.atom):
                 violations.append(
                     Violation(
                         "probabilistic_fact_is_rule_head",
@@ -280,33 +288,6 @@ def nonground_reason(pf: ProbFact) -> str | None:
         f"probabilistic fact '{pf}' is not ground; a bodyless clause "
         "has no positive body literal to restrict its variables"
     )
-
-
-def unifies(left: Atom, right: Atom) -> bool:
-    """Whether two atoms from different clauses unify (variables renamed apart)."""
-    if left.predicate != right.predicate or len(left.args) != len(right.args):
-        return False
-    # Tag variables with their side so same-named variables stay distinct.
-    subst: dict[tuple[str, str], object] = {}
-
-    def walk(term):
-        while isinstance(term, tuple) and term in subst:
-            term = subst[term]
-        return term
-
-    for a, b in zip(left.args, right.args):
-        s = ("L", a) if is_variable(a) else a
-        t = ("R", b) if is_variable(b) else b
-        s, t = walk(s), walk(t)
-        if s == t:
-            continue
-        if isinstance(s, tuple):
-            subst[s] = t
-        elif isinstance(t, tuple):
-            subst[t] = s
-        else:
-            return False
-    return True
 
 
 def matches(pattern: Atom, ground: Atom) -> bool:

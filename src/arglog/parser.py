@@ -8,109 +8,68 @@ Surface syntax, one clause per "."-terminated statement:
     d.                 fact
     % comment to end of line
 
-Identifiers starting with a lowercase letter are predicate/constant symbols;
-an uppercase first letter makes a term a variable. The "_" prefix is reserved
-(it names the built-in contrary of fact assumptions) and "not" is a keyword,
-so neither can be used as a symbol.
+An identifier is a letter or "_" followed by letters, digits or "_", and
+digits are decimal digits. Identifiers starting with a lowercase letter are
+predicate/constant symbols; an uppercase first letter makes a term a
+variable. The "_" prefix is reserved (it names the built-in contrary of fact
+assumptions) and "not" is a keyword, so neither can be used as a symbol.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import ParseError, SourceSpan, ValidationError
 from .model import Atom, Literal, ProbFact, Program, Rule, validate
 
-_PUNCT = {
-    ":-": "IMPLIES",
-    "::": "PROBSEP",
-    "\\+": "NAF",
-    ".": "DOT",
-    ",": "COMMA",
-    "(": "LPAREN",
-    ")": "RPAREN",
-    "/": "SLASH",
-}
+# One alternative per token kind; at each position the first that matches
+# wins, so a decimal is tried before an integer, and "::" and ":-" before
+# any one-character mark. A dot is part of a number only when a digit
+# follows it. WORD takes any word character that is not a decimal digit
+# first, so that a word starting with some other digit ("²") is reported.
+_TOKEN = re.compile(
+    r"(?P<NEWLINE>\n)|(?P<SPACE>[ \t\r]+|%[^\n]*)"
+    r"|(?P<DECIMAL>\d+\.\d+)|(?P<NUMBER>\d+)|(?P<WORD>[^\W\d]\w*)"
+    r"|(?P<IMPLIES>:-)|(?P<PROBSEP>::)|(?P<NAF>\\\+)|(?P<DOT>\.)|(?P<COMMA>,)"
+    r"|(?P<LPAREN>\()|(?P<RPAREN>\))|(?P<SLASH>/)|(?P<OTHER>.)"
+)
 
 
 @dataclass(frozen=True)
 class Token:
-    kind: str  # IDENT VAR NUMBER DECIMAL NOT or a _PUNCT kind or EOF
+    kind: str  # a group name of _TOKEN; IDENT, VAR or NOT for a WORD; or EOF
     text: str
     span: SourceSpan
 
 
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
+    line, line_start = 1, 0
+    for match in _TOKEN.finditer(text):
+        kind, word = match.lastgroup, match.group()
+        span = SourceSpan(line, match.start() - line_start + 1)
+        if kind == "NEWLINE":
+            line, line_start = line + 1, match.end()
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
+        if kind == "SPACE":
             continue
-        if ch == "%":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        span = SourceSpan(line, col)
-        two = text[i : i + 2]
-        if two in _PUNCT:
-            tokens.append(Token(_PUNCT[two], two, SourceSpan(line, col, 2)))
-            i += 2
-            col += 2
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            kind = "NUMBER"
-            # a dot is part of the number only when a digit follows
-            if j < n - 1 and text[j] == "." and text[j + 1].isdigit():
-                j += 1
-                while j < n and text[j].isdigit():
-                    j += 1
-                kind = "DECIMAL"
-            word = text[i:j]
-            tokens.append(Token(kind, word, SourceSpan(line, col, len(word))))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
+        if kind == "WORD":
             if word.startswith("_"):
                 raise ParseError(
-                    f"identifier {word!r} is reserved (the '_' prefix is not available)",
-                    SourceSpan(line, col, len(word)),
+                    f"identifier {word!r} is reserved (the '_' prefix is not available)", span
                 )
-            if word == "not":
+            if not word[0].isalpha():
+                kind, word = "OTHER", word[0]
+            elif word == "not":
                 kind = "NOT"
-            elif word[0].isupper():
-                kind = "VAR"
             else:
-                kind = "IDENT"
-            tokens.append(Token(kind, word, SourceSpan(line, col, len(word))))
-            col += j - i
-            i = j
-            continue
-        if ch in _PUNCT:
-            tokens.append(Token(_PUNCT[ch], ch, SourceSpan(line, col, 1)))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", span)
-    tokens.append(Token("EOF", "", SourceSpan(line, col)))
+                kind = "VAR" if word[0].isupper() else "IDENT"
+        if kind == "OTHER":
+            raise ParseError(f"unexpected character {word!r}", span)
+        tokens.append(Token(kind, word, span))
+    tokens.append(Token("EOF", "", SourceSpan(line, len(text) - line_start + 1)))
     return tokens
 
 
@@ -165,18 +124,14 @@ class _Parser:
         return Literal(self.atom())
 
     def probability(self) -> tuple[Fraction, SourceSpan]:
-        tok = self.advance()
-        if tok.kind == "DECIMAL":
+        tok = self.advance()  # a NUMBER or a DECIMAL
+        if self.current.kind != "SLASH" or tok.kind == "DECIMAL":
             return Fraction(tok.text), tok.span
-        if tok.kind == "NUMBER":
-            if self.current.kind == "SLASH":
-                self.advance()
-                den = self.expect("NUMBER", "a denominator")
-                if int(den.text) == 0:
-                    raise ParseError("probability denominator is zero", den.span)
-                return Fraction(int(tok.text), int(den.text)), tok.span
-            return Fraction(int(tok.text)), tok.span
-        raise ParseError(f"expected a probability, found {tok.text!r}", tok.span)
+        self.advance()
+        den = self.expect("NUMBER", "a denominator")
+        if int(den.text) == 0:
+            raise ParseError("probability denominator is zero", den.span)
+        return Fraction(int(tok.text), int(den.text)), tok.span
 
     def clause(self) -> tuple[Rule | ProbFact, SourceSpan]:
         start = self.current.span

@@ -213,6 +213,32 @@ def test_argument_cap_refuses_blowups():
         enumerate_arguments(framework, max_arguments=3)
 
 
+def join_program(last_clause: str) -> str:
+    """`h :- b1, b2, b3, c.`, where each b has 20 arguments, one per rule;
+    so a join of the three b's holds 20**3 partial unions."""
+    rules = [f"b{i} :- \\+ n{j}." for i in (1, 2, 3) for j in range(1, 21)]
+    return "\n".join(rules + ["h :- b1, b2, b3, c.", last_clause]) + "\n"
+
+
+def test_a_join_with_an_empty_pool_is_skipped_before_it_is_built():
+    # c has no argument, so h has none; building the 8000 unions of the
+    # b's first would pass the cap
+    arguments = enumerate_arguments(framework_of(join_program("")), max_arguments=5000)
+    assert len(arguments) == 60 + 25
+    assert Literal(Atom("h")) not in {arg.claim for arg in arguments}
+
+
+def test_the_unions_a_join_holds_count_against_the_argument_cap():
+    framework = framework_of(join_program("c."))
+    assert len(enumerate_arguments(framework, max_arguments=8100)) == 60 + 25 + 1 + 8000
+    with pytest.raises(CapExceeded, match="^argument saturation held ") as refusal:
+        enumerate_arguments(framework, max_arguments=5000)
+    # refused while the unions are built: at most one row of 20 past the cap
+    held, rest = str(refusal.value).removeprefix("argument saturation held ").split(" ", 1)
+    assert 5000 < int(held) <= 5020
+    assert rest == "partial unions in the join of rule 'h :- b1, b2, b3, c', past the cap of 5000"
+
+
 def test_canonical_argument_order_is_reproducible():
     source = "0.3::b.\na :- b, \\+ c.\nd :- \\+ d.\n"
     first, second = aaf_of(source), aaf_of(source)

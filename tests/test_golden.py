@@ -112,6 +112,11 @@ ERROR_CASES = {
     "unexpected-character": show("a :- b @ c.\n"),
     "reserved-identifier": show("a.\n_chi :- a.\n"),
     "reserved-identifier-in-body": show("x :- _y.\n"),
+    # a digit that is not a decimal digit
+    "non-decimal-digit-probability": show("²::a.\n"),
+    "non-decimal-digit-after-a-decimal": show("0.5²::a.\n"),
+    "non-decimal-digit-after-a-number": show("1²"),
+    "non-decimal-digit-term": show("p(²).\n"),
     # parser._Parser.expect, one case per expected token
     "expected-predicate": show("a.\nb :- .\n"),
     "expected-predicate-not-keyword": show("not.\n"),
@@ -125,6 +130,7 @@ ERROR_CASES = {
     "end-of-input-after-paren": show("p("),
     "end-of-input-after-comma": show("a :- b,"),
     "end-of-input-after-newline": show("a :-\n"),
+    "end-of-input-after-comment": show("a :- % no body yet"),
     # parser._Parser.probability and clause
     "zero-denominator": show("1/0::a.\n"),
     "probability-above-one": show("3/2::a.\n"),
@@ -161,6 +167,12 @@ ERROR_CASES = {
     # cap refusals exit 2
     "worlds-cap": ("0.5::a.\n", ["query", BAD, "--query", "a", "--worlds-cap", "0"]),
     "arguments-cap": ("a :- \\+ b.\nb :- \\+ a.\n", ["show", BAD, "--args-cap", "3"]),
+    # the join of h's body holds 10**3 unions before c is joined
+    "arguments-cap-join": (
+        "".join(f"b{i} :- \\+ n{j}.\n" for i in (1, 2, 3) for j in range(10))
+        + "h :- b1, b2, b3, c.\nc.\n",
+        ["show", BAD, "--args-cap", "500"],
+    ),
 }
 
 

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -62,6 +63,35 @@ def test_nonground_probabilistic_fact_is_rejected():
     pfact = ProbFact(Fraction(1, 2), Atom("q", ("X",)))
     with pytest.raises(GroundingError, match="not ground"):
         ground(built_in_code([Rule(Atom("p", ("1",)))], [pfact]))
+
+
+A = Atom("a")
+
+
+# each of these, once grounded, made the two routes disagree: two choices
+# for `a` gave success 2/3 against grounded 1/2, and a rule for the fact
+# contrary `_chi` gave success 1/2 against grounded 0
+@pytest.mark.parametrize(
+    "program, message",
+    [
+        (
+            built_in_code(pfacts=[ProbFact(Fraction(1, 2), A), ProbFact(Fraction(1, 3), A)]),
+            "probabilistic facts 1/3::a and 0.5::a share the atom a",
+        ),
+        (
+            built_in_code([Rule(Atom("_chi"))], [ProbFact(Fraction(1, 2), A)]),
+            "predicate '_chi' uses the reserved '_' prefix",
+        ),
+        (
+            built_in_code([Rule(A)], [ProbFact(Fraction(1, 2), A)]),
+            "probabilistic fact atom a unifies with the head of rule 'a'",
+        ),
+    ],
+)
+def test_ground_refuses_every_program_that_validate_rejects(program, message):
+    assert [v.message for v in validate(program)] == [message]
+    with pytest.raises(GroundingError, match=f"^{re.escape(message)}$"):
+        ground(program)
 
 
 @pytest.mark.parametrize(

@@ -10,7 +10,7 @@ import pytest
 import arglog
 
 from arglog import Atom, Program, format_probability, matches, parse_program
-from arglog.model import Literal, ProbFact, Rule, herbrand_base, unifies, validate
+from arglog.model import Literal, ProbFact, Rule, herbrand_base, validate
 
 A, B, C, D = Atom("a"), Atom("b"), Atom("c"), Atom("d")
 RULE_A = Rule(A, (Literal(B), Literal(C, negated=True)))
@@ -64,6 +64,15 @@ def test_validate_uses_unification_against_nonground_heads():
     assert [v.kind for v in validate(program)] == ["probabilistic_fact_is_rule_head"]
 
 
+def test_validate_reports_a_nonground_fact_once_even_when_it_meets_a_head():
+    rule = Rule(Atom("p", ("Y",)), (Literal(Atom("q", ("Y",))),))
+    program = Program(
+        frozenset({rule, Rule(Atom("q", ("1",)))}),
+        frozenset({ProbFact(Fraction(1, 2), Atom("p", ("X",)))}),
+    )
+    assert [v.kind for v in validate(program)] == ["probabilistic_fact_not_ground"]
+
+
 def test_herbrand_base_collects_all_atom_positions():
     program = parse_program("0.3::b.\na :- b, \\+ c.\nd :- \\+ d.\n")
     base = herbrand_base(program.rules, program.pfacts)
@@ -112,18 +121,6 @@ def test_atom_groundness_and_variables():
     assert Atom("p", ("x", "1")).is_ground
     assert not Atom("p", ("X",)).is_ground
     assert Atom("p", ("X", "y", "Z")).variables() == {"X", "Z"}
-
-
-def test_unifies_basic_cases():
-    assert unifies(Atom("p", ("X",)), Atom("p", ("1",)))
-    assert not unifies(Atom("p", ("1",)), Atom("p", ("2",)))
-    assert not unifies(Atom("p"), Atom("q"))
-    assert not unifies(Atom("p", ("1",)), Atom("p", ("1", "2")))
-    # same variable name on both sides refers to different clauses
-    assert unifies(Atom("q", ("X",)), Atom("q", ("X",)))
-    # repeated variable must bind consistently
-    assert not unifies(Atom("p", ("X", "X")), Atom("p", ("1", "2")))
-    assert unifies(Atom("p", ("X", "X")), Atom("p", ("1", "1")))
 
 
 def test_matches_requires_consistent_bindings():

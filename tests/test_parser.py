@@ -1,9 +1,22 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from arglog import Atom, ParseError, Program, ValidationError, parse_program, parse_query
+from arglog import (
+    Atom,
+    ParseError,
+    Program,
+    ValidationError,
+    format_probability,
+    parse_program,
+    parse_query,
+    random_program,
+)
 from arglog.model import Literal, ProbFact, Rule
+
+from test_kernels import probabilistic_programs
 
 
 def test_parse_rules_and_pfacts():
@@ -95,15 +108,15 @@ def test_identical_rules_collapse_silently():
     assert len(program.rules) == 1
 
 
-@pytest.mark.parametrize(
-    "source",
-    [
-        "0.3::b.\na :- b, \\+ c.\nd :- \\+ d.\n",
-        "1/3::p(1).\nq(X) :- p(X), not r(X).\n",
-        "p(X, Y) :- q(X), q(Y).\n0.5::q(1).\n0.25::q(2).\n",
-        "",
-    ],
-)
+ROUND_TRIP_SOURCES = [
+    "0.3::b.\na :- b, \\+ c.\nd :- \\+ d.\n",
+    "1/3::p(1).\nq(X) :- p(X), not r(X).\n",
+    "p(X, Y) :- q(X), q(Y).\n0.5::q(1).\n0.25::q(2).\n",
+    "",
+]
+
+
+@pytest.mark.parametrize("source", ROUND_TRIP_SOURCES)
 def test_round_trip_through_source(source):
     program = parse_program(source)
     assert parse_program(program.to_source()) == program
@@ -125,3 +138,91 @@ def test_parse_query_rejects_negation():
 def test_parse_query_rejects_trailing_input():
     with pytest.raises(ParseError, match="trailing"):
         parse_query("a, b")
+
+
+# "²" is a digit but not a decimal digit: it once reached `int()` as a
+# number, or was taken as a constant
+@pytest.mark.parametrize(
+    "source, column",
+    [("²::a.", 1), ("0.5²::a.", 4), ("1²", 2), ("p(²).", 3), ("a :- q(1²).", 9)],
+)
+def test_a_digit_that_is_not_decimal_is_an_unexpected_character(source, column):
+    with pytest.raises(ParseError, match=f"^1:{column}: unexpected character '²'$"):
+        parse_program(source)
+
+
+def test_decimal_digits_of_any_script_are_digits():
+    program = parse_program("0.٥::p(٣).")
+    assert program.pfacts == frozenset({ProbFact(Fraction(1, 2), Atom("p", ("٣",)))})
+
+
+# the end of input is where the text ends: after one-character punctuation,
+# not one column past it, and after a trailing comment, not at its start
+@pytest.mark.parametrize(
+    "source, position",
+    [
+        ("p(", "1:3"),
+        ("a :- b,", "1:8"),
+        ("a :- b", "1:7"),
+        ("a :-\n", "2:1"),
+        ("a :-  ", "1:7"),
+        ("a :- % no body yet", "1:19"),
+    ],
+)
+def test_end_of_input_is_reported_where_the_text_ends(source, position):
+    with pytest.raises(ParseError, match=f"^{position}: expected .*, found 'end of input'$"):
+        parse_program(source)
+
+
+def atom_tokens(atom: Atom) -> list[str]:
+    if not atom.args:
+        return [atom.predicate]
+    terms = [token for term in atom.args for token in (",", term)][1:]
+    return [atom.predicate, "(", *terms, ")"]
+
+
+@st.composite
+def program_texts(draw):
+    """A program, and a text of it: the clauses in any order, negation
+    spelled either way, probabilities as decimals or fractions, and blanks,
+    tabs, carriage returns, newlines and comments between the tokens."""
+    program = draw(
+        st.one_of(
+            probabilistic_programs(),
+            st.integers(0, 1999).map(random_program),
+            st.sampled_from(ROUND_TRIP_SOURCES).map(parse_program),
+        )
+    )
+    clauses = []
+    for pf in program.pfacts:
+        prob = draw(
+            st.sampled_from(
+                [[format_probability(pf.prob)], [str(pf.prob.numerator), "/", str(pf.prob.denominator)]]
+            )
+        )
+        clauses.append([*prob, "::", *atom_tokens(pf.atom), "."])
+    for rule in program.rules:
+        tokens = atom_tokens(rule.head)
+        for i, lit in enumerate(rule.body):
+            tokens.append("," if i else ":-")
+            if lit.negated:
+                tokens.append(draw(st.sampled_from(["\\+", "not"])))
+            tokens += atom_tokens(lit.atom)
+        clauses.append(tokens + ["."])
+    blank = st.sampled_from([" ", "\t", "\r", "\n", "% a comment :- 1.5::\n"])
+    text, previous = "", None
+    for tokens in draw(st.permutations(clauses)):
+        for token in tokens:
+            # two words need a blank between them; only "not" precedes a word
+            gap = draw(st.lists(blank, min_size=1 if previous == "not" else 0, max_size=3))
+            text += "".join(gap) + token
+            previous = token
+    text += draw(st.sampled_from(["", "\n", "% a last comment"]))
+    return program, text
+
+
+@settings(max_examples=300, deadline=None)
+@given(program_texts())
+def test_layout_and_clause_order_do_not_change_the_program(case):
+    program, text = case
+    assert parse_program(text) == program
