@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Collection, Iterable, Sequence
+from typing import Collection, Iterable
 
 RESERVED_PREFIX = "_"
 
@@ -207,13 +207,15 @@ def validate(program: Program) -> list[Violation]:
     in sorted clause order, and since whether a constraint is broken does
     not depend on the order, the clauses are sorted only once one is.
     """
-    return _violations(program, tuple) and _violations(program, sorted)
+    unordered = (herbrand_base(program.rules, program.pfacts), program.rules, program.pfacts)
+    return _violations(*unordered) and _violations(*map(sorted, unordered))
 
 
-def _violations(program: Program, order: Callable[[Iterable], Sequence]) -> list[Violation]:
+def _violations(
+    atoms: Collection[Atom], rules: Collection[Rule], pfacts: Collection[ProbFact]
+) -> list[Violation]:
     violations: list[Violation] = []
-    atoms = herbrand_base(program.rules, program.pfacts)
-    for atom in order(atoms):
+    for atom in atoms:
         if atom.predicate.startswith(RESERVED_PREFIX):
             violations.append(
                 Violation(
@@ -221,7 +223,6 @@ def _violations(program: Program, order: Callable[[Iterable], Sequence]) -> list
                     f"predicate {atom.predicate!r} uses the reserved '_' prefix",
                 )
             )
-    rules, pfacts = order(program.rules), order(program.pfacts)
     seen: dict[Atom, ProbFact] = {}
     for pf in pfacts:
         if pf.atom in seen:
