@@ -230,11 +230,8 @@ def argument_table(
                 for pool in pools:
                     # the unions a join holds count against the cap like
                     # arguments: their number grows with the product of the
-                    # pool sizes, however few arguments come out. A join
-                    # that cannot pass the cap is built in one go.
-                    if len(partial) * len(pool) <= max_arguments:
-                        partial = {(a | a2, r | r2) for a, r in partial for a2, r2 in pool}
-                        continue
+                    # pool sizes, however few arguments come out, so the
+                    # join is built row by row and refused once past the cap
                     joined: set[tuple[int, int]] = set()
                     for a, r in partial:
                         joined.update([(a | a2, r | r2) for a2, r2 in pool])
