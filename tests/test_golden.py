@@ -1,7 +1,7 @@
 """The CLI listings, byte for byte, against files kept under tests/golden/.
 
 `show`, `worlds`, `query --trace` and `query` under each `--semantics`, in
-human form and as JSON, for the four fixtures and the chain-1..3 ladder
+human form and as JSON, for the five fixtures and the chain-1..3 ladder
 rungs, and `check --seed-range 0..9`; and, under tests/golden/errors/, the
 exit code and standard error of `arglog` on malformed input. When a change
 of output is intended, rewrite the files with
@@ -35,6 +35,7 @@ PROGRAMS = {
     "odd_loop_lp": ((FIXTURES / "odd_loop_lp.pl").read_text(encoding="utf-8"), "a"),
     "duplicate_support": ((FIXTURES / "duplicate_support.pl").read_text(encoding="utf-8"), "q"),
     "empty": ((FIXTURES / "empty.pl").read_text(encoding="utf-8"), "a"),
+    "reach": ((FIXTURES / "reach.pl").read_text(encoding="utf-8"), "q(X)"),
 } | {f"chain-{n}": (chain_source(n), f"a{n}") for n in (1, 2, 3)}
 
 COMMANDS = {
