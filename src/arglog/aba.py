@@ -130,11 +130,12 @@ class ArgumentTable:
     in factored form.
 
     Sentences are numbered in sorted order. `claims[i]` is the number of
-    argument i's claim, and `contraries[j]` holds the numbers of the claimed
-    contraries of argument j's assumptions. So argument i attacks argument j
-    iff `claims[i]` is in `contraries[j]`, and the arguments claiming one
-    sentence attack the same arguments. `fact_masks[i]` is the mask of the
-    fact assumptions argument i uses, in the world numbering of
+    argument i's claim, and `contraries[j]` holds the numbers of the
+    contraries of argument j's negation-as-failure assumptions (no argument
+    claims the contrary of a fact assumption). So argument i attacks
+    argument j iff `claims[i]` is in `contraries[j]`, and the arguments
+    claiming one sentence attack the same arguments. `fact_masks[i]` is the
+    mask of the fact assumptions argument i uses, in the world numbering of
     `worlds.fact_bits`.
     """
 
@@ -165,11 +166,11 @@ def argument_table(
     """The arguments of `enumerate_arguments`, sorted as by
     `argument_sort_key`, with the attack relation factored through claims.
 
-    Saturation runs over ints. Assumptions and rules are numbered in sorted
-    order, and an argument is an (assumption mask, rule mask) pair stored
-    under its claim. A rule's body is joined left to right into a set of
-    pairs, so each distinct partial union is extended once, however many
-    combinations produce it. Rounds are semi-naive: a rule fires again only
+    Saturation runs over ints. Sentences, assumptions and rules are numbered
+    in sorted order, and an argument is an (assumption mask, rule mask) pair
+    stored under its claim. A rule's body is joined left to right into a
+    set of pairs, so each distinct partial union is extended once, however
+    many combinations produce it. Rounds are semi-naive: a rule fires again only
     on combinations holding a pair found in the previous round, which takes
     that round's pool at one body position, older pools before it and full
     pools after it. Argument objects are built once, at the end.
@@ -180,24 +181,22 @@ def argument_table(
     """
     assumptions = sorted(framework.assumptions)
     rules = sorted(framework.rules)
-    claim_id: dict[Literal, int] = {}
-
-    def intern(lit: Literal) -> int:
-        return claim_id.setdefault(lit, len(claim_id))
-
+    # every sentence an argument can claim: the assumptions, and the atoms
+    sentences = sorted({*assumptions, *map(Literal, framework.herbrand_base)})
+    number = {lit: n for n, lit in enumerate(sentences)}
     fresh: dict[int, set[tuple[int, int]]] = defaultdict(set)
     for bit, assumption in enumerate(assumptions):
-        fresh[intern(assumption)].add((1 << bit, 0))
+        fresh[number[assumption]].add((1 << bit, 0))
     readers: dict[int, list[tuple[int, tuple[int, ...], int]]] = defaultdict(list)
     for bit, rule in enumerate(rules):
-        head = intern(Literal(rule.head))
+        head = number[Literal(rule.head)]
         if rule.is_fact:
             fresh[head].add((0, 1 << bit))
             continue
-        compiled = (head, tuple(intern(lit) for lit in rule.body), 1 << bit)
+        compiled = (head, tuple(map(number.__getitem__, rule.body)), 1 << bit)
         for claim in set(compiled[1]):
             readers[claim].append(compiled)
-    found: list[set[tuple[int, int]]] = [set() for _ in claim_id]
+    found: list[set[tuple[int, int]]] = [set() for _ in sentences]
     count = sum(len(pairs) for pairs in fresh.values())
 
     def refuse_past_cap() -> None:
@@ -251,16 +250,12 @@ def argument_table(
                     count += len(partial)
                     refuse_past_cap()
 
-    sentences = sorted(claim_id)
-    number = {lit: n for n, lit in enumerate(sentences)}
-    # by assumption bit: the number of its contrary when some rule or
-    # assumption can claim it, and its bit among the fact assumptions
+    # by assumption bit: its contrary's number (None for the fact contrary,
+    # which is no sentence), and its bit among the fact assumptions
     contrary = [number.get(framework.contrary_of(a)) for a in assumptions]
     bit_of = fact_bits(framework.fact_assumptions)
     fact_bit = [0 if a.negated else bit_of[a.atom] for a in assumptions]
-    found_pairs = [
-        (number[lit], a, r) for lit, pairs in zip(claim_id, found) for a, r in pairs
-    ]
+    found_pairs = [(c, a, r) for c, pairs in enumerate(found) for a, r in pairs]
     assumption_bits = {a: _bits(a) for _, a, _ in found_pairs}
     rule_bits = {r: _bits(r) for _, _, r in found_pairs}
     found_pairs.sort(key=lambda row: (row[0], assumption_bits[row[1]], rule_bits[row[2]]))

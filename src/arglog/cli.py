@@ -244,6 +244,9 @@ def _parse_seed_range(text: str) -> tuple[int, int]:
         ) from None
     if first > last:
         raise argparse.ArgumentTypeError(f"bad seed range {text!r}; {first} is above {last}")
+    # random.Random seeds with the absolute value: -3..3 holds four programs
+    if first < 0:
+        raise argparse.ArgumentTypeError(f"bad seed range {text!r}; seeds are non-negative")
     return first, last
 
 

@@ -25,7 +25,7 @@ from operator import and_, or_
 
 from .aba import AaFramework, Argument, argument_table, build_problog_aba, compute_attacks
 from .limits import Caps
-from .model import Atom, GroundProgram, Literal, matches
+from .model import Atom, GroundProgram, matches
 from .semantics import grounded_block
 from .worlds import (
     block_fact_vectors,
@@ -34,6 +34,7 @@ from .worlds import (
     fact_bits,
     masked_sum,
     world_columns,
+    world_mask,
     world_table,
 )
 
@@ -66,19 +67,11 @@ class PaaEngine:
         inference reads the factored relation instead."""
         return AaFramework(self.arguments, compute_attacks(self.framework, self.arguments))
 
-    def _mask(self, world: frozenset[Atom]) -> int:
-        """The world's mask; the world is a set of probabilistic-fact atoms."""
-        try:
-            return sum(map(self._bit.__getitem__, world))
-        except KeyError as missing:
-            atom = missing.args[0]
-            raise KeyError(f"{atom} is not a probabilistic fact of this program") from None
-
     def worlds(self) -> list[tuple[frozenset[Atom], Fraction]]:
         return world_table(self.gp.pfacts, self.caps.max_pfacts)
 
     def applicable_indices(self, world: frozenset[Atom]) -> frozenset[int]:
-        mask = self._mask(world)
+        mask = world_mask(self._bit, world)
         return frozenset(
             chain.from_iterable(
                 group for need, group in self._by_need.items() if need & mask == need
@@ -146,11 +139,6 @@ class PaaEngine:
             for vector in pick(inside)
         )
         return Fraction(total, denominator)
-
-    def accepted_claims(self, world: frozenset[Atom]) -> frozenset[Literal]:
-        """The claims of the arguments the world's grounded extension accepts."""
-        _, _, accepted = self.evaluations()[self._mask(world)]
-        return frozenset(self.arguments[i].claim for i in accepted)
 
     def grounded_prob_argument(self, argument: Argument) -> Fraction:
         """Probability mass of worlds whose grounded extension holds the argument."""

@@ -18,45 +18,26 @@ from typing import Iterable
 
 from .errors import CapExceeded
 from .model import Atom, Rule, matches
-from .worlds import block_fact_vectors, block_width, fact_bits
+from .worlds import block_fact_vectors, block_width, fact_bits, world_mask
 
 
 class ThreeValuedModel:
     """Partition of the Herbrand base into true / false / undefined atoms.
 
-    A model is built either from its three sets or, by `WellFoundedKernel`,
-    as a view of one world of an evaluated block: the kernel's atoms, the
-    block's sure, false and undefined vectors, and the world's bit in them.
-    A view builds each set the first time it is read, then keeps it. Either
-    way the model compares, hashes and prints as its three sets.
+    A model is a view, built by `WellFoundedKernel`, of one world of an
+    evaluated block: the kernel's atoms, the block's sure, false and
+    undefined vectors over them, and the world's bit in those vectors;
+    `index` numbers the atoms. A view builds each set the first time it is
+    read, then keeps it, and compares, hashes and prints as its three sets.
     """
 
     __slots__ = ("_sections", "_atoms", "_index", "_vectors", "_bit")
 
     def __init__(
-        self,
-        true_atoms: frozenset[Atom],
-        false_atoms: frozenset[Atom],
-        undefined_atoms: frozenset[Atom],
+        self, atoms: list[Atom], index: dict[Atom, int], vectors: tuple[list[int], ...], bit: int
     ):
-        if (
-            true_atoms & false_atoms
-            or true_atoms & undefined_atoms
-            or false_atoms & undefined_atoms
-        ):
-            raise ValueError("model sections must be pairwise disjoint")
-        self._sections = [true_atoms, false_atoms, undefined_atoms]
-
-    @classmethod
-    def _view(
-        cls, atoms: list[Atom], index: dict[Atom, int], vectors: tuple[list[int], ...], bit: int
-    ) -> ThreeValuedModel:
-        """The model of the world at `bit` of the (sure, false, undefined)
-        vectors over `atoms`; `index` numbers the atoms."""
-        model = object.__new__(cls)
-        model._sections = [None, None, None]
-        model._atoms, model._index, model._vectors, model._bit = atoms, index, vectors, bit
-        return model
+        self._sections = [None, None, None]
+        self._atoms, self._index, self._vectors, self._bit = atoms, index, vectors, bit
 
     def _section(self, k: int) -> frozenset[Atom]:
         section = self._sections[k]
@@ -79,9 +60,7 @@ class ThreeValuedModel:
         return self._section(2)
 
     def is_true(self, atom: Atom) -> bool:
-        """Whether the atom is true; a view reads one bit and builds no set."""
-        if self._sections[0] is not None:
-            return atom in self._sections[0]
+        """Whether the atom is true, read off one bit; builds no set."""
         k = self._index.get(atom)
         return k is not None and bool(self._vectors[0][k] & self._bit)
 
@@ -142,7 +121,7 @@ def reduct(rules: Iterable[Rule], interpretation: frozenset[Atom]) -> frozenset[
 
 class WellFoundedKernel:
     """A ground normal program compiled to ints once, for computing the
-    well-founded models of its variants that differ only by added facts.
+    well-founded models of its variants that add some of its choices as facts.
 
     Atoms are interned to 0..k-1. `choices`, the atoms of the probabilistic
     facts, number the worlds by `worlds.fact_bits`. Worlds are evaluated a
@@ -211,22 +190,20 @@ class WellFoundedKernel:
                         todo.append(s)
         return derived
 
-    def _evaluate(
-        self, facts: dict[int, int], width: int
-    ) -> tuple[list[int], list[int], list[int]]:
-        """The well-founded models of `width` worlds, where `facts` maps an
-        atom to the worlds (a bit vector) that hold it as a fact: per atom,
-        the vectors of the worlds where it is true, false and undefined.
+    def _evaluate(self, block: int) -> tuple[list[int], list[int], list[int]]:
+        """The well-founded models of the worlds of a block, where each
+        choice holds as a fact in the worlds that choose it: per atom, the
+        vectors of the worlds where it is true, false and undefined.
 
         Alternating fixpoint: K(0) = G(base), U(i) = G(K(i)),
         K(i+1) = G(U(i)), stopping once K repeats (then U repeats too). The
         operations are bitwise, so each world follows the sequence it would
         follow alone, and stays at its fixpoint while other worlds go on.
         """
-        full = (1 << width) - 1
+        full = (1 << self._width) - 1
         start = [0] * len(self.atoms)
-        for atom, vector in facts.items():
-            start[atom] |= vector
+        for atom, vector in zip(self._choices, block_fact_vectors(len(self._choices), block)):
+            start[atom] = vector
         base = [full if inside else 0 for inside in self._in_base]
         sure = self._least_model(base, start, full)
         possible = self._least_model(sure, start, full)
@@ -249,26 +226,19 @@ class WellFoundedKernel:
         """The (true, false, undefined) vectors of a block of worlds, one int
         per atom: the kept ones, unless the block must be evaluated first."""
         if block != self._block:
-            vectors = block_fact_vectors(len(self._choices), block)
-            self._vectors = self._evaluate(dict(zip(self._choices, vectors)), self._width)
+            self._vectors = self._evaluate(block)
             self._block = block
         return self._vectors
 
     def model(self, facts: Iterable[Atom] = ()) -> ThreeValuedModel:
         """The well-founded model of the program plus one fact per given atom.
 
-        Choice atoms name a world, and the model is a view of the world's
-        bit in its block's vectors. A fact set with other atoms is evaluated
-        as a block of one world.
+        The atoms are choices, and name a world: the model is a view of the
+        world's bit in its block's vectors.
         """
-        facts = frozenset(facts)
-        bits = [*map(self._bit.get, facts)]
-        if None in bits:
-            vectors = self._evaluate({self.index[atom]: 1 for atom in facts}, 1)
-            return ThreeValuedModel._view(self.atoms, self.index, vectors, 1)
-        mask = sum(bits)
+        mask = world_mask(self._bit, frozenset(facts))
         vectors = self.block_vectors(mask // self._width)
-        return ThreeValuedModel._view(self.atoms, self.index, vectors, 1 << mask % self._width)
+        return ThreeValuedModel(self.atoms, self.index, vectors, 1 << mask % self._width)
 
 
 def well_founded_model(
@@ -281,11 +251,14 @@ def well_founded_model(
     with one fact added per atom of `facts` (atoms of the program).
 
     `kernel`, the same rules and base already compiled by
-    `WellFoundedKernel`, saves compiling them again: callers that evaluate
-    many fact sets against one program compile it once and pass it.
+    `WellFoundedKernel` with the facts among its choices, saves compiling
+    them again: callers that evaluate many worlds of one program compile it
+    once and pass it. Without it, the program is compiled with `facts` as
+    its choices.
     """
     if kernel is None:
-        kernel = WellFoundedKernel(rules, base)
+        facts = frozenset(facts)
+        kernel = WellFoundedKernel(rules, base, facts)
     return kernel.model(facts)
 
 

@@ -91,6 +91,15 @@ def fact_bits(atoms: Iterable[Atom]) -> dict[Atom, int]:
     return {atom: 1 << i for i, atom in enumerate(sorted(atoms))}
 
 
+def world_mask(bits: dict[Atom, int], world: frozenset[Atom]) -> int:
+    """A world's mask under the numbering `bits` of `fact_bits`; the world
+    is a set of probabilistic-fact atoms."""
+    try:
+        return sum(map(bits.__getitem__, world))
+    except KeyError as missing:
+        raise KeyError(f"{missing.args[0]} is not a probabilistic fact of this program") from None
+
+
 def block_bits(n: int) -> int:
     """log2 of the number of worlds per block, over n probabilistic facts."""
     return min(n, BLOCK_BITS)

@@ -31,6 +31,7 @@ from arglog.wfm import stable_models
 from arglog.worlds import world_table
 
 from conftest import FIXTURES
+from test_golden import PROGRAMS
 
 CORPUS_SEEDS = range(100)
 CORPUS_BUDGET_SECONDS = 60.0
@@ -181,12 +182,14 @@ def test_criterion_8_byte_identical_listings():
     fixtures = sorted(FIXTURES.glob("*.pl"))
     assert fixtures
     for fixture in fixtures:
-        for command in ("show", "worlds"):
+        # the trace's rows are read from the sets of each world's model
+        query = ["query", "--query", PROGRAMS[fixture.stem][1], "--trace"]
+        for command in (["show"], ["worlds"], query, query + ["--format", "json"]):
             outputs = set()
             for run in range(3):
                 env = dict(os.environ, PYTHONHASHSEED=str(run * 7919))
                 result = subprocess.run(
-                    [sys.executable, "-m", "arglog", command, str(fixture)],
+                    [sys.executable, "-m", "arglog", command[0], str(fixture), *command[1:]],
                     capture_output=True,
                     env=env,
                     check=True,
@@ -194,6 +197,6 @@ def test_criterion_8_byte_identical_listings():
                 outputs.add(result.stdout)
             assert len(outputs) == 1, f"{command} on {fixture.name} is not deterministic"
     _pass(
-        "criterion 8: show and worlds byte-identical across 3 runs on "
-        f"{len(fixtures)} fixtures"
+        "criterion 8: show, worlds and query --trace (human and JSON) byte-identical "
+        f"across 3 runs on {len(fixtures)} fixtures"
     )

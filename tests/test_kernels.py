@@ -177,8 +177,8 @@ def test_int_kernel_matches_the_reference_alternating_fixpoint(program, facts):
     assert (model.true_atoms, model.false_atoms, model.undefined_atoms) == tuple(
         map(frozenset, reference_wfm(program, base))
     )
-    # facts added to a compiled program act as bodyless rules
-    kernel = WellFoundedKernel(program, base)
+    # facts chosen in a compiled program act as bodyless rules
+    kernel = WellFoundedKernel(program, base, facts)
     with_facts = kernel.model(facts)
     assert with_facts == well_founded_model(program | {Rule(a) for a in facts}, base)
     assert with_facts == well_founded_model(program, base, facts)
@@ -248,26 +248,35 @@ def reference_world_models(gp):
 @pytest.mark.parametrize("bits", [worlds_module.BLOCK_BITS, 1])
 @settings(max_examples=150, deadline=None)
 @given(probabilistic_programs())
-def test_views_and_models_built_from_sets_compare_and_hash_equal(bits, program):
+def test_views_of_two_kernels_compare_and_hash_as_their_sets(bits, program):
     gp = ground(program)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(worlds_module, "BLOCK_BITS", bits)
         kernel = WellFoundedKernel(gp.rules, gp.herbrand_base, gp.fact_atoms)
-        for world, expected in reference_world_models(gp):
-            built = ThreeValuedModel(*expected)
-            # one view compared before its sets are read, one hashed first
-            assert kernel.model(world) == built and built == kernel.model(world)
+        twin = WellFoundedKernel(gp.rules, gp.herbrand_base, gp.fact_atoms)
+        width = 2 ** block_bits(len(gp.pfacts))
+        for mask, (world, expected) in enumerate(reference_world_models(gp)):
+            # views compared before their sets are read, either way round
+            assert kernel.model(world) == twin.model(world)
+            assert twin.model(world) == kernel.model(world)
             view = kernel.model(world)
-            # the hash a frozen dataclass of the three sets would have
-            assert hash(view) == hash(built) == hash(expected)
+            assert (view.true_atoms, view.false_atoms, view.undefined_atoms) == expected
+            # the hash a frozen dataclass of the three sets would have; one
+            # view is hashed before its sets are read
+            assert hash(twin.model(world)) == hash(view) == hash(expected)
             # equal frozensets may iterate in different orders, so the text
-            # is compared with a model built from the view's own sets
-            sections = (view.true_atoms, view.false_atoms, view.undefined_atoms)
-            assert repr(view) == repr(ThreeValuedModel(*sections)) == (
+            # is compared with the view's own sets
+            assert repr(view) == (
                 "ThreeValuedModel(true_atoms={!r}, false_atoms={!r}, undefined_atoms={!r})"
-            ).format(*sections)
-            assert {view: world}[built] == world
-            other = ThreeValuedModel(expected[0], expected[1] | expected[2], frozenset())
+            ).format(view.true_atoms, view.false_atoms, view.undefined_atoms)
+            assert {view: world}[twin.model(world)] == world
+            # the same true atoms, with the undefined ones made false
+            sure, false, undefined = kernel.block_vectors(mask // width)
+            decided = [f | u for f, u in zip(false, undefined)]
+            other = ThreeValuedModel(
+                kernel.atoms, kernel.index, (sure, decided, [0] * len(sure)), 1 << mask % width
+            )
+            assert other.true_atoms == expected[0]
             assert (kernel.model(world) != other) == bool(expected[2])
 
 
@@ -285,6 +294,21 @@ def test_the_answer_path_reads_bits_and_builds_no_atom_set(monkeypatch):
     assert reports and all(report.holds for report in reports)
     with pytest.raises(AssertionError, match="atom set was built"):
         models[0].true_atoms
+
+
+@pytest.mark.parametrize("outsider", [Atom("c"), Atom("zz")])
+def test_both_routes_refuse_a_world_holding_an_atom_that_is_no_probabilistic_fact(outsider):
+    """c is an atom of the program and zz is not; neither is a choice."""
+    gp = ground(parse_program("0.5::a.\n0.5::b.\nc :- a.\n"))
+    engine = PaaEngine(gp)
+    kernel = WellFoundedKernel(gp.rules, gp.herbrand_base, gp.fact_atoms)
+    world = frozenset({Atom("b"), outsider})
+    with pytest.raises(KeyError) as arguments:
+        engine.applicable_indices(world)
+    with pytest.raises(KeyError) as models:
+        well_founded_model(gp.rules, gp.herbrand_base, world, kernel)
+    assert str(arguments.value) == str(models.value)
+    assert str(models.value) == repr(f"{outsider} is not a probabilistic fact of this program")
 
 
 def accepted_claim_sets(engine, inside, w):
@@ -615,9 +639,9 @@ def test_check_program_evaluates_each_world_once_per_route(monkeypatch):
         paa_module.grounded_block,
     )
 
-    def counting_evaluate(self, facts, width):
-        covered["wfm"].append(width)
-        return evaluate(self, facts, width)
+    def counting_evaluate(self, block):
+        covered["wfm"].append(self._width)
+        return evaluate(self, block)
 
     def counting_model(self, facts=()):
         nonlocal models
