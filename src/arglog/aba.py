@@ -181,8 +181,8 @@ def argument_table(
     """
     assumptions = sorted(framework.assumptions)
     rules = sorted(framework.rules)
-    # every sentence an argument can claim: the assumptions, and the atoms
-    sentences = sorted({*assumptions, *map(Literal, framework.herbrand_base)})
+    # every sentence an argument can claim, in Literal order without a sort
+    sentences = [Literal(a, n) for a in sorted(framework.herbrand_base) for n in (False, True)]
     number = {lit: n for n, lit in enumerate(sentences)}
     fresh: dict[int, set[tuple[int, int]]] = defaultdict(set)
     for bit, assumption in enumerate(assumptions):
