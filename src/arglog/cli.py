@@ -344,10 +344,26 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_dashed_seed_range(argv: list[str]) -> list[str]:
+    """argparse takes a value such as `-3..3`, a minus and a digit that do
+    not make a number, for an option, so `--seed-range -3..3` would fail as
+    a flag without its argument; join such a value to its flag, as
+    `--seed-range=-3..3`, so that the range's own parser refuses it.
+    Arguments after `--` are left as they are."""
+    out = []
+    for arg in argv:
+        dashed = arg[:1] == "-" and arg[1:2].isdigit()
+        if dashed and out and out[-1] == "--seed-range" and "--" not in out:
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_arg_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_dashed_seed_range(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         # argparse has printed the help (exit 0) or the usage and the error
         return EXIT_INPUT if exc.code else EXIT_OK

@@ -165,6 +165,7 @@ ERROR_CASES = {
     "usage-bad-seed-range": (None, ["check", "--seed-range", "foo"]),
     "usage-descending-seed-range": (None, ["check", "--seed-range", "5..1"]),
     "usage-negative-seed-range": (None, ["check", "--seed-range=-3..3"]),
+    "usage-negative-seed-range-spaced": (None, ["check", "--seed-range", "-3..3"]),
     "bad-cap-flag": ("a.\n", ["show", BAD, "--args-cap", "-1"]),
     # cap refusals exit 2
     "worlds-cap": ("0.5::a.\n", ["query", BAD, "--query", "a", "--worlds-cap", "0"]),
