@@ -345,15 +345,14 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 def _join_dashed_seed_range(argv: list[str]) -> list[str]:
-    """argparse takes a value such as `-3..3`, a minus and a digit that do
-    not make a number, for an option, so `--seed-range -3..3` would fail as
-    a flag without its argument; join such a value to its flag, as
-    `--seed-range=-3..3`, so that the range's own parser refuses it.
-    Arguments after `--` are left as they are."""
+    """argparse takes `-3..3` in `--seed-range -3..3` for an option and
+    reports a missing argument; join a value that starts with `-` and a
+    digit to the flag, as `--seed-range=-3..3`, so the range's own parser
+    refuses it. Arguments after `--` are left as they are."""
     out = []
     for arg in argv:
         dashed = arg[:1] == "-" and arg[1:2].isdigit()
-        if dashed and out and out[-1] == "--seed-range" and "--" not in out:
+        if dashed and out[-1:] == ["--seed-range"] and "--" not in out:
             out[-1] += "=" + arg
         else:
             out.append(arg)

@@ -6,8 +6,8 @@ from fractions import Fraction
 from typing import Iterable, Iterator
 
 from .limits import Caps
-from .model import Atom, GroundProgram, ProbFact, Rule
-from .wfm import ThreeValuedModel, WellFoundedKernel, succeeds, well_founded_model
+from .model import Atom, GroundProgram, ProbFact, Rule, matches
+from .wfm import ThreeValuedModel, WellFoundedKernel, well_founded_model
 from .worlds import enumerate_worlds
 
 
@@ -36,21 +36,22 @@ def world_models(
         yield choice, prob, well_founded_model(gp.rules, gp.herbrand_base, choice, kernel)
 
 
-def success_mass(
-    query: Atom, weighted_models: Iterable[tuple[Fraction, ThreeValuedModel]]
-) -> Fraction:
-    """Total probability of the (probability, model) pairs whose model makes
-    some ground instance of the query true."""
-    total = Fraction(0)
-    for prob, model in weighted_models:
-        if prob and succeeds(model, query):
-            total += prob
-    return total
-
-
 def success_probability(
     query: Atom, gp: GroundProgram, max_pfacts: int = Caps.max_pfacts
 ) -> Fraction:
     """Exact probability mass of the total choices whose induced program makes
-    some ground instance of the query true in its well-founded model."""
-    return success_mass(query, ((prob, model) for _, prob, model in world_models(gp, max_pfacts)))
+    some ground instance of the query true in its well-founded model.
+
+    The instances are found once, over the Herbrand base; each choice's
+    model is then asked for them bit by bit, so no model builds its set of
+    true atoms. Undefined does not count as success.
+    """
+    if query.is_ground:
+        instances = [query]
+    else:
+        instances = [atom for atom in gp.herbrand_base if matches(query, atom)]
+    total = Fraction(0)
+    for _, prob, model in world_models(gp, max_pfacts):
+        if prob and any(map(model.is_true, instances)):
+            total += prob
+    return total

@@ -8,6 +8,16 @@ derivations of the claim coexist in a world. The per-world trace records the
 correspondence the equality rests on: true atoms of the well-founded model
 are exactly the accepted atomic claims, false atoms exactly the atoms whose
 negation-as-failure is an accepted claim.
+
+`world_traces` evaluates every world once on each route. Besides the
+per-world rows, which the listings and a counterexample's dump print, it
+keeps each block's true vectors, IN vectors and probability numerators. A
+query that shares those traces (as in `check_program`) is answered from
+them, by masked sums over each block's numerators, and walks no world. A
+lone query instead takes its success probability from `success_probability`
+and its grounded ones from the engine's methods: `arglog query` then
+compares the very functions that its `--semantics dist` and `--semantics
+arg` print.
 """
 
 from __future__ import annotations
@@ -17,12 +27,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .distribution import success_mass, success_probability
+from .distribution import success_probability
 from .limits import Caps
-from .model import Atom, GroundProgram, Literal, ProbFact, Program, Rule
+from .model import Atom, GroundProgram, Literal, ProbFact, Program, Rule, matches
 from .paa import PaaEngine
 from .wfm import ThreeValuedModel, WellFoundedKernel, well_founded_model
-from .worlds import block_width
+from .worlds import block_width, masked_sum
 
 
 @dataclass(frozen=True)
@@ -36,13 +46,32 @@ class WorldTrace:
     model_matches_claims: bool
 
 
+class WorldTraces(tuple):
+    """The `WorldTrace` rows of every world, in mask order, and what a query
+    is answered from without walking them.
+
+    `blocks` holds, per block of worlds, the worlds' probability numerators,
+    the kernel's true vector per atom (numbered by `index`) and the engine's
+    IN vector per argument; `denominator` is the numerators' common one.
+    `claiming[k]` lists the arguments claiming atom k and those claiming its
+    negation. `all_match` says whether every world's model matched its
+    accepted claims.
+    """
+
+    blocks: list[tuple[list[int], list[int], list[int]]]
+    denominator: int
+    index: dict[Atom, int]
+    claiming: list[tuple[list[int], list[int]]]
+    all_match: bool
+
+
 @dataclass(frozen=True)
 class EquivalenceReport:
     query: Atom
     success_probability: Fraction
     grounded_query_probability: Fraction
     argument_probability_sum: Fraction
-    world_traces: tuple[WorldTrace, ...]
+    world_traces: WorldTraces
 
     @property
     def probabilities_equal(self) -> bool:
@@ -57,7 +86,7 @@ class EquivalenceReport:
         return (
             self.probabilities_equal
             and self.sum_bounds_success
-            and all(t.model_matches_claims for t in self.world_traces)
+            and self.world_traces.all_match
         )
 
 
@@ -90,13 +119,14 @@ def mismatched_worlds(
     return mismatch
 
 
-def world_traces(gp: GroundProgram, engine: PaaEngine) -> tuple[WorldTrace, ...]:
+def world_traces(gp: GroundProgram, engine: PaaEngine) -> WorldTraces:
     """Evaluate every world (including zero-probability ones) on both routes.
 
     The worlds, their probabilities and accepted arguments come from the
     engine's table, in mask order. Each route evaluates each world once, a
     block of worlds at a time, and whether a world's model matches its
     accepted claims is read from one `mismatched_worlds` vector per block.
+    The vectors are kept with the rows (see `WorldTraces`).
     """
     kernel = WellFoundedKernel(gp.rules, gp.herbrand_base, gp.fact_atoms)
     claim_of = [arg.claim for arg in engine.arguments]
@@ -104,17 +134,53 @@ def world_traces(gp: GroundProgram, engine: PaaEngine) -> tuple[WorldTrace, ...]
     for i, claim in enumerate(claim_of):
         claiming[kernel.index[claim.atom]][claim.negated].append(i)
     evaluations = engine.evaluations()
+    numerators, denominator = engine.block_numerators()
     width = block_width(len(gp.pfacts))
-    traces = []
-    for block, inside in enumerate(engine.in_vectors()):
+    rows, blocks = [], []
+    mismatches = 0
+    for block, (weights, inside) in enumerate(zip(numerators, engine.in_vectors())):
         sure, false, _ = kernel.block_vectors(block)
+        blocks.append((weights, sure, inside))
         mismatch = mismatched_worlds(sure, false, inside, claiming)
+        mismatches |= mismatch
         for world, prob, accepted in evaluations[block * width : (block + 1) * width]:
             model = well_founded_model(gp.rules, gp.herbrand_base, world, kernel)
             claims = frozenset(map(claim_of.__getitem__, accepted))
-            traces.append(WorldTrace(world, prob, model, claims, not mismatch & 1))
+            rows.append(WorldTrace(world, prob, model, claims, not mismatch & 1))
             mismatch >>= 1
-    return tuple(traces)
+    traces = WorldTraces(rows)
+    traces.blocks, traces.denominator, traces.all_match = blocks, denominator, not mismatches
+    traces.index, traces.claiming = kernel.index, claiming
+    return traces
+
+
+def _shared_answers(query: Atom, traces: WorldTraces) -> tuple[Fraction, Fraction, Fraction]:
+    """The query's success probability, grounded probability and argument
+    probability sum, in one pass over the blocks `traces` kept.
+
+    The query's instances, the kernel's atoms matching it, are found once,
+    and so are the arguments claiming one. In each block, the success mass
+    sums the numerators at the OR of the instances' true vectors, and the
+    grounded mass at the OR of the arguments' IN vectors.
+    """
+    index = traces.index
+    if query.is_ground:
+        instances = [index[query]] if query in index else []
+    else:
+        instances = [k for atom, k in index.items() if matches(query, atom)]
+    arguments = [i for k in instances for i in traces.claiming[k][0]]
+    success = grounded = spread = 0
+    for numerators, sure, inside in traces.blocks:
+        true = accepted = 0
+        for k in instances:
+            true |= sure[k]
+        for i in arguments:
+            accepted |= inside[i]
+            spread += masked_sum(numerators, inside[i])
+        success += masked_sum(numerators, true)
+        grounded += masked_sum(numerators, accepted)
+    d = traces.denominator
+    return Fraction(success, d), Fraction(grounded, d), Fraction(spread, d)
 
 
 def check_query(
@@ -122,29 +188,29 @@ def check_query(
     gp: GroundProgram,
     caps: Caps = Caps(),
     engine: PaaEngine | None = None,
-    traces: tuple[WorldTrace, ...] | None = None,
+    traces: WorldTraces | None = None,
 ) -> EquivalenceReport:
     """Compare both back ends on one query; the report is the project's
     primary debugging instrument, so it carries the full per-world trace.
 
-    Without `traces`, the success probability comes from `success_probability`,
-    the distribution semantics' own pass over the worlds, so a lone query also
-    checks that public function against the traces. Given `traces` (as by
-    `check_program`), it is summed from their well-founded models, so no world
-    is evaluated again, whatever the number of queries. The grounded
-    probabilities always come from the engine's IN vectors, one per argument
-    and block of worlds, labelled once and shared by every query.
+    Given `traces`, what `world_traces` returned for this program (as
+    `check_program` passes them), all three probabilities come from the
+    vectors the traces kept, by `_shared_answers`, and `engine` is not read:
+    no world is walked again, whatever the number of queries. Without them,
+    the traces are computed, the success probability comes from
+    `success_probability`, the distribution semantics' own pass over the
+    worlds, and the grounded ones from the engine's methods, so a lone query
+    checks the functions that answer each route on its own. Either way
+    `holds` reads the traces' `all_match`.
     """
+    if traces is not None:
+        return EquivalenceReport(query, *_shared_answers(query, traces), world_traces=traces)
     if engine is None:
         engine = PaaEngine(gp, caps)
-    if traces is None:
-        traces = world_traces(gp, engine)
-        success = success_probability(query, gp, caps.max_pfacts)
-    else:
-        success = success_mass(query, ((t.probability, t.model) for t in traces))
+    traces = world_traces(gp, engine)
     return EquivalenceReport(
         query=query,
-        success_probability=success,
+        success_probability=success_probability(query, gp, caps.max_pfacts),
         grounded_query_probability=engine.grounded_prob_query(query),
         argument_probability_sum=engine.argument_probability_sum(query),
         world_traces=traces,

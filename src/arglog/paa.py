@@ -111,6 +111,12 @@ class PaaEngine:
         """Per block of worlds, in mask order, each argument's IN vector."""
         return [inside for _, inside in self._labelling()[1]]
 
+    def block_numerators(self) -> tuple[list[list[int]], int]:
+        """Per block of worlds, in mask order, the worlds' probability
+        numerators; and their common denominator."""
+        _, blocks, denominator = self._labelling()
+        return [numerators for numerators, _ in blocks], denominator
+
     def evaluations(self) -> list[tuple[frozenset[Atom], Fraction, frozenset[int]]]:
         """(world, probability, accepted indices) for every world, in mask
         order, read from the block labellings; computed on first use, then

@@ -1,8 +1,50 @@
 from fractions import Fraction
 
-from arglog import Atom, check_program, check_query, ground, random_program
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import arglog.worlds as worlds_module
+from arglog import (
+    Atom,
+    PaaEngine,
+    check_program,
+    check_query,
+    ground,
+    parse_query,
+    random_program,
+    world_traces,
+)
 from arglog.equivalence import GenLimits
 from arglog.model import validate
+
+from conftest import load_fixture
+
+
+def answers(report):
+    return (
+        report.success_probability,
+        report.grounded_query_probability,
+        report.argument_probability_sum,
+    )
+
+
+def assert_shared_answers_equal_lone_ones(gp, queries=()):
+    """Every Herbrand atom's report from `check_program`, and each further
+    query's report from shared traces, has the three exact answers of the
+    lone query, whose success probability comes from its own world pass and
+    whose grounded ones from the engine's methods."""
+    engine = PaaEngine(gp)
+    traces = world_traces(gp, engine)
+    shared = check_program(gp) + [
+        check_query(query, gp, engine=engine, traces=traces) for query in queries
+    ]
+    assert [r.query for r in shared] == sorted(gp.herbrand_base) + list(queries)
+    for report in shared:
+        lone = check_query(report.query, gp, engine=engine)
+        assert all(type(a) is Fraction for a in answers(report))
+        assert answers(report) == answers(lone)
+        assert report.holds and lone.holds
 
 
 def test_report_on_the_two_world_program(two_world):
@@ -76,3 +118,26 @@ def test_check_program_covers_every_base_atom():
     assert {r.query for r in reports} == set(gp.herbrand_base)
     for report in reports:
         assert report.holds
+
+
+@pytest.mark.parametrize("bits", [worlds_module.BLOCK_BITS, 1])
+@pytest.mark.filterwarnings("ignore:degenerate framework")
+def test_shared_answers_equal_lone_ones_on_the_seeded_corpus(bits, monkeypatch):
+    monkeypatch.setattr(worlds_module, "BLOCK_BITS", bits)
+    for seed in range(200):
+        assert_shared_answers_equal_lone_ones(ground(random_program(seed)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+@pytest.mark.filterwarnings("ignore:degenerate framework")
+def test_shared_answers_equal_lone_ones_on_drawn_seeds(seed):
+    assert_shared_answers_equal_lone_ones(ground(random_program(seed)))
+
+
+@pytest.mark.parametrize("bits", [worlds_module.BLOCK_BITS, 1])
+def test_shared_answers_equal_lone_ones_for_non_ground_queries(bits, monkeypatch):
+    """reach.pl in one block of 8 worlds, and in four blocks of two."""
+    monkeypatch.setattr(worlds_module, "BLOCK_BITS", bits)
+    queries = [parse_query("q(X)"), parse_query("e(X,Y)"), parse_query("zz(X)")]
+    assert_shared_answers_equal_lone_ones(load_fixture("reach.pl"), queries)

@@ -365,6 +365,7 @@ def test_world_traces_flag_exactly_the_world_whose_in_bit_flipped(bits, monkeypa
     monkeypatch.setattr(worlds_module, "BLOCK_BITS", bits)
     gp = ground(parse_program(chain_source(3)))
     width = 2 ** block_bits(len(gp.pfacts))
+    atoms = sorted(gp.herbrand_base)
     for mask in (0, 5, 37, 63):
         engine = PaaEngine(gp)
         # the one argument claiming x1, so that its IN bit decides the claim
@@ -374,6 +375,11 @@ def test_world_traces_flag_exactly_the_world_whose_in_bit_flipped(bits, monkeypa
         engine.in_vectors = lambda: vectors
         traces = world_traces(gp, engine)
         assert [not t.model_matches_claims for t in traces] == [m == mask for m in range(64)]
+        reports = [check_query(atom, gp, engine=engine, traces=traces) for atom in atoms]
+        assert not any(report.holds for report in reports)
+    engine = PaaEngine(gp)
+    traces = world_traces(gp, engine)
+    assert all(check_query(atom, gp, engine=engine, traces=traces).holds for atom in atoms)
 
 
 # --- argument saturation ---
@@ -661,6 +667,26 @@ def test_check_program_evaluates_each_world_once_per_route(monkeypatch):
     assert len(gp.pfacts) == 4 and len(reports) == len(gp.herbrand_base) == 11
     assert covered == {"wfm": [2**4], "grounded": [2**4]}
     assert models == 2**4
+
+
+def test_a_query_sharing_the_traces_walks_no_world(monkeypatch):
+    """Once `world_traces` has run, a query sharing them builds no model, no
+    world row and no labelling: it reads the vectors the traces kept."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a query walked the worlds")
+
+    gp = ground(parse_program(chain_source(6)))
+    engine = PaaEngine(gp)
+    traces = world_traces(gp, engine)
+    for name in ("model", "block_vectors"):
+        monkeypatch.setattr(WellFoundedKernel, name, refuse)
+    for name in ("_labelling", "evaluations", "worlds", "applicable_indices"):
+        monkeypatch.setattr(engine, name, refuse)
+    monkeypatch.setattr(worlds_module, "enumerate_worlds", refuse)
+    report = check_query(Atom("a6"), gp, engine=engine, traces=traces)
+    assert report.success_probability == report.grounded_query_probability == Fraction(1, 64)
+    assert report.holds
 
 
 def test_chain_6_spans_four_blocks_and_both_routes_give_one_64th():
