@@ -348,11 +348,14 @@ def _join_dashed_seed_range(argv: list[str]) -> list[str]:
     """argparse takes `-3..3` in `--seed-range -3..3` for an option and
     reports a missing argument; join a value that starts with `-` and a
     digit to the flag, as `--seed-range=-3..3`, so the range's own parser
-    refuses it. Arguments after `--` are left as they are."""
+    refuses it. The flag may be abbreviated, as argparse allows (`--seed`);
+    the joined form then resolves as the flag alone would. Arguments after
+    `--` are left as they are."""
     out = []
     for arg in argv:
         dashed = arg[:1] == "-" and arg[1:2].isdigit()
-        if dashed and out[-1:] == ["--seed-range"] and "--" not in out:
+        flag = out[-1] if out else ""
+        if dashed and len(flag) > 2 and "--seed-range".startswith(flag) and "--" not in out:
             out[-1] += "=" + arg
         else:
             out.append(arg)

@@ -11,13 +11,15 @@ negation-as-failure is an accepted claim.
 
 `world_traces` evaluates every world once on each route. Besides the
 per-world rows, which the listings and a counterexample's dump print, it
-keeps each block's true vectors, IN vectors and probability numerators. A
-query that shares those traces (as in `check_program`) is answered from
-them, by masked sums over each block's numerators, and walks no world. A
-lone query instead takes its success probability from `success_probability`
-and its grounded ones from the engine's methods: `arglog query` then
-compares the very functions that its `--semantics dist` and `--semantics
-arg` print.
+keeps each block's true vectors. A query that shares those traces (as in
+`check_program`) is answered by masked sums over the engine's cached block
+labellings: its success probability at the OR of its instances' true
+vectors, its grounded ones from the engine's `query_masses`. It walks no
+world. A lone query instead takes its success probability from
+`success_probability`, the distribution semantics' own pass over the
+worlds, and its grounded ones from `grounded_prob_query` and
+`argument_probability_sum`: `arglog query` then compares the very functions
+that its `--semantics dist` and `--semantics arg` print.
 """
 
 from __future__ import annotations
@@ -25,14 +27,16 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 from typing import Sequence
 
 from .distribution import success_probability
 from .limits import Caps
-from .model import Atom, GroundProgram, Literal, ProbFact, Program, Rule, matches
+from .model import Atom, GroundProgram, Literal, ProbFact, Program, Rule
 from .paa import PaaEngine
 from .wfm import ThreeValuedModel, WellFoundedKernel, well_founded_model
-from .worlds import block_width, masked_sum
+from .worlds import block_width
 
 
 @dataclass(frozen=True)
@@ -50,18 +54,13 @@ class WorldTraces(tuple):
     """The `WorldTrace` rows of every world, in mask order, and what a query
     is answered from without walking them.
 
-    `blocks` holds, per block of worlds, the worlds' probability numerators,
-    the kernel's true vector per atom (numbered by `index`) and the engine's
-    IN vector per argument; `denominator` is the numerators' common one.
-    `claiming[k]` lists the arguments claiming atom k and those claiming its
-    negation. `all_match` says whether every world's model matched its
-    accepted claims.
+    `true_vectors` holds, per block of worlds, the kernel's true vector per
+    atom, numbered by `index`. `all_match` says whether every world's model
+    matched its accepted claims.
     """
 
-    blocks: list[tuple[list[int], list[int], list[int]]]
-    denominator: int
+    true_vectors: list[list[int]]
     index: dict[Atom, int]
-    claiming: list[tuple[list[int], list[int]]]
     all_match: bool
 
 
@@ -126,7 +125,7 @@ def world_traces(gp: GroundProgram, engine: PaaEngine) -> WorldTraces:
     engine's table, in mask order. Each route evaluates each world once, a
     block of worlds at a time, and whether a world's model matches its
     accepted claims is read from one `mismatched_worlds` vector per block.
-    The vectors are kept with the rows (see `WorldTraces`).
+    The kernel's true vectors are kept with the rows (see `WorldTraces`).
     """
     kernel = WellFoundedKernel(gp.rules, gp.herbrand_base, gp.fact_atoms)
     claim_of = [arg.claim for arg in engine.arguments]
@@ -134,13 +133,12 @@ def world_traces(gp: GroundProgram, engine: PaaEngine) -> WorldTraces:
     for i, claim in enumerate(claim_of):
         claiming[kernel.index[claim.atom]][claim.negated].append(i)
     evaluations = engine.evaluations()
-    numerators, denominator = engine.block_numerators()
     width = block_width(len(gp.pfacts))
-    rows, blocks = [], []
+    rows, true_vectors = [], []
     mismatches = 0
-    for block, (weights, inside) in enumerate(zip(numerators, engine.in_vectors())):
+    for block, inside in enumerate(engine.in_vectors()):
         sure, false, _ = kernel.block_vectors(block)
-        blocks.append((weights, sure, inside))
+        true_vectors.append(sure)
         mismatch = mismatched_worlds(sure, false, inside, claiming)
         mismatches |= mismatch
         for world, prob, accepted in evaluations[block * width : (block + 1) * width]:
@@ -149,38 +147,9 @@ def world_traces(gp: GroundProgram, engine: PaaEngine) -> WorldTraces:
             rows.append(WorldTrace(world, prob, model, claims, not mismatch & 1))
             mismatch >>= 1
     traces = WorldTraces(rows)
-    traces.blocks, traces.denominator, traces.all_match = blocks, denominator, not mismatches
-    traces.index, traces.claiming = kernel.index, claiming
+    traces.true_vectors, traces.index = true_vectors, kernel.index
+    traces.all_match = not mismatches
     return traces
-
-
-def _shared_answers(query: Atom, traces: WorldTraces) -> tuple[Fraction, Fraction, Fraction]:
-    """The query's success probability, grounded probability and argument
-    probability sum, in one pass over the blocks `traces` kept.
-
-    The query's instances, the kernel's atoms matching it, are found once,
-    and so are the arguments claiming one. In each block, the success mass
-    sums the numerators at the OR of the instances' true vectors, and the
-    grounded mass at the OR of the arguments' IN vectors.
-    """
-    index = traces.index
-    if query.is_ground:
-        instances = [index[query]] if query in index else []
-    else:
-        instances = [k for atom, k in index.items() if matches(query, atom)]
-    arguments = [i for k in instances for i in traces.claiming[k][0]]
-    success = grounded = spread = 0
-    for numerators, sure, inside in traces.blocks:
-        true = accepted = 0
-        for k in instances:
-            true |= sure[k]
-        for i in arguments:
-            accepted |= inside[i]
-            spread += masked_sum(numerators, inside[i])
-        success += masked_sum(numerators, true)
-        grounded += masked_sum(numerators, accepted)
-    d = traces.denominator
-    return Fraction(success, d), Fraction(grounded, d), Fraction(spread, d)
 
 
 def check_query(
@@ -193,20 +162,34 @@ def check_query(
     """Compare both back ends on one query; the report is the project's
     primary debugging instrument, so it carries the full per-world trace.
 
-    Given `traces`, what `world_traces` returned for this program (as
-    `check_program` passes them), all three probabilities come from the
-    vectors the traces kept, by `_shared_answers`, and `engine` is not read:
-    no world is walked again, whatever the number of queries. Without them,
-    the traces are computed, the success probability comes from
+    Given `traces`, what `world_traces` returned for this program and
+    `engine` (as `check_program` passes them), no world is walked again,
+    whatever the number of queries. The success probability is the mass at
+    the OR of the true vectors of the engine's `instance_atoms`, and the
+    grounded ones come from the engine's `query_masses`, which finds the
+    arguments through its own claim index. On this path `all_match` implies
+    `probabilities_equal` and `sum_bounds_success`: the two sides share the
+    instances and the numerators, and where every world matches, each
+    instance's true vector is the OR of its claiming arguments' IN vectors.
+    What they still test is the engine's claim index against the claims
+    `world_traces` matched; the tests comparing shared and lone reports pin
+    the rest of the arithmetic.
+
+    Without `traces`, they are computed, the success probability comes from
     `success_probability`, the distribution semantics' own pass over the
-    worlds, and the grounded ones from the engine's methods, so a lone query
-    checks the functions that answer each route on its own. Either way
+    worlds with its own instance matching, and the grounded ones from the
+    engine's `grounded_prob_query` and `argument_probability_sum`, so a lone
+    query checks the functions that answer each route on its own. Either way
     `holds` reads the traces' `all_match`.
     """
-    if traces is not None:
-        return EquivalenceReport(query, *_shared_answers(query, traces), world_traces=traces)
     if engine is None:
         engine = PaaEngine(gp, caps)
+    if traces is not None:
+        rows = [traces.index[atom] for atom in engine.instance_atoms(query)]
+        success = engine.mass(
+            reduce(or_, [sure[k] for k in rows], 0) for sure in traces.true_vectors
+        )
+        return EquivalenceReport(query, success, *engine.query_masses(query), world_traces=traces)
     traces = world_traces(gp, engine)
     return EquivalenceReport(
         query=query,

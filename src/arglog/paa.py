@@ -21,7 +21,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import chain, compress
-from operator import and_, or_
+from operator import and_
+from typing import Iterable
 
 from .aba import AaFramework, Argument, argument_table, build_problog_aba, compute_attacks
 from .limits import Caps
@@ -111,12 +112,6 @@ class PaaEngine:
         """Per block of worlds, in mask order, each argument's IN vector."""
         return [inside for _, inside in self._labelling()[1]]
 
-    def block_numerators(self) -> tuple[list[list[int]], int]:
-        """Per block of worlds, in mask order, the worlds' probability
-        numerators; and their common denominator."""
-        _, blocks, denominator = self._labelling()
-        return [numerators for numerators, _ in blocks], denominator
-
     def evaluations(self) -> list[tuple[frozenset[Atom], Fraction, frozenset[int]]]:
         """(world, probability, accepted indices) for every world, in mask
         order, read from the block labellings; computed on first use, then
@@ -135,14 +130,13 @@ class PaaEngine:
                     self._evaluations.append((world, prob, accepted))
         return self._evaluations
 
-    def _mass(self, pick) -> Fraction:
-        """Probability mass at the set bits of the IN vectors that `pick`
-        takes from each block's labelling; a world counts once per vector."""
+    def mass(self, vectors: Iterable[int]) -> Fraction:
+        """Probability mass at the set bits of `vectors`, one vector per block
+        of worlds in mask order."""
         _, blocks, denominator = self._labelling()
         total = sum(
             masked_sum(numerators, vector)
-            for numerators, inside in blocks
-            for vector in pick(inside)
+            for (numerators, _), vector in zip(blocks, vectors, strict=True)
         )
         return Fraction(total, denominator)
 
@@ -152,9 +146,10 @@ class PaaEngine:
             index = self.arguments.index(argument)
         except ValueError:
             raise KeyError(f"{argument} is not an argument of this framework") from None
-        return self._mass(lambda inside: [inside[index]])
+        return self.mass(inside[index] for inside in self.in_vectors())
 
-    def _instance_atoms(self, query: Atom) -> frozenset[Atom]:
+    def instance_atoms(self, query: Atom) -> frozenset[Atom]:
+        """The Herbrand atoms that are instances of the query atom."""
         if query.is_ground:
             return frozenset({query} & self.gp.herbrand_base)
         return frozenset(a for a in self.gp.herbrand_base if matches(query, a))
@@ -162,18 +157,30 @@ class PaaEngine:
     def query_argument_indices(self, query: Atom) -> frozenset[int]:
         """Indices of arguments whose claim is an instance of the query atom."""
         return frozenset(
-            chain.from_iterable(self._claiming.get(a, ()) for a in self._instance_atoms(query))
+            chain.from_iterable(self._claiming.get(a, ()) for a in self.instance_atoms(query))
         )
+
+    def query_masses(self, query: Atom) -> tuple[Fraction, Fraction]:
+        """The query's grounded probability and its argument probability sum,
+        in one pass over the block labellings."""
+        claiming = self.query_argument_indices(query)
+        _, blocks, denominator = self._labelling()
+        grounded = spread = 0
+        for numerators, inside in blocks:
+            accepted = 0
+            for i in claiming:
+                accepted |= inside[i]
+                spread += masked_sum(numerators, inside[i])
+            grounded += masked_sum(numerators, accepted)
+        return Fraction(grounded, denominator), Fraction(spread, denominator)
 
     def grounded_prob_query(self, query: Atom) -> Fraction:
         """Probability mass of worlds accepting at least one argument claiming
         (an instance of) the query; each world counted once."""
-        claiming = self.query_argument_indices(query)
-        return self._mass(lambda inside: [reduce(or_, [inside[i] for i in claiming], 0)])
+        return self.query_masses(query)[0]
 
     def argument_probability_sum(self, query: Atom) -> Fraction:
         """Sum of per-argument probabilities over all arguments claiming the
         query; counts a world once per accepted argument, so it can exceed
         the query probability."""
-        claiming = self.query_argument_indices(query)
-        return self._mass(lambda inside: [inside[i] for i in claiming])
+        return self.query_masses(query)[1]

@@ -209,6 +209,14 @@ def test_malformed_input_fails_as_its_golden_file_says(case, tmp_path):
     assert cli_failure(case, tmp_path).encode("utf-8") == expected
 
 
+@pytest.mark.parametrize("flag", ["--seed", "--seed-r", "--s"])
+def test_an_abbreviated_seed_range_flag_fails_as_the_spaced_one(flag, tmp_path, monkeypatch):
+    case = "usage-negative-seed-range-spaced"
+    monkeypatch.setitem(ERROR_CASES, case, (None, ["check", flag, "-3..3"]))
+    _, rest = error_path(case).read_text(encoding="utf-8").split("\n", 1)
+    assert cli_failure(case, tmp_path) == f"$ arglog check {flag} -3..3\n{rest}"
+
+
 def regenerate() -> None:
     ERRORS.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory() as directory:

@@ -671,7 +671,8 @@ def test_check_program_evaluates_each_world_once_per_route(monkeypatch):
 
 def test_a_query_sharing_the_traces_walks_no_world(monkeypatch):
     """Once `world_traces` has run, a query sharing them builds no model, no
-    world row and no labelling: it reads the vectors the traces kept."""
+    world row and no labelling: it reads the vectors the traces kept and the
+    engine's cached labellings."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("a query walked the worlds")
@@ -681,8 +682,9 @@ def test_a_query_sharing_the_traces_walks_no_world(monkeypatch):
     traces = world_traces(gp, engine)
     for name in ("model", "block_vectors"):
         monkeypatch.setattr(WellFoundedKernel, name, refuse)
-    for name in ("_labelling", "evaluations", "worlds", "applicable_indices"):
+    for name in ("evaluations", "worlds", "applicable_indices"):
         monkeypatch.setattr(engine, name, refuse)
+    monkeypatch.setattr(paa_module, "grounded_block", refuse)
     monkeypatch.setattr(worlds_module, "enumerate_worlds", refuse)
     report = check_query(Atom("a6"), gp, engine=engine, traces=traces)
     assert report.success_probability == report.grounded_query_probability == Fraction(1, 64)
