@@ -370,7 +370,10 @@ def main(argv=None) -> int:
         # argparse has printed the help (exit 0) or the usage and the error
         return EXIT_INPUT if exc.code else EXIT_OK
     try:
-        code, doc, lines = args.func(args)
+        with warnings.catch_warnings():
+            # a library warning is one line of standard error, not a source location
+            warnings.showwarning = lambda msg, *_: print(f"warning: {msg}", file=sys.stderr)
+            code, doc, lines = args.func(args)
     except CapExceeded as exc:
         setting = CAP_SETTINGS.get(exc.cap)
         hint = f"; raise it with {setting[0]} or {setting[1]}" if setting else ""

@@ -14,12 +14,12 @@ per-world rows, which the listings and a counterexample's dump print, it
 keeps each block's true vectors. A query that shares those traces (as in
 `check_program`) is answered by masked sums over the engine's cached block
 labellings: its success probability at the OR of its instances' true
-vectors, its grounded ones from the engine's `query_masses`. It walks no
-world. A lone query instead takes its success probability from
+vectors, its grounded ones, as on every path, from the engine's
+`query_masses`. It walks no world. A lone query instead takes its success probability from
 `success_probability`, the distribution semantics' own pass over the
-worlds, and its grounded ones from `grounded_prob_query` and
-`argument_probability_sum`: `arglog query` then compares the very functions
-that its `--semantics dist` and `--semantics arg` print.
+worlds: `arglog query` then compares the very functions that its
+`--semantics dist` and `--semantics arg` print. Both routes weigh worlds by
+`worlds.world_numerators`, so no check here can catch a defect in them.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from itertools import islice
 from operator import or_
 from typing import Sequence
 
@@ -121,11 +122,12 @@ def mismatched_worlds(
 def world_traces(gp: GroundProgram, engine: PaaEngine) -> WorldTraces:
     """Evaluate every world (including zero-probability ones) on both routes.
 
-    The worlds, their probabilities and accepted arguments come from the
-    engine's table, in mask order. Each route evaluates each world once, a
-    block of worlds at a time, and whether a world's model matches its
-    accepted claims is read from one `mismatched_worlds` vector per block.
-    The kernel's true vectors are kept with the rows (see `WorldTraces`).
+    The worlds, their probabilities and accepted arguments are the engine's
+    `evaluations`, read a block at a time, in mask order. Each route
+    evaluates each world once, a block of worlds at a time, and whether a
+    world's model matches its accepted claims is read from one
+    `mismatched_worlds` vector per block. The kernel's true vectors are
+    kept with the rows (see `WorldTraces`).
     """
     kernel = WellFoundedKernel(gp.rules, gp.herbrand_base, gp.fact_atoms)
     claim_of = [arg.claim for arg in engine.arguments]
@@ -141,7 +143,7 @@ def world_traces(gp: GroundProgram, engine: PaaEngine) -> WorldTraces:
         true_vectors.append(sure)
         mismatch = mismatched_worlds(sure, false, inside, claiming)
         mismatches |= mismatch
-        for world, prob, accepted in evaluations[block * width : (block + 1) * width]:
+        for world, prob, accepted in islice(evaluations, width):
             model = well_founded_model(gp.rules, gp.herbrand_base, world, kernel)
             claims = frozenset(map(claim_of.__getitem__, accepted))
             rows.append(WorldTrace(world, prob, model, claims, not mismatch & 1))
@@ -175,29 +177,24 @@ def check_query(
     `world_traces` matched; the tests comparing shared and lone reports pin
     the rest of the arithmetic.
 
-    Without `traces`, they are computed, the success probability comes from
-    `success_probability`, the distribution semantics' own pass over the
-    worlds with its own instance matching, and the grounded ones from the
-    engine's `grounded_prob_query` and `argument_probability_sum`, so a lone
-    query checks the functions that answer each route on its own. Either way
+    Without `traces`, they are computed, and the success probability comes
+    from `success_probability`, the distribution semantics' own pass over
+    the worlds with its own instance matching, so a lone query checks the
+    functions that answer each route on its own. Either way the grounded
+    probability and the argument sum come from one `query_masses` pass, and
     `holds` reads the traces' `all_match`.
     """
     if engine is None:
         engine = PaaEngine(gp, caps)
-    if traces is not None:
+    if traces is None:
+        traces = world_traces(gp, engine)
+        success = success_probability(query, gp, caps.max_pfacts)
+    else:
         rows = [traces.index[atom] for atom in engine.instance_atoms(query)]
         success = engine.mass(
             reduce(or_, [sure[k] for k in rows], 0) for sure in traces.true_vectors
         )
-        return EquivalenceReport(query, success, *engine.query_masses(query), world_traces=traces)
-    traces = world_traces(gp, engine)
-    return EquivalenceReport(
-        query=query,
-        success_probability=success_probability(query, gp, caps.max_pfacts),
-        grounded_query_probability=engine.grounded_prob_query(query),
-        argument_probability_sum=engine.argument_probability_sum(query),
-        world_traces=traces,
-    )
+    return EquivalenceReport(query, success, *engine.query_masses(query), world_traces=traces)
 
 
 def check_program(gp: GroundProgram, caps: Caps = Caps()) -> list[EquivalenceReport]:

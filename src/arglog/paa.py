@@ -11,9 +11,10 @@ atoms (in the bit order of the shared world enumeration), and the attack
 relation factored through claims: the arguments claiming one sentence attack
 the arguments assuming its contrary, so it costs one entry per assumption
 and never one per attack. Every world is then labelled exactly once, a block
-of worlds per labelling. Each block's IN vectors are kept, and a probability
-is the sum of the worlds' integer numerators at the set bits of a vector,
-over one common denominator.
+of worlds per labelling. Each block's IN vectors are kept with the block's
+share of the world probability numerators from `worlds.world_numerators`;
+a probability is the sum of the worlds' integer numerators at the set bits
+of a vector, over one common denominator.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import chain, compress
 from operator import and_
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .aba import AaFramework, Argument, argument_table, build_problog_aba, compute_attacks
 from .limits import Caps
@@ -30,12 +31,11 @@ from .model import Atom, GroundProgram, matches
 from .semantics import grounded_block
 from .worlds import (
     block_fact_vectors,
-    block_width,
-    common_numerators,
     fact_bits,
     masked_sum,
     world_columns,
     world_mask,
+    world_numerators,
     world_table,
 )
 
@@ -50,7 +50,6 @@ class PaaEngine:
         self._table = argument_table(self.framework, caps.max_arguments)
         self.arguments = self._table.arguments
         self._bit = fact_bits(gp.fact_atoms)
-        self._width = block_width(len(self._bit))
         # arguments grouped by fact support, so one test per group decides them
         self._by_need: dict[int, list[int]] = {}
         for i, need in enumerate(self._table.fact_masks):
@@ -59,8 +58,7 @@ class PaaEngine:
         for i, arg in enumerate(self.arguments):
             if not arg.claim.negated:
                 self._claiming.setdefault(arg.claim.atom, []).append(i)
-        self._labels: tuple[list, list[tuple[list[int], list[int]]], int] | None = None
-        self._evaluations: list[tuple[frozenset[Atom], Fraction, frozenset[int]]] | None = None
+        self._labels: tuple[list[int], list[tuple[int, list[int]]], int] | None = None
 
     @cached_property
     def aaf(self) -> AaFramework:
@@ -79,64 +77,58 @@ class PaaEngine:
             )
         )
 
-    def _labelling(self) -> tuple[list, list[tuple[list[int], list[int]]], int]:
-        """The world table, and per block of worlds the worlds' probability
-        numerators and each argument's IN vector, with the common denominator;
-        computed on first use.
+    def _labelling(self) -> tuple[list[int], list[tuple[int, list[int]]], int]:
+        """The low-bit numerators, per block of worlds its high numerator and
+        each argument's IN vector, and the common denominator, as
+        `world_numerators` gives them; computed on first use.
 
         An argument's active vector is the AND of its facts' vectors over the
         block, and one block labelling gives each argument's IN vector.
         """
         if self._labels is None:
-            table = self.worlds()
-            numerators, denominator = common_numerators(prob for _, prob in table)
-            n, width = len(self._bit), self._width
-            full = (1 << width) - 1
+            lows, highs, denominator = world_numerators(self.gp.pfacts, self.caps.max_pfacts)
+            n, full = len(self._bit), (1 << len(lows)) - 1
             supports = {
                 need: [i for i in range(n) if need >> i & 1] for need in self._by_need
             }
             blocks = []
             active = [0] * len(self.arguments)
-            for start in range(0, len(table), width):
-                vectors = block_fact_vectors(n, start // width)
+            for block, high in enumerate(highs):
+                vectors = block_fact_vectors(n, block)
                 for need, group in self._by_need.items():
                     vector = reduce(and_, [vectors[i] for i in supports[need]], full)
                     for i in group:
                         active[i] = vector
                 inside = grounded_block(active, self._table.claims, self._table.contraries)
-                blocks.append((numerators[start : start + width], inside))
-            self._labels = table, blocks, denominator
+                blocks.append((high, inside))
+            self._labels = lows, blocks, denominator
         return self._labels
 
     def in_vectors(self) -> list[list[int]]:
         """Per block of worlds, in mask order, each argument's IN vector."""
         return [inside for _, inside in self._labelling()[1]]
 
-    def evaluations(self) -> list[tuple[frozenset[Atom], Fraction, frozenset[int]]]:
+    def evaluations(self) -> Iterator[tuple[frozenset[Atom], Fraction, frozenset[int]]]:
         """(world, probability, accepted indices) for every world, in mask
-        order, read from the block labellings; computed on first use, then
-        shared by every query."""
-        if self._evaluations is None:
-            table, blocks, _ = self._labelling()
-            width = self._width
-            indices = range(len(self.arguments))
-            self._evaluations = []
-            for start, (_, inside) in zip(range(0, len(table), width), blocks):
-                rows = table[start : start + width]
-                for (world, prob), accepts in zip(rows, world_columns(inside, width)):
-                    accepted = self.applicable_indices(world).intersection(
-                        compress(indices, accepts)
-                    )
-                    self._evaluations.append((world, prob, accepted))
-        return self._evaluations
+        order: the rows of the world table, read a block at a time against
+        the columns of the block's IN vectors. Nothing is kept; each call
+        walks the worlds again."""
+        rows = iter(self.worlds())
+        lows, blocks, _ = self._labelling()
+        indices = range(len(self.arguments))
+        for _, inside in blocks:
+            # the columns first: zip stops on them without taking another row
+            for accepts, (world, prob) in zip(world_columns(inside, len(lows)), rows):
+                accepted = self.applicable_indices(world).intersection(compress(indices, accepts))
+                yield world, prob, accepted
 
     def mass(self, vectors: Iterable[int]) -> Fraction:
         """Probability mass at the set bits of `vectors`, one vector per block
         of worlds in mask order."""
-        _, blocks, denominator = self._labelling()
+        lows, blocks, denominator = self._labelling()
         total = sum(
-            masked_sum(numerators, vector)
-            for (numerators, _), vector in zip(blocks, vectors, strict=True)
+            high * masked_sum(lows, vector)
+            for (high, _), vector in zip(blocks, vectors, strict=True)
         )
         return Fraction(total, denominator)
 
@@ -164,14 +156,14 @@ class PaaEngine:
         """The query's grounded probability and its argument probability sum,
         in one pass over the block labellings."""
         claiming = self.query_argument_indices(query)
-        _, blocks, denominator = self._labelling()
+        lows, blocks, denominator = self._labelling()
         grounded = spread = 0
-        for numerators, inside in blocks:
+        for high, inside in blocks:
             accepted = 0
             for i in claiming:
                 accepted |= inside[i]
-                spread += masked_sum(numerators, inside[i])
-            grounded += masked_sum(numerators, accepted)
+                spread += high * masked_sum(lows, inside[i])
+            grounded += high * masked_sum(lows, accepted)
         return Fraction(grounded, denominator), Fraction(spread, denominator)
 
     def grounded_prob_query(self, query: Atom) -> Fraction:

@@ -9,14 +9,15 @@ results line up index by index.
 Both back ends also evaluate worlds in blocks of `block_width(n)`, that is
 2**min(n, BLOCK_BITS), consecutive masks: inside a block, a Boolean fact
 holds one bit per world, bit w standing for the world whose mask is the
-block's first mask plus w.
+block's first mask plus w. `world_numerators` alone computes the worlds'
+probabilities, as integer numerators over one common denominator.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import compress
-from math import lcm, prod
+from math import prod
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CapExceeded
@@ -38,16 +39,15 @@ def world_probability(world: frozenset[Atom], pfacts: Iterable[ProbFact]) -> Fra
     return prob
 
 
-def enumerate_worlds(
+def world_numerators(
     pfacts: Iterable[ProbFact], max_pfacts: int = Caps.max_pfacts
-) -> Iterator[tuple[int, frozenset[Atom], Fraction]]:
-    """Every world as (mask, world, probability), in mask order.
+) -> tuple[list[int], list[int], int]:
+    """(lows, highs, denominator): world mask (block << b) + w, with
+    b = block_bits(n), has probability highs[block] * lows[w] / denominator.
 
-    Probabilities sum to exactly 1. Refuses more than `max_pfacts` facts. A
-    world reuses the numerator product and the chosen atoms of the high bits
-    it shares with the previous world, so the whole enumeration takes fewer
-    than 2**(n+1) + n int multiplications and set unions, plus one exact
-    division by the common denominator per world.
+    Each table is doubled once per fact, its b low facts or the rest, by the
+    fact's (absent, chosen) numerators; the denominator is the product of
+    the facts' denominators. Refuses more than `max_pfacts` facts.
     """
     facts = sorted(pfacts, key=lambda pf: pf.atom)
     n = len(facts)
@@ -57,25 +57,37 @@ def enumerate_worlds(
             f"cap of {max_pfacts} (2**{n} worlds)",
             cap="max_pfacts",
         )
+    b = block_bits(n)
+    lows, highs = [1], [1]
+    for i, pf in enumerate(facts):
+        table = lows if i < b else highs
+        absent, chosen = pf.prob.denominator - pf.prob.numerator, pf.prob.numerator
+        table[:] = [x * absent for x in table] + [x * chosen for x in table]
+    return lows, highs, prod(pf.prob.denominator for pf in facts)
+
+
+def enumerate_worlds(
+    pfacts: Iterable[ProbFact], max_pfacts: int = Caps.max_pfacts
+) -> Iterator[tuple[int, frozenset[Atom], Fraction]]:
+    """Every world as (mask, world, probability), in mask order.
+
+    Probabilities sum to exactly 1 and come from `world_numerators`. A world
+    reuses the chosen atoms of the high bits it shares with the previous
+    world, so the whole enumeration takes fewer than 2**(n+1) + n set
+    unions, plus one exact division per world.
+    """
+    facts = sorted(pfacts, key=lambda pf: pf.atom)
+    lows, highs, denominator = world_numerators(facts, max_pfacts)
+    n, b, low = len(facts), block_bits(len(facts)), len(lows) - 1
     singletons = [frozenset({pf.atom}) for pf in facts]
-    # by bit: the numerators of (absent, chosen) over the fact's denominator
-    factors = [(pf.prob.denominator - pf.prob.numerator, pf.prob.numerator) for pf in facts]
-    denominator = prod(pf.prob.denominator for pf in facts)
-    # partial[i], chosen[i]: the numerator product and the chosen atoms of
-    # bits i..n-1 of the current mask
-    partial = [1] * (n + 1)
+    # chosen[i]: the chosen atoms of bits i..n-1 of the current mask
     chosen = [frozenset()] * (n + 1)
     for mask in range(1 << n):
         # going from mask-1 to mask changes exactly the bits up to the lowest set one
         top = (mask & -mask).bit_length() - 1 if mask else n - 1
         for i in range(top, -1, -1):
-            if mask >> i & 1:
-                partial[i] = partial[i + 1] * factors[i][1]
-                chosen[i] = chosen[i + 1] | singletons[i]
-            else:
-                partial[i] = partial[i + 1] * factors[i][0]
-                chosen[i] = chosen[i + 1]
-        yield mask, chosen[0], Fraction(partial[0], denominator)
+            chosen[i] = chosen[i + 1] | singletons[i] if mask >> i & 1 else chosen[i + 1]
+        yield mask, chosen[0], Fraction(highs[mask >> b] * lows[mask & low], denominator)
 
 
 def world_table(
@@ -134,15 +146,6 @@ def world_columns(vectors: list[int], width: int) -> Iterator[tuple[int, ...]]:
     per world, in world order, holding each item's bit there (0 or 1)."""
     rows = [format(v, f"0{width}b").encode().translate(_BYTE_OF_BIT)[::-1] for v in vectors]
     return zip(*rows) if rows else iter([()] * width)
-
-
-def common_numerators(probabilities: Iterable[Fraction]) -> tuple[list[int], int]:
-    """The probabilities as integer numerators over one common denominator,
-    their least common one: (numerators, denominator)."""
-    probabilities = list(probabilities)
-    denominator = lcm(*{prob.denominator for prob in probabilities})
-    numerators = [prob.numerator * (denominator // prob.denominator) for prob in probabilities]
-    return numerators, denominator
 
 
 def masked_sum(values: Sequence[int], vector: int) -> int:

@@ -66,12 +66,30 @@ def test_show_lists_framework_components(capsys):
     assert "fact assumptions: b" in out
 
 
+@pytest.mark.filterwarnings("default:degenerate framework")
 def test_show_empty_program(capsys):
-    with pytest.warns(UserWarning, match="degenerate"):
-        code, out, _ = run(capsys, "show", EMPTY)
+    code, out, err = run(capsys, "show", EMPTY)
     assert code == 0
     assert "arguments (0):" in out
     assert "(none)" in out
+    assert err == (
+        "warning: degenerate framework: the program has an empty Herbrand base, "
+        "so the assumption set is empty\n"
+    )
+
+
+def test_a_warning_names_no_python_internal_when_run_as_a_module():
+    result = subprocess.run(
+        [sys.executable, "-m", "arglog", "show", EMPTY],
+        capture_output=True,
+        text=True,
+        check=False,
+    )
+    assert result.returncode == 0
+    assert result.stderr.splitlines() == [
+        "warning: degenerate framework: the program has an empty Herbrand base, "
+        "so the assumption set is empty"
+    ]
 
 
 def test_check_prints_no_warning_for_empty_generated_programs():
@@ -315,3 +333,27 @@ def test_check_counterexample_as_json_goes_to_stderr(capsys, monkeypatch, tmp_pa
     assert doc["pass"] is False and doc["counterexamples"] >= 1
     assert doc["dump"] == str(dump) and dump.exists()
     assert any(not row["model_matches_claims"] for row in doc["worlds"])
+
+
+def test_an_argumentation_query_on_18_facts_fits_in_128_mib(tmp_path):
+    """`--semantics arg` holds the numerators and the IN vectors, not a row
+    per world: 2**18 worlds fit in an address space that a world table
+    overflows."""
+    resource = pytest.importorskip("resource")
+    path = tmp_path / "facts.pl"
+    path.write_text(
+        "".join(f"0.3::f{i}.\n" for i in range(18)) + "q :- f0, \\+ f1.\n", encoding="utf-8"
+    )
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (128 << 20, 128 << 20))
+
+    result = subprocess.run(
+        [sys.executable, "-m", "arglog", "query", str(path), "--query", "q", "--semantics", "arg"],
+        capture_output=True,
+        text=True,
+        check=False,
+        preexec_fn=limit_address_space,
+    )
+    assert result.returncode == 0, result.stderr
+    assert "21/100" in result.stdout

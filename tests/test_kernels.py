@@ -43,6 +43,7 @@ from arglog.worlds import (
     block_bits,
     block_fact_vectors,
     enumerate_worlds,
+    world_numerators,
     world_probability,
     world_table,
 )
@@ -613,12 +614,31 @@ def test_world_probabilities_sum_to_exactly_one(source):
     assert sum(prob for _, _, prob in rows) == 1
 
 
-def test_incremental_probabilities_equal_the_product_per_world():
-    pfacts = ground(parse_program("0.1::a.\n1/3::b.\n0::c.\n1::d.\n0.75::e.\n")).pfacts
+NUMERATOR_PROGRAMS = {
+    "no-facts": "a.\n",
+    "mixed": "0.1::a.\n1/3::b.\n0::c.\n1::d.\n0.75::e.\n",
+    "zero-and-one": "0::a.\n1::b.\n0::c.\n",
+}
+
+
+@pytest.mark.parametrize("source", NUMERATOR_PROGRAMS.values(), ids=NUMERATOR_PROGRAMS)
+@pytest.mark.parametrize("bits", [worlds_module.BLOCK_BITS, 1])
+def test_incremental_probabilities_equal_the_product_per_world(bits, source, monkeypatch):
+    """The numerators are shared by both routes, so the cross-check cannot
+    see a defect in them; the product per world can."""
+    monkeypatch.setattr(worlds_module, "BLOCK_BITS", bits)
+    pfacts = ground(parse_program(source)).pfacts
     atoms = sorted(pf.atom for pf in pfacts)
-    for mask, world, prob in enumerate_worlds(pfacts):
+    b = block_bits(len(atoms))
+    lows, highs, denominator = world_numerators(pfacts)
+    assert (len(lows), len(highs)) == (2**b, 2 ** (len(atoms) - b))
+    rows = list(enumerate_worlds(pfacts))
+    assert [mask for mask, _, _ in rows] == list(range(2 ** len(atoms)))
+    for mask, world, prob in rows:
         assert world == {atoms[i] for i in range(len(atoms)) if mask >> i & 1}
-        assert prob == world_probability(world, pfacts)
+        expected = world_probability(world, pfacts)
+        assert Fraction(highs[mask >> b] * lows[mask & (2**b - 1)], denominator) == expected
+        assert prob == expected
 
 
 def test_worlds_command_checks_the_sum_without_assert(monkeypatch):
@@ -689,6 +709,20 @@ def test_a_query_sharing_the_traces_walks_no_world(monkeypatch):
     report = check_query(Atom("a6"), gp, engine=engine, traces=traces)
     assert report.success_probability == report.grounded_query_probability == Fraction(1, 64)
     assert report.holds
+
+
+def test_an_argumentation_query_builds_no_world_table(monkeypatch):
+    """`--semantics arg` reads the labelling and the numerators alone: no
+    world row, no `frozenset` and no `Fraction` per world."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a world table was built")
+
+    monkeypatch.setattr(worlds_module, "enumerate_worlds", refuse)
+    monkeypatch.setattr(paa_module, "world_table", refuse)
+    engine = PaaEngine(ground(parse_program(chain_source(6))))
+    assert engine.grounded_prob_query(Atom("a6")) == Fraction(1, 64)
+    assert engine.argument_probability_sum(Atom("a6")) == Fraction(1, 64)
 
 
 def test_chain_6_spans_four_blocks_and_both_routes_give_one_64th():

@@ -6,7 +6,7 @@ from arglog import Atom, CapExceeded, Caps, PaaEngine, ground, parse_program, pa
 from arglog.aba import AaFramework, Argument
 from arglog.model import Literal
 from arglog.semantics import grounded_extension
-from arglog.worlds import world_probability, world_table
+from arglog.worlds import world_numerators, world_probability, world_table
 
 B = Atom("b")
 
@@ -60,9 +60,16 @@ def test_uniform_three_fact_world_table():
 
 
 def test_world_table_cap():
-    pfacts = ground(parse_program("0.5::x.\n0.5::y.\n")).pfacts
-    with pytest.raises(CapExceeded):
-        world_table(pfacts, max_pfacts=1)
+    gp = ground(parse_program("0.5::x.\n0.5::y.\n"))
+    refusals = [
+        lambda: world_table(gp.pfacts, max_pfacts=1),
+        lambda: world_numerators(gp.pfacts, max_pfacts=1),
+        lambda: PaaEngine(gp, Caps(max_pfacts=1)).grounded_prob_query(Atom("x")),
+    ]
+    for refuse in refusals:
+        with pytest.raises(CapExceeded, match="^2 probabilistic facts exceed") as refusal:
+            refuse()
+        assert refusal.value.cap == "max_pfacts"
 
 
 def test_applicability_follows_fact_support(two_world_engine):
