@@ -41,6 +41,11 @@ CAP_SETTINGS = {
         "max probabilistic facts for world enumeration (2**N worlds)",
     ),
     "max_arguments": ("--args-cap", "ARGLOG_ARGS_CAP", "max arguments, and unions in one join"),
+    "max_ground_rules": (
+        "--ground-cap",
+        "ARGLOG_GROUND_CAP",
+        "max rule instances that grounding makes",
+    ),
 }
 
 
@@ -72,13 +77,13 @@ def resolve_caps(args: argparse.Namespace) -> Caps:
     return Caps(**values)
 
 
-def load_ground_program(path: str) -> GroundProgram:
+def load_ground_program(path: str, caps: Caps) -> GroundProgram:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
     except UnicodeDecodeError as exc:
         raise ArglogError(f"{path}: not UTF-8 text at byte offset {exc.start}") from None
-    return ground(parse_program(text))
+    return ground(parse_program(text), caps)
 
 
 # --- rendering helpers ---
@@ -130,7 +135,7 @@ def _trace_line(row: dict) -> str:
 
 def cmd_query(args: argparse.Namespace) -> tuple[int, dict, list[str]]:
     caps = resolve_caps(args)
-    gp = load_ground_program(args.file)
+    gp = load_ground_program(args.file, caps)
     query = parse_query(args.query)
     doc: dict = {"command": "query", "query": str(query), "semantics": args.semantics}
     if args.semantics == "dist":
@@ -176,7 +181,7 @@ def cmd_query(args: argparse.Namespace) -> tuple[int, dict, list[str]]:
 
 def cmd_show(args: argparse.Namespace) -> tuple[int, dict, list[str]]:
     caps = resolve_caps(args)
-    gp = load_ground_program(args.file)
+    gp = load_ground_program(args.file, caps)
     engine = PaaEngine(gp, caps)
     framework, aaf = engine.framework, engine.aaf
     rule_names = {rule: f"r{i}" for i, rule in enumerate(sorted(gp.rules), start=1)}
@@ -214,7 +219,7 @@ def cmd_show(args: argparse.Namespace) -> tuple[int, dict, list[str]]:
 
 def cmd_worlds(args: argparse.Namespace) -> tuple[int, dict, list[str]]:
     caps = resolve_caps(args)
-    engine = PaaEngine(load_ground_program(args.file), caps)
+    engine = PaaEngine(load_ground_program(args.file, caps), caps)
     rows = []
     total = Fraction(0)
     for world, prob, accepted in engine.evaluations():
@@ -260,7 +265,7 @@ def cmd_check(args: argparse.Namespace) -> tuple[int, dict, list[str]]:
         warnings.filterwarnings("ignore", "degenerate framework", UserWarning)
         for seed in range(first, last + 1):
             program = random_program(seed)
-            reports = check_program(ground(program), caps)
+            reports = check_program(ground(program, caps), caps)
             queries += len(reports)
             counterexamples += [(seed, program, r) for r in reports if not r.holds]
     doc = {

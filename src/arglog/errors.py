@@ -12,6 +12,12 @@ class SourceSpan:
     line: int
     column: int
 
+    @classmethod
+    def at(cls, text: str, offset: int) -> "SourceSpan":
+        """The position of `text[offset]`, or of the end of input at
+        `len(text)`; only a line feed starts a line."""
+        return cls(text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset))
+
     def __str__(self) -> str:
         return f"{self.line}:{self.column}"
 

@@ -1,4 +1,4 @@
-"""Resource caps for the exhaustive-enumeration engines."""
+"""Resource caps for grounding and the exhaustive-enumeration engines."""
 
 from __future__ import annotations
 
@@ -11,8 +11,11 @@ class Caps:
 
     max_pfacts bounds the number of probabilistic facts (the world space has
     size 2**n). max_arguments bounds argument saturation: the arguments
-    found, and the partial unions that one rule's join holds.
+    found, and the partial unions that one rule's join holds. max_ground_rules
+    bounds the rule instances that grounding makes, |constants|**|variables|
+    per rule, counted before any is made.
     """
 
     max_pfacts: int = 24
     max_arguments: int = 100_000
+    max_ground_rules: int = 100_000

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Collection, Iterable
 
 RESERVED_PREFIX = "_"
@@ -33,7 +34,7 @@ class Atom:
     def __post_init__(self):
         if not self.predicate:
             raise ValueError("atom predicate must be non-empty")
-        if any(not t for t in self.args):
+        if "" in self.args:
             raise ValueError(f"atom {self.predicate!r} has an empty argument term")
         object.__setattr__(self, "_hash", hash((self.predicate, self.args)))
 
@@ -128,7 +129,8 @@ class ProbFact:
     def __post_init__(self):
         if isinstance(self.prob, float):
             raise TypeError("probabilities must be exact rationals, not floats")
-        object.__setattr__(self, "prob", Fraction(self.prob))
+        if type(self.prob) is not Fraction:
+            object.__setattr__(self, "prob", Fraction(self.prob))
         if not 0 <= self.prob <= 1:
             raise ValueError(f"probability {self.prob} of {self.atom} is outside [0,1]")
 
@@ -159,10 +161,25 @@ def format_probability(p: Fraction) -> str:
 
 @dataclass(frozen=True)
 class Program:
-    """A set of rules plus a set of probabilistic facts."""
+    """A set of rules plus a set of probabilistic facts.
+
+    Like an atom's hash, its atoms and its violations are computed once, on
+    first use, and kept with it: `parse_program` validates a program and
+    `ground` reuses both.
+    """
 
     rules: frozenset[Rule] = frozenset()
     pfacts: frozenset[ProbFact] = frozenset()
+
+    @cached_property
+    def atoms(self) -> frozenset[Atom]:
+        """`herbrand_base` of the clauses as written."""
+        return herbrand_base(self.rules, self.pfacts)
+
+    @cached_property
+    def violations(self) -> tuple[Violation, ...]:
+        """`validate(self)`."""
+        return tuple(validate(self))
 
     def clauses(self) -> list[str]:
         lines = [f"{pf}." for pf in sorted(self.pfacts, key=lambda pf: (pf.atom, pf.prob))]
@@ -207,7 +224,7 @@ def validate(program: Program) -> list[Violation]:
     in sorted clause order, and since whether a constraint is broken does
     not depend on the order, the clauses are sorted only once one is.
     """
-    unordered = (herbrand_base(program.rules, program.pfacts), program.rules, program.pfacts)
+    unordered = (program.atoms, program.rules, program.pfacts)
     return _violations(*unordered) and _violations(*map(sorted, unordered))
 
 

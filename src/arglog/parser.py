@@ -18,47 +18,44 @@ assumptions) and "not" is a keyword, so neither can be used as a symbol.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from fractions import Fraction
 
 from .errors import ParseError, SourceSpan, ValidationError
-from .model import Atom, Literal, ProbFact, Program, Rule, validate
+from .model import Atom, Literal, ProbFact, Program, Rule
 
-# One alternative per token kind; at each position the first that matches
-# wins, so a decimal is tried before an integer, and "::" and ":-" before
-# any one-character mark. A dot is part of a number only when a digit
-# follows it. WORD takes any word character that is not a decimal digit
-# first, so that a word starting with some other digit ("²") is reported.
+# Layout (blanks, line breaks, comments) and then one token; of the token
+# alternatives, the first that matches wins, so a decimal is tried before an
+# integer, and "::" and ":-" before any one-character mark. A dot is part of
+# a number only when a digit follows it. WORD takes any word character that
+# is not a decimal digit first, so that a word starting with some other digit
+# ("²") is reported. EOF matches after the last layout: every character is a
+# token or layout, so the layout is never given back to OTHER.
 _TOKEN = re.compile(
-    r"(?P<NEWLINE>\n)|(?P<SPACE>[ \t\r]+|%[^\n]*)"
-    r"|(?P<DECIMAL>\d+\.\d+)|(?P<NUMBER>\d+)|(?P<WORD>[^\W\d]\w*)"
+    r"(?:[ \t\r\n]+|%[^\n]*)*"
+    r"(?:(?P<DECIMAL>\d+\.\d+)|(?P<NUMBER>\d+)|(?P<WORD>[^\W\d]\w*)"
     r"|(?P<IMPLIES>:-)|(?P<PROBSEP>::)|(?P<NAF>\\\+)|(?P<DOT>\.)|(?P<COMMA>,)"
-    r"|(?P<LPAREN>\()|(?P<RPAREN>\))|(?P<SLASH>/)|(?P<OTHER>.)"
+    r"|(?P<LPAREN>\()|(?P<RPAREN>\))|(?P<SLASH>/)|(?P<EOF>\Z)|(?P<OTHER>.))"
 )
 
-
-@dataclass(frozen=True)
-class Token:
-    kind: str  # a group name of _TOKEN; IDENT, VAR or NOT for a WORD; or EOF
-    text: str
-    span: SourceSpan
+# (kind, text, offset): a group name of _TOKEN, or IDENT, VAR or NOT for a
+# WORD; the token's text; where it starts in the program text. A position
+# becomes a line and a column only in an error message.
+Token = tuple[str, str, int]
 
 
 def tokenize(text: str) -> list[Token]:
+    """The tokens of `text`, the last of them EOF at offset len(text)."""
     tokens: list[Token] = []
-    line, line_start = 1, 0
     for match in _TOKEN.finditer(text):
-        kind, word = match.lastgroup, match.group()
-        span = SourceSpan(line, match.start() - line_start + 1)
-        if kind == "NEWLINE":
-            line, line_start = line + 1, match.end()
-            continue
-        if kind == "SPACE":
-            continue
+        kind = match.lastgroup
+        offset = match.start(kind)
+        word = text[offset : match.end()]
         if kind == "WORD":
-            if word.startswith("_"):
+            if word[0] == "_":
                 raise ParseError(
-                    f"identifier {word!r} is reserved (the '_' prefix is not available)", span
+                    f"identifier {word!r} is reserved (the '_' prefix is not available)",
+                    SourceSpan.at(text, offset),
                 )
             if not word[0].isalpha():
                 kind, word = "OTHER", word[0]
@@ -67,97 +64,100 @@ def tokenize(text: str) -> list[Token]:
             else:
                 kind = "VAR" if word[0].isupper() else "IDENT"
         if kind == "OTHER":
-            raise ParseError(f"unexpected character {word!r}", span)
-        tokens.append(Token(kind, word, span))
-    tokens.append(Token("EOF", "", SourceSpan(line, len(text) - line_start + 1)))
+            raise ParseError(f"unexpected character {word!r}", SourceSpan.at(text, offset))
+        tokens.append((kind, word, offset))
+        if kind == "EOF":
+            break
     return tokens
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = tokenize(text)
         self.pos = 0
+        self.current = self.tokens[0]
 
-    @property
-    def current(self) -> Token:
-        return self.tokens[self.pos]
+    def error(self, message: str, offset: int) -> ParseError:
+        return ParseError(message, SourceSpan.at(self.text, offset))
 
     def advance(self) -> Token:
-        tok = self.tokens[self.pos]
+        tok = self.current
         self.pos += 1
+        self.current = self.tokens[self.pos]
         return tok
 
     def expect(self, kind: str, what: str) -> Token:
-        if self.current.kind != kind:
-            raise ParseError(
-                f"expected {what}, found {self.current.text or 'end of input'!r}",
-                self.current.span,
-            )
+        if self.current[0] != kind:
+            raise self.found(f"expected {what}")
         return self.advance()
+
+    def found(self, message: str) -> ParseError:
+        """`message`, naming the current token, at its position."""
+        _, word, offset = self.current
+        return self.error(f"{message}, found {word or 'end of input'!r}", offset)
 
     # --- grammar ---
 
     def atom(self) -> Atom:
-        name = self.expect("IDENT", "a predicate symbol")
-        args: list[str] = []
-        if self.current.kind == "LPAREN":
+        name = self.expect("IDENT", "a predicate symbol")[1]
+        if self.current[0] != "LPAREN":
+            return Atom(name)
+        self.advance()
+        args = [self.term()]
+        while self.current[0] == "COMMA":
             self.advance()
             args.append(self.term())
-            while self.current.kind == "COMMA":
-                self.advance()
-                args.append(self.term())
-            self.expect("RPAREN", "')'")
-        return Atom(name.text, tuple(args))
+        self.expect("RPAREN", "')'")
+        return Atom(name, tuple(args))
 
     def term(self) -> str:
-        if self.current.kind in ("IDENT", "VAR", "NUMBER"):
-            return self.advance().text
-        raise ParseError(
-            f"expected a term, found {self.current.text or 'end of input'!r}",
-            self.current.span,
-        )
+        if self.current[0] in ("IDENT", "VAR", "NUMBER"):
+            return self.advance()[1]
+        raise self.found("expected a term")
 
     def literal(self) -> Literal:
-        if self.current.kind in ("NAF", "NOT"):
+        if self.current[0] in ("NAF", "NOT"):
             self.advance()
             return Literal(self.atom(), negated=True)
         return Literal(self.atom())
 
-    def probability(self) -> tuple[Fraction, SourceSpan]:
-        tok = self.advance()  # a NUMBER or a DECIMAL
-        if self.current.kind != "SLASH" or tok.kind == "DECIMAL":
-            return Fraction(tok.text), tok.span
+    def probability(self) -> Fraction:
+        kind, num, _ = self.advance()  # a NUMBER or a DECIMAL
+        if kind == "DECIMAL":
+            whole, digits = num.split(".")
+            return Fraction(int(whole + digits), 10 ** len(digits))
+        if self.current[0] != "SLASH":
+            return Fraction(int(num))
         self.advance()
-        den = self.expect("NUMBER", "a denominator")
-        if int(den.text) == 0:
-            raise ParseError("probability denominator is zero", den.span)
-        return Fraction(int(tok.text), int(den.text)), tok.span
+        _, den, offset = self.expect("NUMBER", "a denominator")
+        if int(den) == 0:
+            raise self.error("probability denominator is zero", offset)
+        return Fraction(int(num), int(den))
 
-    def clause(self) -> tuple[Rule | ProbFact, SourceSpan]:
-        start = self.current.span
-        if self.current.kind in ("NUMBER", "DECIMAL"):
-            prob, span = self.probability()
+    def clause(self) -> Rule | ProbFact:
+        if self.current[0] in ("NUMBER", "DECIMAL"):
+            offset = self.current[2]
+            prob = self.probability()
             self.expect("PROBSEP", "'::'")
             atom = self.atom()
-            if self.current.kind == "IMPLIES":
-                raise ParseError(
-                    "a probabilistic fact cannot have a body", self.current.span
-                )
+            if self.current[0] == "IMPLIES":
+                raise self.error("a probabilistic fact cannot have a body", self.current[2])
             self.expect("DOT", "'.'")
             try:
-                return ProbFact(prob, atom), span
+                return ProbFact(prob, atom)
             except ValueError as exc:
-                raise ParseError(str(exc), span) from None
+                raise self.error(str(exc), offset) from None
         head = self.atom()
         body: list[Literal] = []
-        if self.current.kind == "IMPLIES":
+        if self.current[0] == "IMPLIES":
             self.advance()
             body.append(self.literal())
-            while self.current.kind == "COMMA":
+            while self.current[0] == "COMMA":
                 self.advance()
                 body.append(self.literal())
         self.expect("DOT", "'.'")
-        return Rule(head, tuple(body)), start
+        return Rule(head, tuple(body))
 
 
 def parse_program(text: str) -> Program:
@@ -165,51 +165,55 @@ def parse_program(text: str) -> Program:
 
     Raises ParseError for bad syntax and ValidationError (with the offending
     clause positions) when the parsed program breaks a program invariant.
+    The program keeps its violations (`Program.violations`), so grounding it
+    does not validate it again.
     """
-    parser = _Parser(tokenize(text))
+    parser = _Parser(text)
     rules: list[Rule] = []
     pfacts: list[ProbFact] = []
-    spans: dict[object, SourceSpan] = {}
-    pfact_atoms: dict[Atom, SourceSpan] = {}
-    while parser.current.kind != "EOF":
-        clause, span = parser.clause()
-        spans.setdefault(clause, span)
+    offsets: dict[object, int] = {}  # where each clause first starts
+    pfact_atoms: dict[Atom, int] = {}
+    while parser.current[0] != "EOF":
+        offset = parser.current[2]
+        clause = parser.clause()
+        offsets.setdefault(clause, offset)
         if isinstance(clause, ProbFact):
             # textual duplicates on one atom are rejected even with equal
             # probabilities: the set model cannot carry two independent
             # choices for the same atom
             if clause.atom in pfact_atoms:
-                raise ParseError(
+                raise parser.error(
                     f"a probabilistic fact for {clause.atom} was already given at "
-                    f"{pfact_atoms[clause.atom]}",
-                    span,
+                    f"{SourceSpan.at(text, pfact_atoms[clause.atom])}",
+                    offset,
                 )
-            pfact_atoms[clause.atom] = span
+            pfact_atoms[clause.atom] = offset
             pfacts.append(clause)
         else:
             rules.append(clause)
     program = Program(frozenset(rules), frozenset(pfacts))
-    violations = validate(program)
-    if violations:
+    if program.violations:
         raise ValidationError(
-            v if v.clause not in spans else replace(v, message=f"{spans[v.clause]}: {v.message}")
-            for v in violations
+            v
+            if v.clause not in offsets
+            else replace(v, message=f"{SourceSpan.at(text, offsets[v.clause])}: {v.message}")
+            for v in program.violations
         )
     return program
 
 
 def parse_query(text: str) -> Atom:
     """Parse a query: a single, possibly non-ground atom (no negation)."""
-    parser = _Parser(tokenize(text))
-    if parser.current.kind in ("NAF", "NOT"):
-        raise ParseError(
-            "queries are atoms; negation is not allowed here", parser.current.span
+    parser = _Parser(text)
+    if parser.current[0] in ("NAF", "NOT"):
+        raise parser.error(
+            "queries are atoms; negation is not allowed here", parser.current[2]
         )
     atom = parser.atom()
-    if parser.current.kind == "DOT":
+    if parser.current[0] == "DOT":
         parser.advance()
-    if parser.current.kind != "EOF":
-        raise ParseError(
-            f"unexpected trailing input {parser.current.text!r}", parser.current.span
+    if parser.current[0] != "EOF":
+        raise parser.error(
+            f"unexpected trailing input {parser.current[1]!r}", parser.current[2]
         )
     return atom

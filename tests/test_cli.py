@@ -13,6 +13,7 @@ TWO_WORLD = str(fixture_path("two_world.pl"))
 ODD_LOOP = str(fixture_path("odd_loop_lp.pl"))
 DUPLICATE = str(fixture_path("duplicate_support.pl"))
 EMPTY = str(fixture_path("empty.pl"))
+REACH = str(fixture_path("reach.pl"))
 
 
 def run(capsys, *argv):
@@ -309,6 +310,20 @@ def test_non_utf8_program_exits_one_naming_the_file_and_offset(capsys, tmp_path)
             {"ARGLOG_WORLDS_CAP": "0"},
             "1 probabilistic facts exceed the world-enumeration cap of 0 (2**1 worlds)",
             "--worlds-cap or ARGLOG_WORLDS_CAP",
+        ),
+        # reach has 3 constants and rules with 2, 3 and 1 variables
+        (
+            ["query", REACH, "--query", "q(X)", "--ground-cap", "38"],
+            {},
+            "grounding would make 39 rule instances, past the cap of 38",
+            "--ground-cap or ARGLOG_GROUND_CAP",
+        ),
+        # seed 0's program has four ground rules
+        (
+            ["check", "--seed-range", "0..0"],
+            {"ARGLOG_GROUND_CAP": "3"},
+            "grounding would make 4 rule instances, past the cap of 3",
+            "--ground-cap or ARGLOG_GROUND_CAP",
         ),
     ],
 )

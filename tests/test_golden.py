@@ -176,6 +176,12 @@ ERROR_CASES = {
         + "h :- b1, b2, b3, c.\nc.\n",
         ["show", BAD, "--args-cap", "500"],
     ),
+    # 30 edges on a cycle of 30 constants and a four-variable join: 30 + 30**4
+    # instances, refused by the default cap before any is made
+    "ground-cap": show(
+        "".join(f"e(c{i},c{(i + 1) % 30}).\n" for i in range(30))
+        + "p(X,Y,Z,W) :- e(X,Y), e(Z,W).\n"
+    ),
 }
 
 

@@ -3,8 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+import arglog.model as model
 from arglog import (
     Atom,
+    CapExceeded,
+    Caps,
     GroundingError,
     Program,
     ValidationError,
@@ -21,6 +24,8 @@ def test_grounding_is_identity_on_ground_programs():
     assert gp.rules == program.rules
     assert gp.pfacts == program.pfacts
     assert gp.herbrand_base == frozenset({Atom("a"), Atom("b"), Atom("c"), Atom("d")})
+    # the program's own rules and atoms, not copies
+    assert gp.rules is program.rules and gp.herbrand_base is program.atoms
 
 
 def test_grounding_instantiates_over_program_constants():
@@ -142,3 +147,64 @@ def test_herbrand_base_covers_every_atom():
         for lit in rule.body:
             assert lit.atom in gp.herbrand_base
 
+
+def count_violations_calls(monkeypatch) -> list:
+    """Record each call of `model._violations`, the check behind `validate`."""
+    calls = []
+    check = model._violations
+
+    def counted(*args):
+        calls.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(model, "_violations", counted)
+    return calls
+
+
+def test_a_parsed_program_is_validated_once(monkeypatch):
+    calls = count_violations_calls(monkeypatch)
+    gp = ground(parse_program("p(X) :- q(X), \\+ r(X).\n0.5::q(1).\nq(2).\n"))
+    assert len(gp.rules) == 3
+    assert len(calls) == 1
+    # a program built in code is validated by `ground`, and refused
+    with pytest.raises(GroundingError, match="range-restricted"):
+        ground(built_in_code([Rule(Atom("p", ("X",)))]))
+    assert len(calls) > 1
+
+
+def join_source(k: int, edges: list[tuple[int, int]]) -> str:
+    """Edges over constants c0..c<k-1>, all of which occur, and a
+    four-variable join: k**4 instances of its rule."""
+    lines = [f"e(c{x},c{y})." for x, y in edges]
+    lines += [f"n(c{i})." for i in range(k)]
+    return "\n".join(lines + ["p(X,Y,Z,W) :- e(X,Y), e(Y,Z), e(Z,W), \\+ e(X,W)."]) + "\n"
+
+
+def refuse_to_instantiate(monkeypatch):
+    def fail(rule, binding):
+        raise AssertionError("a rule was instantiated")
+
+    monkeypatch.setattr(Rule, "substitute", fail)
+
+
+def test_the_ground_cap_counts_instances_before_making_any(monkeypatch):
+    # 3**2 + 3 instances of the rules with variables, and the three facts
+    program = parse_program("p(X, Y) :- q(X), q(Y).\nr(X) :- q(X).\nq(1).\nq(2).\nq(3).\n")
+    assert len(ground(program, Caps(max_ground_rules=15)).rules) == 15
+    refuse_to_instantiate(monkeypatch)
+    with pytest.raises(CapExceeded) as refusal:
+        ground(program, Caps(max_ground_rules=14))
+    assert refusal.value.cap == "max_ground_rules"
+    assert str(refusal.value) == "grounding would make 15 rule instances, past the cap of 14"
+    # a ground program counts its own rules
+    with pytest.raises(CapExceeded):
+        ground(parse_program("a.\nb.\n"), Caps(max_ground_rules=1))
+
+
+def test_the_default_ground_cap_admits_7_constants_and_refuses_30_at_once(monkeypatch):
+    gp = ground(parse_program(join_source(7, [(0, 1), (1, 2), (2, 3)])))
+    assert len(gp.rules) == 7**4 + 3 + 7
+    program = parse_program(join_source(30, [(i, (i + 1) % 30) for i in range(30)]))
+    refuse_to_instantiate(monkeypatch)
+    with pytest.raises(CapExceeded, match=r"^grounding would make 810060 rule instances"):
+        ground(program)

@@ -14,6 +14,7 @@ from arglog import (
     parse_query,
     random_program,
 )
+from arglog.errors import SourceSpan
 from arglog.model import Literal, ProbFact, Rule
 
 from test_kernels import probabilistic_programs
@@ -226,3 +227,38 @@ def program_texts(draw):
 def test_layout_and_clause_order_do_not_change_the_program(case):
     program, text = case
     assert parse_program(text) == program
+
+
+LAYOUT = [" ", "\t", "\n", "\r\n", "% a comment :- @ )\n"]
+CLAUSES = ["a.", "p(X, 1) :- q(X), \\+ r.", "b :- not a."]
+
+
+def counted_position(text: str, offset: int) -> SourceSpan:
+    """The line and column of `text[offset]`, counted one character at a time."""
+    line = column = 1
+    for char in text[:offset]:
+        if char == "\n":
+            line, column = line + 1, 1
+        else:
+            column += 1
+    return SourceSpan(line, column)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.sampled_from(LAYOUT + CLAUSES)),
+    st.sampled_from(["@", "$", ")", ","]),
+    st.lists(st.sampled_from(LAYOUT + CLAUSES + ["p(", "@", "_x"])),
+)
+def test_an_unexpected_character_is_reported_where_a_count_puts_it(before, planted, after):
+    # whole clauses and layout, then a character that no clause starts with:
+    # the tokenizer refuses "@" and "$" wherever the text goes on; the parser
+    # refuses ")" and ",", once the whole text has been tokenized
+    if planted in ")," and ("@" in after or "_x" in after):
+        after = []
+    text = "".join(before) + planted + "".join(after)
+    with pytest.raises(ParseError) as error:
+        parse_program(text)
+    span = counted_position(text, len("".join(before)))
+    assert error.value.span == span
+    assert str(error.value).startswith(f"{span}: ")
