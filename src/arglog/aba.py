@@ -27,7 +27,7 @@ import sys
 import warnings
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import CapExceeded
 from .limits import Caps
@@ -62,8 +62,7 @@ class AbaFramework:
         return [(a, self.contrary_of(a)) for a in sorted(self.assumptions)]
 
 
-@dataclass(frozen=True)
-class Argument:
+class Argument(NamedTuple):
     """A canonical (assumptions, claim, rules) triple standing for a derivation tree."""
 
     assumptions: frozenset[Literal]

@@ -3,7 +3,8 @@
 Commands: query (probability of an atom under either or both back ends),
 show (the argumentation view of a program), worlds (the world table with
 accepted claims), check (the seeded cross-check suite). Exit codes: 0 ok,
-1 input error, 2 resource-cap refusal, 3 counterexample found by check.
+1 input error or a reader that closed standard output, 2 resource-cap
+refusal, 3 counterexample found by check.
 
 All listings are canonically ordered so repeated runs are byte-identical.
 """
@@ -309,7 +310,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     def command(name: str, func, summary: str, with_file: bool = True) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=summary)
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, usage_error=p.error)
         if with_file:
             p.add_argument("file", help="program file")
         p.add_argument(
@@ -328,7 +329,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
         help="which back end(s) to run",
     )
     p_query.add_argument(
-        "--trace", action="store_true", help="include the per-world breakdown"
+        "--trace", action="store_true", help="include the per-world breakdown (needs both)"
     )
     command("show", cmd_show, "argumentation view of the program")
     command("worlds", cmd_worlds, "world table with accepted claims")
@@ -371,6 +372,8 @@ def main(argv=None) -> int:
     parser = build_arg_parser()
     try:
         args = parser.parse_args(_join_dashed_seed_range(sys.argv[1:] if argv is None else argv))
+        if getattr(args, "trace", False) and args.semantics != "both":
+            args.usage_error("--trace lists both back ends per world; it needs --semantics both")
     except SystemExit as exc:
         # argparse has printed the help (exit 0) or the usage and the error
         return EXIT_INPUT if exc.code else EXIT_OK
@@ -388,8 +391,14 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     text = json.dumps(doc, indent=2, sort_keys=True) if args.format == "json" else "\n".join(lines)
-    # a counterexample's listing goes to standard error, like the other failures
-    print(text, file=sys.stdout if code == EXIT_OK else sys.stderr)
+    try:
+        # a counterexample's listing goes to standard error, like the other failures
+        print(text, file=sys.stdout if code == EXIT_OK else sys.stderr, flush=True)
+    except BrokenPipeError:
+        # the reader closed early, as `head` does; point stdout at the null
+        # device so that the interpreter's last flush is silent too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_INPUT
     return code
 
 

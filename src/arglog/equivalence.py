@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import islice
 from operator import or_
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .distribution import success_probability
 from .limits import Caps
@@ -40,8 +40,7 @@ from .wfm import ThreeValuedModel, WellFoundedKernel, well_founded_model
 from .worlds import block_width
 
 
-@dataclass(frozen=True)
-class WorldTrace:
+class WorldTrace(NamedTuple):
     """One world's view from both back ends, plus whether they agree."""
 
     world: frozenset[Atom]

@@ -5,10 +5,14 @@ canonical iteration everywhere downstream. Probabilities are exact rationals;
 floats are rejected so that downstream probability sums can be compared with
 ``==`` rather than tolerances.
 
-Atoms, literals and rules fill sets and dict keys on every layer, so each
-computes its hash once, when it is built. Pickling rebuilds them through the
-constructor, so a hash never crosses into a process whose string hashes
-differ.
+`Atom`, `Literal`, `Rule` and `ProbFact` are `NamedTuple`s, because one is
+built per clause, ground atom and literal, and they fill sets and dict keys
+on every layer: a tuple is cheap to build and hash. Each type equals, orders
+and hashes as the tuple of its fields, so ``Atom("a") == ("a", ())`` holds.
+`Atom` and `ProbFact` check their fields in `__new__` of a thin subclass,
+since a `NamedTuple` body may not define `__new__`. `Program`,
+`GroundProgram` and `Violation` stay dataclasses: there is one per program,
+and `Program` caches its atoms and its violations.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Collection, Iterable
+from typing import Collection, Iterable, NamedTuple
 
 RESERVED_PREFIX = "_"
 
@@ -26,23 +30,20 @@ def is_variable(term: str) -> bool:
     return term[:1].isupper()
 
 
-@dataclass(frozen=True, order=True)
-class Atom:
+class _AtomFields(NamedTuple):
     predicate: str
     args: tuple[str, ...] = ()
 
-    def __post_init__(self):
-        if not self.predicate:
+
+class Atom(_AtomFields):
+    __slots__ = ()
+
+    def __new__(cls, predicate: str, args: tuple[str, ...] = ()) -> Atom:
+        if not predicate:
             raise ValueError("atom predicate must be non-empty")
-        if "" in self.args:
-            raise ValueError(f"atom {self.predicate!r} has an empty argument term")
-        object.__setattr__(self, "_hash", hash((self.predicate, self.args)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        return Atom, (self.predicate, self.args)
+        if "" in args:
+            raise ValueError(f"atom {predicate!r} has an empty argument term")
+        return tuple.__new__(cls, (predicate, args))
 
     @property
     def is_ground(self) -> bool:
@@ -60,41 +61,21 @@ class Atom:
         return f"{self.predicate}({','.join(self.args)})"
 
 
-@dataclass(frozen=True, order=True)
-class Literal:
+class Literal(NamedTuple):
     """An atom or its negation-as-failure; renders as "not a" when negated."""
 
     atom: Atom
     negated: bool = False
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.atom, self.negated)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        return Literal, (self.atom, self.negated)
-
     def __str__(self) -> str:
         return f"not {self.atom}" if self.negated else str(self.atom)
 
 
-@dataclass(frozen=True, order=True)
-class Rule:
+class Rule(NamedTuple):
     """head :- body. An empty body makes the rule a fact."""
 
     head: Atom
     body: tuple[Literal, ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.head, self.body)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        return Rule, (self.head, self.body)
 
     @property
     def is_fact(self) -> bool:
@@ -119,20 +100,24 @@ class Rule:
         return f"{self.head} :- {', '.join(str(lit) for lit in self.body)}"
 
 
-@dataclass(frozen=True, order=True)
-class ProbFact:
-    """An independent probabilistic fact ``p::atom`` with an exact rational p."""
-
+class _ProbFactFields(NamedTuple):
     prob: Fraction
     atom: Atom
 
-    def __post_init__(self):
-        if isinstance(self.prob, float):
+
+class ProbFact(_ProbFactFields):
+    """An independent probabilistic fact ``p::atom`` with an exact rational p."""
+
+    __slots__ = ()
+
+    def __new__(cls, prob: Fraction, atom: Atom) -> ProbFact:
+        if isinstance(prob, float):
             raise TypeError("probabilities must be exact rationals, not floats")
-        if type(self.prob) is not Fraction:
-            object.__setattr__(self, "prob", Fraction(self.prob))
-        if not 0 <= self.prob <= 1:
-            raise ValueError(f"probability {self.prob} of {self.atom} is outside [0,1]")
+        if type(prob) is not Fraction:
+            prob = Fraction(prob)
+        if not 0 <= prob <= 1:
+            raise ValueError(f"probability {prob} of {atom} is outside [0,1]")
+        return tuple.__new__(cls, (prob, atom))
 
     def __str__(self) -> str:
         return f"{format_probability(self.prob)}::{self.atom}"
@@ -163,9 +148,8 @@ def format_probability(p: Fraction) -> str:
 class Program:
     """A set of rules plus a set of probabilistic facts.
 
-    Like an atom's hash, its atoms and its violations are computed once, on
-    first use, and kept with it: `parse_program` validates a program and
-    `ground` reuses both.
+    Its atoms and its violations are computed once, on first use, and kept
+    with it: `parse_program` validates a program and `ground` reuses both.
     """
 
     rules: frozenset[Rule] = frozenset()

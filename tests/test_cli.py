@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -103,6 +104,25 @@ def test_check_prints_no_warning_for_empty_generated_programs():
     )
     assert result.returncode == 0
     assert "UserWarning" not in result.stderr
+
+
+@pytest.mark.parametrize("argv", [["worlds", REACH], ["query", TWO_WORLD, "--query", "a"]])
+def test_a_reader_that_closes_early_gets_no_traceback(argv):
+    """As in `arglog worlds reach.pl | head -1`, with the reader gone before
+    the first write."""
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "arglog", *argv],
+            stdout=write,
+            stderr=subprocess.PIPE,
+            check=False,
+            timeout=60,
+        )
+    finally:
+        os.close(write)
+    assert (result.returncode, result.stderr) == (1, b"")
 
 
 def test_worlds_table(capsys):
@@ -263,6 +283,7 @@ def test_check_catches_a_corrupted_build(capsys, monkeypatch, tmp_path):
         (["query", TWO_WORLD], "the following arguments are required: --query"),
         (["check", "--seed-range", "foo"], "bad seed range 'foo'; expected the form A..B"),
         (["check", "--seed-range", "5..1"], "bad seed range '5..1'; 5 is above 1"),
+        (["query", TWO_WORLD, "--query", "a", "--semantics", "arg", "--trace"], "--semantics both"),
     ],
 )
 def test_usage_errors_exit_one_with_the_usage_on_stderr(capsys, argv, message):

@@ -166,6 +166,10 @@ ERROR_CASES = {
     "usage-descending-seed-range": (None, ["check", "--seed-range", "5..1"]),
     "usage-negative-seed-range": (None, ["check", "--seed-range=-3..3"]),
     "usage-negative-seed-range-spaced": (None, ["check", "--seed-range", "-3..3"]),
+    "usage-trace-without-both": (
+        "a.\n",
+        ["query", BAD, "--query", "a", "--semantics", "dist", "--trace"],
+    ),
     "bad-cap-flag": ("a.\n", ["show", BAD, "--args-cap", "-1"]),
     # cap refusals exit 2
     "worlds-cap": ("0.5::a.\n", ["query", BAD, "--query", "a", "--worlds-cap", "0"]),

@@ -9,7 +9,16 @@ import pytest
 
 import arglog
 
-from arglog import Atom, Program, format_probability, matches, parse_program
+from arglog import (
+    Atom,
+    PaaEngine,
+    Program,
+    format_probability,
+    ground,
+    matches,
+    parse_program,
+    world_traces,
+)
 from arglog.model import Literal, ProbFact, Rule, herbrand_base, validate
 
 A, B, C, D = Atom("a"), Atom("b"), Atom("c"), Atom("d")
@@ -110,6 +119,7 @@ def test_probfact_rejects_floats():
 def test_probfact_accepts_degenerate_probabilities():
     assert ProbFact(Fraction(0), B).prob == 0
     assert ProbFact(Fraction(1), B).prob == 1
+    assert type(ProbFact(1, B).prob) is Fraction  # an int is coerced
 
 
 def test_atom_ordering_is_lexicographic():
@@ -138,7 +148,7 @@ def test_format_probability_prefers_finite_decimals():
     assert format_probability(Fraction(1, 3)) == "1/3"
 
 
-def test_cached_hashes_leave_equality_order_and_repr_alone():
+def test_rules_keep_equality_order_and_repr():
     rule = Rule(Atom("p", ("x",)), (Literal(B, negated=True),))
     twin = Rule(Atom("p", ("x",)), (Literal(B, negated=True),))
     assert rule == twin and hash(rule) == hash(twin) and not rule < twin
@@ -147,6 +157,32 @@ def test_cached_hashes_leave_equality_order_and_repr_alone():
         "body=(Literal(atom=Atom(predicate='b', args=()), negated=True),))"
     )
     assert hash(A) == hash(("a", ()))
+
+
+def test_atom_rejects_an_empty_predicate_or_term():
+    with pytest.raises(ValueError, match="predicate must be non-empty"):
+        Atom("")
+    with pytest.raises(ValueError, match="empty argument term"):
+        Atom("p", ("",))
+
+
+def test_value_types_hash_and_compare_as_the_tuple_of_their_fields():
+    gp = ground(parse_program("0.5::b.\na :- b, \\+ c.\n"))
+    engine = PaaEngine(gp)
+    values = {
+        "Atom": A,
+        "Literal": Literal(A, negated=True),
+        "Rule": RULE_A,
+        "ProbFact": ProbFact(Fraction(1, 2), B),
+        "Argument": engine.arguments[0],
+        "WorldTrace": world_traces(gp, engine)[0],
+    }
+    for name, value in values.items():
+        assert type(value).__name__ == name
+        fields = tuple(getattr(value, field) for field in value._fields)
+        assert hash(value) == hash(fields) and value == fields
+        assert pickle.loads(pickle.dumps(value)) == value
+    assert Atom("a") == ("a", ())
 
 
 UNPICKLE = """
