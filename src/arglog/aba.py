@@ -27,6 +27,7 @@ import sys
 import warnings
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import cache
 from typing import NamedTuple, Sequence
 
 from .errors import CapExceeded
@@ -254,24 +255,16 @@ def argument_table(
     contrary = [number.get(framework.contrary_of(a)) for a in assumptions]
     bit_of = fact_bits(framework.fact_assumptions)
     fact_bit = [0 if a.negated else bit_of[a.atom] for a in assumptions]
-    found_pairs = [(c, a, r) for c, pairs in enumerate(found) for a, r in pairs]
-    assumption_bits = {a: _bits(a) for _, a, _ in found_pairs}
-    rule_bits = {r: _bits(r) for _, _, r in found_pairs}
-    found_pairs.sort(key=lambda row: (row[0], assumption_bits[row[1]], rule_bits[row[2]]))
-    decoded = {
-        a: (
-            frozenset(assumptions[b] for b in bits),
-            tuple(contrary[b] for b in bits if contrary[b] is not None),
-            sum(fact_bit[b] for b in bits),
-        )
-        for a, bits in assumption_bits.items()
-    }
-    rules_used = {r: frozenset(rules[b] for b in bits) for r, bits in rule_bits.items()}
+    bits = cache(_bits)
+    rows = sorted((c, bits(a), bits(r)) for c, pairs in enumerate(found) for a, r in pairs)
+    # arguments with the same assumptions or the same rules share one set
+    assumption_set = cache(lambda a: frozenset(map(assumptions.__getitem__, a)))
+    rule_set = cache(lambda r: frozenset(map(rules.__getitem__, r)))
     return ArgumentTable(
-        tuple(Argument(decoded[a][0], sentences[c], rules_used[r]) for c, a, r in found_pairs),
-        tuple(c for c, _, _ in found_pairs),
-        tuple(decoded[a][1] for _, a, _ in found_pairs),
-        tuple(decoded[a][2] for _, a, _ in found_pairs),
+        tuple(Argument(assumption_set(a), sentences[c], rule_set(r)) for c, a, r in rows),
+        tuple(c for c, _, _ in rows),
+        tuple(tuple(contrary[b] for b in a if contrary[b] is not None) for _, a, _ in rows),
+        tuple(sum(map(fact_bit.__getitem__, a)) for _, a, _ in rows),
     )
 
 

@@ -104,15 +104,21 @@ def _braced(names: list[str]) -> str:
     return "{" + ", ".join(names) + "}"
 
 
+def _world_row(world, probability: Fraction, claims) -> dict:
+    """One world, its probability and its accepted claims, as a JSON row."""
+    return {
+        "world": _names(world),
+        "probability": probability_doc(probability),
+        "accepted_claims": _names(claims),
+    }
+
+
 def _trace_row(t: WorldTrace) -> dict:
     """One world of a trace, as the JSON row that every rendering reads."""
-    return {
-        "world": _names(t.world),
-        "probability": probability_doc(t.probability),
+    return _world_row(t.world, t.probability, t.accepted_claims) | {
         "true_atoms": _names(t.model.true_atoms),
         "false_atoms": _names(t.model.false_atoms),
         "undefined_atoms": _names(t.model.undefined_atoms),
-        "accepted_claims": _names(t.accepted_claims),
         "model_matches_claims": t.model_matches_claims,
     }
 
@@ -225,10 +231,7 @@ def cmd_worlds(args: argparse.Namespace) -> tuple[int, dict, list[str]]:
     total = Fraction(0)
     for world, prob, accepted in engine.evaluations():
         total += prob
-        claims = _names({engine.arguments[i].claim for i in accepted})
-        rows.append(
-            dict(world=_names(world), probability=probability_doc(prob), accepted_claims=claims)
-        )
+        rows.append(_world_row(world, prob, {engine.arguments[i].claim for i in accepted}))
     if total != 1:
         raise RuntimeError(f"internal error: world probabilities sum to {total}, not exactly 1")
     doc = {"command": "worlds", "worlds": rows, "total_probability": probability_doc(total)}
@@ -268,7 +271,13 @@ def cmd_check(args: argparse.Namespace) -> tuple[int, dict, list[str]]:
             program = random_program(seed)
             reports = check_program(ground(program, caps), caps)
             queries += len(reports)
-            counterexamples += [(seed, program, r) for r in reports if not r.holds]
+            # both routes share the world weights, so only the input checks them:
+            # no rule head is a fact atom, so a fact succeeds with its declared p
+            declared = {pf.atom: pf.prob for pf in program.pfacts}
+            for r in reports:
+                p = declared.get(r.query, r.success_probability)
+                if not r.holds or p != r.success_probability:
+                    counterexamples.append((seed, program, r, p))
     doc = {
         "command": "check",
         "seeds": f"{first}..{last}",
@@ -282,9 +291,13 @@ def cmd_check(args: argparse.Namespace) -> tuple[int, dict, list[str]]:
             f"PASS: seeds {doc['seeds']}, {doc['programs']} programs, "
             f"{doc['queries']} queries, 0 counterexamples"
         ]
-    seed, program, report = counterexamples[0]
+    seed, program, report, p = counterexamples[0]
+    mismatch = ""
+    if p != report.success_probability:
+        doc["declared_probability"] = probability_doc(p)
+        mismatch = f"; the declared probability {p} did not match"
     with open(args.dump, "w", encoding="utf-8") as handle:
-        handle.write(f"% seed {seed}, query {report.query}\n")
+        handle.write(f"% seed {seed}, query {report.query}{mismatch}\n")
         handle.write(f"% success probability {report.success_probability}, ")
         handle.write(f"grounded {report.grounded_query_probability}\n")
         handle.write(program.to_source())
@@ -296,7 +309,7 @@ def cmd_check(args: argparse.Namespace) -> tuple[int, dict, list[str]]:
     }
     return EXIT_COUNTEREXAMPLE, doc, [
         f"FAIL: {doc['counterexamples']} counterexample(s); first at seed {doc['seed']}, "
-        f"query {doc['query']}; program written to {doc['dump']}"
+        f"query {doc['query']}{mismatch}; program written to {doc['dump']}"
     ] + [_trace_line(row) for row in doc["worlds"]]
 
 

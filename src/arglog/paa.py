@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, reduce
-from itertools import chain, compress
+from itertools import chain
 from operator import and_
 from typing import Iterable, Iterator
 
@@ -31,9 +31,9 @@ from .model import Atom, GroundProgram, matches
 from .semantics import grounded_block
 from .worlds import (
     block_fact_vectors,
+    block_width,
     fact_bits,
     masked_sum,
-    world_columns,
     world_mask,
     world_numerators,
     world_table,
@@ -58,7 +58,6 @@ class PaaEngine:
         for i, arg in enumerate(self.arguments):
             if not arg.claim.negated:
                 self._claiming.setdefault(arg.claim.atom, []).append(i)
-        self._labels: tuple[list[int], list[tuple[int, list[int]]], int] | None = None
 
     @cached_property
     def aaf(self) -> AaFramework:
@@ -71,13 +70,11 @@ class PaaEngine:
 
     def applicable_indices(self, world: frozenset[Atom]) -> frozenset[int]:
         mask = world_mask(self._bit, world)
-        return frozenset(
-            chain.from_iterable(
-                group for need, group in self._by_need.items() if need & mask == need
-            )
-        )
+        groups = [group for need, group in self._by_need.items() if need & mask == need]
+        return frozenset(chain.from_iterable(groups))
 
-    def _labelling(self) -> tuple[list[int], list[tuple[int, list[int]]], int]:
+    @cached_property
+    def _labels(self) -> tuple[list[int], list[tuple[int, list[int]]], int]:
         """The low-bit numerators, per block of worlds its high numerator and
         each argument's IN vector, and the common denominator, as
         `world_numerators` gives them; computed on first use.
@@ -85,47 +82,39 @@ class PaaEngine:
         An argument's active vector is the AND of its facts' vectors over the
         block, and one block labelling gives each argument's IN vector.
         """
-        if self._labels is None:
-            lows, highs, denominator = world_numerators(self.gp.pfacts, self.caps.max_pfacts)
-            n, full = len(self._bit), (1 << len(lows)) - 1
-            supports = {
-                need: [i for i in range(n) if need >> i & 1] for need in self._by_need
-            }
-            blocks = []
-            active = [0] * len(self.arguments)
-            for block, high in enumerate(highs):
-                vectors = block_fact_vectors(n, block)
-                for need, group in self._by_need.items():
-                    vector = reduce(and_, [vectors[i] for i in supports[need]], full)
-                    for i in group:
-                        active[i] = vector
-                inside = grounded_block(active, self._table.claims, self._table.contraries)
-                blocks.append((high, inside))
-            self._labels = lows, blocks, denominator
-        return self._labels
+        lows, highs, denominator = world_numerators(self.gp.pfacts, self.caps.max_pfacts)
+        n, full = len(self._bit), (1 << len(lows)) - 1
+        supports = {need: [i for i in range(n) if need >> i & 1] for need in self._by_need}
+        blocks = []
+        active = [0] * len(self.arguments)
+        for block, high in enumerate(highs):
+            vectors = block_fact_vectors(n, block)
+            for need, group in self._by_need.items():
+                vector = reduce(and_, [vectors[i] for i in supports[need]], full)
+                for i in group:
+                    active[i] = vector
+            inside = grounded_block(active, self._table.claims, self._table.contraries)
+            blocks.append((high, inside))
+        return lows, blocks, denominator
 
     def in_vectors(self) -> list[list[int]]:
         """Per block of worlds, in mask order, each argument's IN vector."""
-        return [inside for _, inside in self._labelling()[1]]
+        return [inside for _, inside in self._labels[1]]
 
     def evaluations(self) -> Iterator[tuple[frozenset[Atom], Fraction, frozenset[int]]]:
         """(world, probability, accepted indices) for every world, in mask
-        order: the rows of the world table, read a block at a time against
-        the columns of the block's IN vectors. Nothing is kept; each call
-        walks the worlds again."""
-        rows = iter(self.worlds())
-        lows, blocks, _ = self._labelling()
-        indices = range(len(self.arguments))
-        for _, inside in blocks:
-            # the columns first: zip stops on them without taking another row
-            for accepts, (world, prob) in zip(world_columns(inside, len(lows)), rows):
-                accepted = self.applicable_indices(world).intersection(compress(indices, accepts))
-                yield world, prob, accepted
+        order: the rows of `world_table`, each with the world's applicable
+        arguments whose IN bit is set in the world's block."""
+        vectors, width = self.in_vectors(), block_width(len(self._bit))
+        for mask, (world, prob) in enumerate(self.worlds()):
+            inside, bit = vectors[mask // width], 1 << mask % width
+            accepted = frozenset(i for i in self.applicable_indices(world) if inside[i] & bit)
+            yield world, prob, accepted
 
     def mass(self, vectors: Iterable[int]) -> Fraction:
         """Probability mass at the set bits of `vectors`, one vector per block
         of worlds in mask order."""
-        lows, blocks, denominator = self._labelling()
+        lows, blocks, denominator = self._labels
         total = sum(
             high * masked_sum(lows, vector)
             for (high, _), vector in zip(blocks, vectors, strict=True)
@@ -156,7 +145,7 @@ class PaaEngine:
         """The query's grounded probability and its argument probability sum,
         in one pass over the block labellings."""
         claiming = self.query_argument_indices(query)
-        lows, blocks, denominator = self._labelling()
+        lows, blocks, denominator = self._labels
         grounded = spread = 0
         for high, inside in blocks:
             accepted = 0

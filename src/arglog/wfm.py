@@ -27,25 +27,20 @@ class ThreeValuedModel:
     A model is a view, built by `WellFoundedKernel`, of one world of an
     evaluated block: the kernel's atoms, the block's sure, false and
     undefined vectors over them, and the world's bit in those vectors;
-    `index` numbers the atoms. A view builds each set the first time it is
-    read, then keeps it, and compares, hashes and prints as its three sets.
+    `index` numbers the atoms. A view builds a set each time it is read and
+    keeps none, and compares, hashes and prints as its three sets.
     """
 
-    __slots__ = ("_sections", "_atoms", "_index", "_vectors", "_bit")
+    __slots__ = ("_atoms", "_index", "_vectors", "_bit")
 
     def __init__(
         self, atoms: list[Atom], index: dict[Atom, int], vectors: tuple[list[int], ...], bit: int
     ):
-        self._sections = [None, None, None]
         self._atoms, self._index, self._vectors, self._bit = atoms, index, vectors, bit
 
     def _section(self, k: int) -> frozenset[Atom]:
-        section = self._sections[k]
-        if section is None:
-            bit = self._bit
-            section = frozenset(compress(self._atoms, [v & bit for v in self._vectors[k]]))
-            self._sections[k] = section
-        return section
+        bit = self._bit
+        return frozenset(compress(self._atoms, [v & bit for v in self._vectors[k]]))
 
     @property
     def true_atoms(self) -> frozenset[Atom]:

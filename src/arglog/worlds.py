@@ -71,23 +71,22 @@ def enumerate_worlds(
 ) -> Iterator[tuple[int, frozenset[Atom], Fraction]]:
     """Every world as (mask, world, probability), in mask order.
 
-    Probabilities sum to exactly 1 and come from `world_numerators`. A world
-    reuses the chosen atoms of the high bits it shares with the previous
-    world, so the whole enumeration takes fewer than 2**(n+1) + n set
-    unions, plus one exact division per world.
+    Probabilities sum to exactly 1 and come from `world_numerators`. The
+    chosen atoms come from two tables built like its numerators, each
+    doubled once per fact: per low part of a mask (its b = block_bits(n) low
+    facts) and per high part (the rest). A world is then one union of a
+    high and a low set, plus one exact division.
     """
     facts = sorted(pfacts, key=lambda pf: pf.atom)
     lows, highs, denominator = world_numerators(facts, max_pfacts)
-    n, b, low = len(facts), block_bits(len(facts)), len(lows) - 1
-    singletons = [frozenset({pf.atom}) for pf in facts]
-    # chosen[i]: the chosen atoms of bits i..n-1 of the current mask
-    chosen = [frozenset()] * (n + 1)
-    for mask in range(1 << n):
-        # going from mask-1 to mask changes exactly the bits up to the lowest set one
-        top = (mask & -mask).bit_length() - 1 if mask else n - 1
-        for i in range(top, -1, -1):
-            chosen[i] = chosen[i + 1] | singletons[i] if mask >> i & 1 else chosen[i + 1]
-        yield mask, chosen[0], Fraction(highs[mask >> b] * lows[mask & low], denominator)
+    b = block_bits(len(facts))
+    low_sets, high_sets = [frozenset()], [frozenset()]
+    for i, pf in enumerate(facts):
+        table = low_sets if i < b else high_sets
+        table += [chosen | {pf.atom} for chosen in table]
+    for block, (high_set, high) in enumerate(zip(high_sets, highs)):
+        for w, (low_set, low) in enumerate(zip(low_sets, lows)):
+            yield block << b | w, high_set | low_set, Fraction(high * low, denominator)
 
 
 def world_table(
@@ -139,13 +138,6 @@ def block_fact_vectors(n: int, block: int) -> list[int]:
         vectors.append(full // ((1 << 2 * run) - 1) * (((1 << run) - 1) << run))
     vectors += [full if block >> (i - b) & 1 else 0 for i in range(b, n)]
     return vectors
-
-
-def world_columns(vectors: list[int], width: int) -> Iterator[tuple[int, ...]]:
-    """Transpose per-item vectors over a block of `width` worlds: one tuple
-    per world, in world order, holding each item's bit there (0 or 1)."""
-    rows = [format(v, f"0{width}b").encode().translate(_BYTE_OF_BIT)[::-1] for v in vectors]
-    return zip(*rows) if rows else iter([()] * width)
 
 
 def masked_sum(values: Sequence[int], vector: int) -> int:

@@ -276,6 +276,29 @@ def test_check_catches_a_corrupted_build(capsys, monkeypatch, tmp_path):
     assert any(row.endswith(" match=NO") for row in rows)
 
 
+def test_check_catches_world_weights_that_both_routes_share(capsys, monkeypatch, tmp_path):
+    """Both routes weigh worlds by `world_numerators`, so swapping each fact's
+    (absent, chosen) pair leaves them agreeing; a fact's declared
+    probability does not."""
+    import arglog.paa as paa_module
+    import arglog.worlds as worlds_module
+
+    original = worlds_module.world_numerators
+
+    def swapped(*args):
+        lows, highs, denominator = original(*args)
+        # with every pair swapped, mask w weighs what its complement weighed
+        return lows[::-1], highs[::-1], denominator
+
+    for module in (worlds_module, paa_module):
+        monkeypatch.setattr(module, "world_numerators", swapped)
+    dump = tmp_path / "counterexample.pl"
+    code, _, err = run(capsys, "check", "--seed-range", "0..199", "--dump", str(dump))
+    assert code == 3
+    assert "the declared probability" in err.splitlines()[0]
+    assert "did not match" in dump.read_text(encoding="utf-8").splitlines()[0]
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
