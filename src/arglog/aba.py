@@ -12,7 +12,9 @@ derivation trees: the attack relation only depends on the triple, and triples
 stay finite even when trees do not (e.g. "p :- p." next to "p."). All triples
 with a derivation are kept, not just subset-minimal ones, because distinct
 derivations of one claim are counted separately by the per-argument
-probability measure.
+probability measure. `argument_table` keeps each triple as one int, its
+assumption bits below its rule bits, and builds the triples themselves only
+on first read of `ArgumentTable.arguments`; inference never reads them.
 
 Since the framework is flat, argument i attacks argument j exactly when i's
 claim is the contrary of one of j's assumptions. `argument_table` keeps that
@@ -27,7 +29,7 @@ import sys
 import warnings
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import cache
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 from .errors import CapExceeded
@@ -126,8 +128,8 @@ def _caller_stacklevel() -> int:
 
 @dataclass(frozen=True)
 class ArgumentTable:
-    """A framework's arguments in canonical order, with the attack relation
-    in factored form.
+    """A framework's arguments in canonical order, one int each, with the
+    attack relation in factored form.
 
     Sentences are numbered in sorted order. `claims[i]` is the number of
     argument i's claim, and `contraries[j]` holds the numbers of the
@@ -137,12 +139,38 @@ class ArgumentTable:
     claiming one sentence attack the same arguments. `fact_masks[i]` is the
     mask of the fact assumptions argument i uses, in the world numbering of
     `worlds.fact_bits`.
+
+    `masks[i]` is argument i itself: bit k is the k-th of the sorted
+    `assumptions`, and bit len(assumptions) + k the k-th of the sorted
+    `rules`. `arguments` decodes the masks into triples on first read.
     """
 
-    arguments: tuple[Argument, ...]
     claims: tuple[int, ...]
     contraries: tuple[tuple[int, ...], ...]
     fact_masks: tuple[int, ...]
+    sentences: tuple[Literal, ...]
+    assumptions: tuple[Literal, ...]
+    rules: tuple[Rule, ...]
+    masks: tuple[int, ...]
+
+    @cached_property
+    def arguments(self) -> tuple[Argument, ...]:
+        """The (assumptions, claim, rules) triples, built on first read.
+        Arguments with the same assumptions, or the same rules, share one set."""
+        width = len(self.assumptions)
+        low = (1 << width) - 1
+        assumption_sets = {
+            a: frozenset(map(self.assumptions.__getitem__, _bits(a)))
+            for a in {mask & low for mask in self.masks}
+        }
+        rule_sets = {
+            r: frozenset(map(self.rules.__getitem__, _bits(r)))
+            for r in {mask >> width for mask in self.masks}
+        }
+        return tuple(
+            Argument(assumption_sets[mask & low], self.sentences[c], rule_sets[mask >> width])
+            for c, mask in zip(self.claims, self.masks)
+        )
 
 
 def enumerate_arguments(
@@ -167,37 +195,40 @@ def argument_table(
     `argument_sort_key`, with the attack relation factored through claims.
 
     Saturation runs over ints. Sentences, assumptions and rules are numbered
-    in sorted order, and an argument is an (assumption mask, rule mask) pair
-    stored under its claim. A rule's body is joined left to right into a
-    set of pairs, so each distinct partial union is extended once, however
-    many combinations produce it. Rounds are semi-naive: a rule fires again only
-    on combinations holding a pair found in the previous round, which takes
-    that round's pool at one body position, older pools before it and full
-    pools after it. Argument objects are built once, at the end.
+    in sorted order, and an argument is one int under its claim: its
+    assumption bits low, its rule bits above them. A rule's body is joined
+    left to right into a set of ints, so each distinct partial union is
+    extended once, however many combinations produce it. Rounds are
+    semi-naive: a rule fires again only on combinations holding an argument
+    found in the previous round, which takes that round's pool at one body
+    position, older pools before it and full pools after it.
 
     Since the numbering follows the sorted order, sorting on (claim number,
     assumption bit positions, rule bit positions) gives the canonical order
-    without comparing any `Literal` or `Rule`.
+    without comparing any `Literal` or `Rule`. Bit positions, contraries and
+    fact masks are computed once per distinct mask, and no triple is built:
+    `ArgumentTable.arguments` builds them on first read.
     """
-    assumptions = sorted(framework.assumptions)
-    rules = sorted(framework.rules)
+    assumptions = tuple(sorted(framework.assumptions))
+    rules = tuple(sorted(framework.rules))
+    width = len(assumptions)
     # every sentence an argument can claim, in Literal order without a sort
-    sentences = [Literal(a, n) for a in sorted(framework.herbrand_base) for n in (False, True)]
+    sentences = tuple(Literal(a, n) for a in sorted(framework.herbrand_base) for n in (False, True))
     number = {lit: n for n, lit in enumerate(sentences)}
-    fresh: dict[int, set[tuple[int, int]]] = defaultdict(set)
+    fresh: dict[int, set[int]] = defaultdict(set)
     for bit, assumption in enumerate(assumptions):
-        fresh[number[assumption]].add((1 << bit, 0))
+        fresh[number[assumption]].add(1 << bit)
     readers: dict[int, list[tuple[int, tuple[int, ...], int]]] = defaultdict(list)
-    for bit, rule in enumerate(rules):
+    for bit, rule in enumerate(rules, start=width):
         head = number[Literal(rule.head)]
         if rule.is_fact:
-            fresh[head].add((0, 1 << bit))
+            fresh[head].add(1 << bit)
             continue
         compiled = (head, tuple(map(number.__getitem__, rule.body)), 1 << bit)
         for claim in set(compiled[1]):
             readers[claim].append(compiled)
-    found: list[set[tuple[int, int]]] = [set() for _ in sentences]
-    count = sum(len(pairs) for pairs in fresh.values())
+    found: list[set[int]] = [set() for _ in sentences]
+    count = sum(len(masks) for masks in fresh.values())
 
     def refuse_past_cap() -> None:
         if count > max_arguments:
@@ -209,10 +240,10 @@ def argument_table(
 
     while fresh:
         refuse_past_cap()
-        for claim, pairs in fresh.items():
-            found[claim] |= pairs
+        for claim, masks in fresh.items():
+            found[claim] |= masks
         delta, fresh = fresh, defaultdict(set)
-        old = {claim: found[claim] - pairs for claim, pairs in delta.items()}
+        old = {claim: found[claim] - masks for claim, masks in delta.items()}
         firing = {rule for claim in delta for rule in readers.get(claim, ())}
         for head, body, rule_bit in firing:
             for position, claim in enumerate(body):
@@ -225,20 +256,20 @@ def argument_table(
                 )
                 if not all(pools):
                     continue
-                partial = {(0, rule_bit)}
+                partial = {rule_bit}
                 for pool in pools:
                     # the unions a join holds count against the cap like
                     # arguments: their number grows with the product of the
                     # pool sizes, however few arguments come out, so the
                     # join is built row by row and refused once past the cap
-                    joined: set[tuple[int, int]] = set()
-                    for a, r in partial:
-                        joined.update([(a | a2, r | r2) for a2, r2 in pool])
+                    joined: set[int] = set()
+                    for mask in partial:
+                        joined.update(map(mask.__or__, pool))
                         if len(joined) > max_arguments:
+                            rule = rules[rule_bit.bit_length() - 1 - width]
                             raise CapExceeded(
                                 f"argument saturation held {len(joined)} partial unions in "
-                                f"the join of rule '{rules[rule_bit.bit_length() - 1]}', "
-                                f"past the cap of {max_arguments}",
+                                f"the join of rule '{rule}', past the cap of {max_arguments}",
                                 cap="max_arguments",
                             )
                     partial = joined
@@ -250,21 +281,40 @@ def argument_table(
                     count += len(partial)
                     refuse_past_cap()
 
+    # bit positions, contraries and fact masks once per distinct mask
+    low = (1 << width) - 1
+    assumption_masks = {mask & low for masks in found for mask in masks}
+    rule_masks = {mask >> width for masks in found for mask in masks}
+    positions = {m: _bits(m) for m in assumption_masks | rule_masks}
+    rows = sorted(
+        (claim, positions[mask & low], positions[mask >> width], mask)
+        for claim, masks in enumerate(found)
+        for mask in masks
+    )
     # by assumption bit: its contrary's number (None for the fact contrary,
     # which is no sentence), and its bit among the fact assumptions
     contrary = [number.get(framework.contrary_of(a)) for a in assumptions]
     bit_of = fact_bits(framework.fact_assumptions)
     fact_bit = [0 if a.negated else bit_of[a.atom] for a in assumptions]
-    bits = cache(_bits)
-    rows = sorted((c, bits(a), bits(r)) for c, pairs in enumerate(found) for a, r in pairs)
-    # arguments with the same assumptions or the same rules share one set
-    assumption_set = cache(lambda a: frozenset(map(assumptions.__getitem__, a)))
-    rule_set = cache(lambda r: frozenset(map(rules.__getitem__, r)))
+    decoded: dict[int, tuple[tuple[int, ...], int]] = {}
+    for a in assumption_masks:
+        contraries, fact_mask = [], 0
+        for b in positions[a]:
+            if contrary[b] is None:
+                fact_mask |= fact_bit[b]
+            else:
+                contraries.append(contrary[b])
+        decoded[a] = (tuple(contraries), fact_mask)
+    masks = tuple([mask for _, _, _, mask in rows])
+    by_argument = [decoded[mask & low] for mask in masks]
     return ArgumentTable(
-        tuple(Argument(assumption_set(a), sentences[c], rule_set(r)) for c, a, r in rows),
-        tuple(c for c, _, _ in rows),
-        tuple(tuple(contrary[b] for b in a if contrary[b] is not None) for _, a, _ in rows),
-        tuple(sum(map(fact_bit.__getitem__, a)) for _, a, _ in rows),
+        tuple([claim for claim, _, _, _ in rows]),
+        tuple([contraries for contraries, _ in by_argument]),
+        tuple([fact_mask for _, fact_mask in by_argument]),
+        sentences,
+        assumptions,
+        rules,
+        masks,
     )
 
 

@@ -4,7 +4,7 @@ Commands: query (probability of an atom under either or both back ends),
 show (the argumentation view of a program), worlds (the world table with
 accepted claims), check (the seeded cross-check suite). Exit codes: 0 ok,
 1 input error or a reader that closed standard output, 2 resource-cap
-refusal, 3 counterexample found by check.
+refusal, 3 counterexample found by check or by a cross-checked query.
 
 All listings are canonically ordered so repeated runs are byte-identical.
 """
@@ -27,6 +27,7 @@ from .limits import Caps
 from .model import GroundProgram
 from .paa import PaaEngine
 from .parser import parse_program, parse_query
+from .worlds import block_fact_vectors
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -152,7 +153,8 @@ def cmd_query(args: argparse.Namespace) -> tuple[int, dict, list[str]]:
         prob = PaaEngine(gp, caps).grounded_prob_query(query)
         doc["argumentation"] = {"probability": probability_doc(prob)}
     else:
-        report = check_query(query, gp, caps)
+        engine = PaaEngine(gp, caps)
+        report = check_query(query, gp, caps, engine=engine)
         doc["equivalence"] = {
             "query": str(report.query),
             "success_probability": probability_doc(report.success_probability),
@@ -183,7 +185,36 @@ def cmd_query(args: argparse.Namespace) -> tuple[int, dict, list[str]]:
         ]
         if "worlds" in eq:
             lines += ["worlds:"] + [_trace_line(row) for row in eq["worlds"]]
+        failures = _query_failures(report, engine)
+        if failures:
+            doc["failure"] = "; ".join(failures)
+            return EXIT_COUNTEREXAMPLE, doc, lines + [f"FAIL: {doc['failure']}"]
     return EXIT_OK, doc, lines
+
+
+def _query_failures(report, engine: PaaEngine) -> list[str]:
+    """What a cross-checked query found wrong, one phrase per failure.
+
+    Both routes weigh worlds alike, so only the input checks the weights:
+    no rule head is a fact atom, so each probabilistic fact must weigh its
+    declared probability, the mass at its fact vectors."""
+    failures = []
+    if not report.probabilities_equal:
+        failures.append("the back ends disagree")
+    if not report.sum_bounds_success:
+        failures.append("the argument sum does not bound the success probability")
+    if not report.world_traces.all_match:
+        failures.append("a world's well-founded model does not match its accepted claims")
+    declared = {pf.atom: pf.prob for pf in engine.gp.pfacts}
+    blocks = range(len(engine.in_vectors()))
+    vectors = [block_fact_vectors(len(declared), block) for block in blocks]
+    for bit, atom in enumerate(sorted(declared)):
+        mass = engine.mass(facts[bit] for facts in vectors)
+        if mass != declared[atom]:
+            failures.append(
+                f"the declared probability {declared[atom]} of {atom} did not match its mass {mass}"
+            )
+    return failures
 
 
 def cmd_show(args: argparse.Namespace) -> tuple[int, dict, list[str]]:
@@ -231,7 +262,7 @@ def cmd_worlds(args: argparse.Namespace) -> tuple[int, dict, list[str]]:
     total = Fraction(0)
     for world, prob, accepted in engine.evaluations():
         total += prob
-        rows.append(_world_row(world, prob, {engine.arguments[i].claim for i in accepted}))
+        rows.append(_world_row(world, prob, {engine.claim_of[i] for i in accepted}))
     if total != 1:
         raise RuntimeError(f"internal error: world probabilities sum to {total}, not exactly 1")
     doc = {"command": "worlds", "worlds": rows, "total_probability": probability_doc(total)}

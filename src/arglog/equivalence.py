@@ -129,7 +129,7 @@ def world_traces(gp: GroundProgram, engine: PaaEngine) -> WorldTraces:
     kept with the rows (see `WorldTraces`).
     """
     kernel = WellFoundedKernel(gp.rules, gp.herbrand_base, gp.fact_atoms)
-    claim_of = [arg.claim for arg in engine.arguments]
+    claim_of = engine.claim_of
     claiming: list[tuple[list[int], list[int]]] = [([], []) for _ in kernel.atoms]
     for i, claim in enumerate(claim_of):
         claiming[kernel.index[claim.atom]][claim.negated].append(i)

@@ -6,11 +6,11 @@ restricted framework decides acceptance. Probabilities of acceptance are
 exact rational sums of world probabilities.
 
 The engine compiles the framework once. `aba` gives the arguments in
-canonical order, each with its fact support as an int bitmask over the fact
-atoms (in the bit order of the shared world enumeration), and the attack
-relation factored through claims: the arguments claiming one sentence attack
-the arguments assuming its contrary, so it costs one entry per assumption
-and never one per attack. Every world is then labelled exactly once, a block
+canonical order as ints, each with its claim's number and its fact support
+as an int bitmask over the fact atoms (in the bit order of the shared world
+enumeration), and the attack relation factored through claims: the
+arguments claiming one sentence attack the arguments assuming its contrary,
+so it costs one entry per assumption and never one per attack. Every world is then labelled exactly once, a block
 of worlds per labelling. Each block's IN vectors are kept with the block's
 share of the world probability numerators from `worlds.world_numerators`;
 a probability is the sum of the worlds' integer numerators at the set bits
@@ -41,23 +41,35 @@ from .worlds import (
 
 
 class PaaEngine:
-    """Grounded-semantics probabilities of arguments and queries for one program."""
+    """Grounded-semantics probabilities of arguments and queries for one program.
+
+    Inference reads the argument table's ints, and `claim_of` holds each
+    argument's claim, read from the table's sentences. The `Argument`
+    triples are built on the first read of `arguments`, which `aaf`,
+    `grounded_prob_argument` and the listings of `arglog show` make.
+    """
 
     def __init__(self, gp: GroundProgram, caps: Caps = Caps()):
         self.gp = gp
         self.caps = caps
         self.framework = build_problog_aba(gp)
-        self._table = argument_table(self.framework, caps.max_arguments)
-        self.arguments = self._table.arguments
+        self._table = table = argument_table(self.framework, caps.max_arguments)
         self._bit = fact_bits(gp.fact_atoms)
         # arguments grouped by fact support, so one test per group decides them
         self._by_need: dict[int, list[int]] = {}
-        for i, need in enumerate(self._table.fact_masks):
+        for i, need in enumerate(table.fact_masks):
             self._by_need.setdefault(need, []).append(i)
+        self.claim_of = [table.sentences[c] for c in table.claims]
         self._claiming: dict[Atom, list[int]] = {}
-        for i, arg in enumerate(self.arguments):
-            if not arg.claim.negated:
-                self._claiming.setdefault(arg.claim.atom, []).append(i)
+        for i, claim in enumerate(self.claim_of):
+            if not claim.negated:
+                self._claiming.setdefault(claim.atom, []).append(i)
+
+    @property
+    def arguments(self) -> tuple[Argument, ...]:
+        """The (assumptions, claim, rules) triples in canonical order, built
+        on first read; inference reads the table's ints instead."""
+        return self._table.arguments
 
     @cached_property
     def aaf(self) -> AaFramework:
@@ -86,7 +98,7 @@ class PaaEngine:
         n, full = len(self._bit), (1 << len(lows)) - 1
         supports = {need: [i for i in range(n) if need >> i & 1] for need in self._by_need}
         blocks = []
-        active = [0] * len(self.arguments)
+        active = [0] * len(self.claim_of)
         for block, high in enumerate(highs):
             vectors = block_fact_vectors(n, block)
             for need, group in self._by_need.items():

@@ -270,15 +270,18 @@ def test_check_catches_a_corrupted_build(capsys, monkeypatch, tmp_path):
     # the stderr rows are the `query --trace` rows of the dumped program and query
     headline, *rows = err.splitlines()
     query = headline.split(", query ")[1].split(";")[0]
-    code, out, _ = run(capsys, "query", str(dump), "--query", query, "--trace")
-    assert code == 0
-    assert rows == out.split("worlds:\n")[1].splitlines()
+    # that query fails too, with its listing and the failure on stderr
+    code, out, err = run(capsys, "query", str(dump), "--query", query, "--trace")
+    assert code == 3 and not out
+    *listing, failure = err.split("worlds:\n")[1].splitlines()
+    assert rows == listing
     assert any(row.endswith(" match=NO") for row in rows)
+    assert failure.startswith("FAIL: ") and "does not match its accepted claims" in failure
 
 
-def test_check_catches_world_weights_that_both_routes_share(capsys, monkeypatch, tmp_path):
-    """Both routes weigh worlds by `world_numerators`, so swapping each fact's
-    (absent, chosen) pair leaves them agreeing; a fact's declared
+def swap_world_weights(monkeypatch):
+    """Mutation: every fact's (absent, chosen) pair swapped. Both routes weigh
+    worlds by `world_numerators`, so they still agree; a fact's declared
     probability does not."""
     import arglog.paa as paa_module
     import arglog.worlds as worlds_module
@@ -292,11 +295,31 @@ def test_check_catches_world_weights_that_both_routes_share(capsys, monkeypatch,
 
     for module in (worlds_module, paa_module):
         monkeypatch.setattr(module, "world_numerators", swapped)
+
+
+def test_check_catches_world_weights_that_both_routes_share(capsys, monkeypatch, tmp_path):
+    swap_world_weights(monkeypatch)
     dump = tmp_path / "counterexample.pl"
     code, _, err = run(capsys, "check", "--seed-range", "0..199", "--dump", str(dump))
     assert code == 3
     assert "the declared probability" in err.splitlines()[0]
     assert "did not match" in dump.read_text(encoding="utf-8").splitlines()[0]
+
+
+def test_query_catches_world_weights_that_both_routes_share(capsys, monkeypatch, tmp_path):
+    swap_world_weights(monkeypatch)
+    program = tmp_path / "fact.pl"
+    program.write_text("0.3::a. q :- a.\n", encoding="utf-8")
+    code, out, err = run(capsys, "query", str(program), "--query", "q")
+    assert code == 3 and not out
+    # the routes agree on the swapped weights; only the declared probability sees them
+    assert "back ends agree exactly: yes" in err
+    assert err.splitlines()[-1] == (
+        "FAIL: the declared probability 3/10 of a did not match its mass 7/10"
+    )
+    code, out, err = run(capsys, "query", str(program), "--query", "q", "--format", "json")
+    assert code == 3 and not out
+    assert json.loads(err)["failure"].startswith("the declared probability 3/10 of a")
 
 
 @pytest.mark.parametrize(

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import arglog.aba as aba_module
+import arglog.cli as cli_module
 import arglog.paa as paa_module
 import arglog.wfm as wfm_module
 import arglog.worlds as worlds_module
@@ -43,6 +44,8 @@ from arglog.worlds import (
     block_bits,
     block_fact_vectors,
     enumerate_worlds,
+    fact_bits,
+    world_mask,
     world_numerators,
     world_probability,
     world_table,
@@ -491,6 +494,67 @@ def test_mask_keyed_order_is_the_canonical_order_with_repeated_body_literals(pro
     framework = build_problog_aba(ground(Program(program, pfacts)))
     table = argument_table(framework)
     assert table.arguments == tuple(sorted(reference_arguments(framework), key=argument_sort_key))
+
+
+def assert_rows_decode_their_arguments(framework):
+    """Each row of the table against its argument: the per-mask decode must
+    give the row's own claim, contraries and fact mask."""
+    table = argument_table(framework)
+    sentences = sorted(Literal(a, neg) for a in framework.herbrand_base for neg in (False, True))
+    number = {sentence: n for n, sentence in enumerate(sentences)}
+    bits = fact_bits(framework.fact_assumptions)
+    for i, arg in enumerate(table.arguments):
+        naf = sorted(a for a in arg.assumptions if a.negated)
+        assert table.claims[i] == number[arg.claim]
+        assert table.contraries[i] == tuple(number[framework.contrary_of(a)] for a in naf)
+        assert table.fact_masks[i] == world_mask(bits, arg.fact_support)
+
+
+@pytest.mark.filterwarnings("ignore:degenerate framework")
+def test_table_rows_decode_their_arguments_on_the_seeded_corpus():
+    for _, gp in table_programs():
+        assert_rows_decode_their_arguments(build_problog_aba(gp))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.frozensets(repeating_rules, max_size=6))
+def test_table_rows_decode_their_arguments_with_repeated_body_literals(program):
+    pfacts = frozenset({ProbFact(Fraction(1, 2), Atom("d"))})
+    assert_rows_decode_their_arguments(build_problog_aba(ground(Program(program, pfacts))))
+
+
+def test_the_query_path_builds_no_argument_triples(capsys, monkeypatch, tmp_path):
+    """Inference reads the table's ints; only what lists arguments decodes them."""
+    gp = ground(parse_program(chain_source(2)))
+    engine = PaaEngine(gp)
+    traces = world_traces(gp, engine)
+    for atom in sorted(gp.herbrand_base):
+        check_query(atom, gp, engine=engine, traces=traces)
+    check_query(Atom("a2"), gp, engine=engine)
+    assert "arguments" not in vars(engine._table)
+    engine.grounded_prob_argument(PaaEngine(gp).arguments[0])
+    assert "arguments" in vars(engine._table)
+
+    engines = []
+
+    class Recorded(PaaEngine):
+        def __init__(self, *args):
+            super().__init__(*args)
+            engines.append(self)
+
+    monkeypatch.setattr(cli_module, "PaaEngine", Recorded)
+    program = tmp_path / "chain2.pl"
+    program.write_text(chain_source(2), encoding="utf-8")
+    for argv, decoded in (
+        (["worlds", str(program)], False),
+        (["query", str(program), "--query", "a2", "--trace"], False),
+        (["show", str(program)], True),
+    ):
+        assert main(argv) == 0
+        assert ("arguments" in vars(engines[-1]._table)) is decoded, argv[0]
+    capsys.readouterr()
+    engine = PaaEngine(gp)
+    assert engine.aaf.arguments and "arguments" in vars(engine._table)
 
 
 def assert_factored_labelling_matches_the_pairs(gp):
