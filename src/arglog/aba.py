@@ -35,7 +35,6 @@ from typing import NamedTuple, Sequence
 from .errors import CapExceeded
 from .limits import Caps
 from .model import Atom, GroundProgram, Literal, Rule
-from .worlds import fact_bits
 
 FACT_CONTRARY = Literal(Atom("_chi"))
 
@@ -195,13 +194,15 @@ def argument_table(
     `argument_sort_key`, with the attack relation factored through claims.
 
     Saturation runs over ints. Sentences, assumptions and rules are numbered
-    in sorted order, and an argument is one int under its claim: its
-    assumption bits low, its rule bits above them. A rule's body is joined
-    left to right into a set of ints, so each distinct partial union is
-    extended once, however many combinations produce it. Rounds are
-    semi-naive: a rule fires again only on combinations holding an argument
-    found in the previous round, which takes that round's pool at one body
-    position, older pools before it and full pools after it.
+    in sorted order; the assumptions and their contraries are read off the
+    sentence numbers, with no `Literal` built for them. An argument is one
+    int under its claim: its assumption bits low, its rule bits above them.
+    A rule's body is joined left to right into a set of ints, so each
+    distinct partial union is extended once, however many combinations
+    produce it. Rounds are semi-naive: a rule fires again only on
+    combinations holding an argument found in the previous round, which
+    takes that round's pool at one body position, older pools before it
+    and full pools after it.
 
     Since the numbering follows the sorted order, sorting on (claim number,
     assumption bit positions, rule bit positions) gives the canonical order
@@ -209,15 +210,25 @@ def argument_table(
     fact masks are computed once per distinct mask, and no triple is built:
     `ArgumentTable.arguments` builds them on first read.
     """
-    assumptions = tuple(sorted(framework.assumptions))
+    atoms = sorted(framework.herbrand_base)
+    # every sentence an argument can claim, in Literal order without a sort:
+    # atom k is sentence 2k and its negation-as-failure 2k + 1
+    sentences = tuple(Literal(a, n) for a in atoms for n in (False, True))
+    number = {lit: n for n, lit in enumerate(sentences)}
+    # the assumptions in sorted order, by sentence number: each atom's
+    # negation, after the atom itself if it is a fact
+    facts = framework.fact_assumptions
+    numbered = []
+    for k, atom in enumerate(atoms):
+        if atom in facts:
+            numbered.append(2 * k)
+        numbered.append(2 * k + 1)
+    assumptions = tuple(map(sentences.__getitem__, numbered))
     rules = tuple(sorted(framework.rules))
     width = len(assumptions)
-    # every sentence an argument can claim, in Literal order without a sort
-    sentences = tuple(Literal(a, n) for a in sorted(framework.herbrand_base) for n in (False, True))
-    number = {lit: n for n, lit in enumerate(sentences)}
     fresh: dict[int, set[int]] = defaultdict(set)
-    for bit, assumption in enumerate(assumptions):
-        fresh[number[assumption]].add(1 << bit)
+    for bit, n in enumerate(numbered):
+        fresh[n].add(1 << bit)
     readers: dict[int, list[tuple[int, tuple[int, ...], int]]] = defaultdict(list)
     for bit, rule in enumerate(rules, start=width):
         head = number[Literal(rule.head)]
@@ -292,10 +303,11 @@ def argument_table(
         for mask in masks
     )
     # by assumption bit: its contrary's number (None for the fact contrary,
-    # which is no sentence), and its bit among the fact assumptions
-    contrary = [number.get(framework.contrary_of(a)) for a in assumptions]
-    bit_of = fact_bits(framework.fact_assumptions)
-    fact_bit = [0 if a.negated else bit_of[a.atom] for a in assumptions]
+    # which is no sentence), and its bit among the fact assumptions, which
+    # come in sorted order as `worlds.fact_bits` numbers them
+    contrary = [n - 1 if n & 1 else None for n in numbered]
+    bit_of = {n: 1 << j for j, n in enumerate(n for n in numbered if not n & 1)}
+    fact_bit = [bit_of.get(n, 0) for n in numbered]
     decoded: dict[int, tuple[tuple[int, ...], int]] = {}
     for a in assumption_masks:
         contraries, fact_mask = [], 0

@@ -290,25 +290,55 @@ def _parse_seed_range(text: str) -> tuple[int, int]:
     return first, last
 
 
+def _answers(report) -> tuple:
+    """What a lone and a shared report on one query must agree on."""
+    return (
+        report.success_probability,
+        report.grounded_query_probability,
+        report.argument_probability_sum,
+        report.holds,
+    )
+
+
 def cmd_check(args: argparse.Namespace) -> tuple[int, dict, list[str]]:
     caps = resolve_caps(args)
     first, last = args.seed_range
     queries = 0
+    # (seed, program, report, what failed beyond `holds`, its JSON keys)
     counterexamples = []
     with warnings.catch_warnings():
         # generated programs are sometimes empty, and that is expected here
         warnings.filterwarnings("ignore", "degenerate framework", UserWarning)
         for seed in range(first, last + 1):
             program = random_program(seed)
-            reports = check_program(ground(program, caps), caps)
+            gp = ground(program, caps)
+            reports = check_program(gp, caps)
             queries += len(reports)
             # both routes share the world weights, so only the input checks them:
             # no rule head is a fact atom, so a fact succeeds with its declared p
             declared = {pf.atom: pf.prob for pf in program.pfacts}
             for r in reports:
                 p = declared.get(r.query, r.success_probability)
-                if not r.holds or p != r.success_probability:
-                    counterexamples.append((seed, program, r, p))
+                if p != r.success_probability:
+                    mismatch = f"; the declared probability {p} did not match"
+                    counterexamples.append(
+                        (seed, program, r, mismatch, {"declared_probability": probability_doc(p)})
+                    )
+                elif not r.holds:
+                    counterexamples.append((seed, program, r, "", {}))
+            # one seeded query per program also runs alone, as `arglog query`
+            # runs it: its success probability then comes from the distribution
+            # route's own pass over the worlds, not from the shared traces
+            if reports:
+                shared = reports[seed % len(reports)]
+                lone = check_query(shared.query, gp, caps)
+                if _answers(lone) != _answers(shared):
+                    mismatch = (
+                        f"; alone it did not give the shared answers (success probability "
+                        f"{shared.success_probability}, grounded "
+                        f"{shared.grounded_query_probability})"
+                    )
+                    counterexamples.append((seed, program, lone, mismatch, {}))
     doc = {
         "command": "check",
         "seeds": f"{first}..{last}",
@@ -322,17 +352,13 @@ def cmd_check(args: argparse.Namespace) -> tuple[int, dict, list[str]]:
             f"PASS: seeds {doc['seeds']}, {doc['programs']} programs, "
             f"{doc['queries']} queries, 0 counterexamples"
         ]
-    seed, program, report, p = counterexamples[0]
-    mismatch = ""
-    if p != report.success_probability:
-        doc["declared_probability"] = probability_doc(p)
-        mismatch = f"; the declared probability {p} did not match"
+    seed, program, report, mismatch, keys = counterexamples[0]
     with open(args.dump, "w", encoding="utf-8") as handle:
         handle.write(f"% seed {seed}, query {report.query}{mismatch}\n")
         handle.write(f"% success probability {report.success_probability}, ")
         handle.write(f"grounded {report.grounded_query_probability}\n")
         handle.write(program.to_source())
-    doc |= {
+    doc |= keys | {
         "seed": seed,
         "query": str(report.query),
         "dump": args.dump,

@@ -8,7 +8,7 @@ from typing import Iterable, Iterator
 from .limits import Caps
 from .model import Atom, GroundProgram, ProbFact, Rule, matches
 from .wfm import WellFoundedKernel, well_founded_model
-from .worlds import enumerate_worlds
+from .worlds import enumerate_worlds, weighted_worlds
 
 
 def induced_program(total_choice: frozenset[Atom], gp: GroundProgram) -> frozenset[Rule]:
@@ -33,15 +33,22 @@ def success_probability(
     model is then asked for them bit by bit, so no model builds its set of
     true atoms. Undefined does not count as success. The kernel evaluates
     the choices a block of worlds at a time; a model is a view of its block.
+    The choices and their integer numerators come from `weighted_worlds`: a
+    block's successful low numerators are summed, times the block's high
+    numerator, and one `Fraction` is built at the end.
     """
     if query.is_ground:
         instances = [query]
     else:
         instances = [atom for atom in gp.herbrand_base if matches(query, atom)]
     kernel = WellFoundedKernel(gp.rules, gp.herbrand_base, gp.fact_atoms)
-    total = Fraction(0)
-    for choice, prob in total_choices(gp.pfacts, max_pfacts):
-        model = well_founded_model(gp.rules, gp.herbrand_base, choice, kernel)
-        if prob and any(map(model.is_true, instances)):
-            total += prob
-    return total
+    lows, highs, denominator = weighted_worlds(gp.pfacts, max_pfacts)
+    total = 0
+    for high_set, high in highs:
+        successes = 0
+        for low_set, low in lows:
+            model = well_founded_model(gp.rules, gp.herbrand_base, high_set | low_set, kernel)
+            if any(map(model.is_true, instances)):
+                successes += low
+        total += high * successes
+    return Fraction(total, denominator)

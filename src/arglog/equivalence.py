@@ -15,10 +15,12 @@ keeps each block's true vectors. A query that shares those traces (as in
 `check_program`) is answered by masked sums over the engine's cached block
 labellings: its success probability at the OR of its instances' true
 vectors, its grounded ones, as on every path, from the engine's
-`query_masses`. It walks no world. A lone query instead takes its success probability from
-`success_probability`, the distribution semantics' own pass over the
-worlds: `arglog query` then compares the very functions that its
-`--semantics dist` and `--semantics arg` print. Both routes weigh worlds by
+`query_masses`. It walks no world. A lone query instead takes its success
+probability from `success_probability`, the distribution semantics' own
+pass over the worlds, which sums integer numerators: `arglog query` then
+compares the very functions that its `--semantics dist` and
+`--semantics arg` print, and `arglog check` compares one lone query per
+program with its shared report. Both routes weigh worlds by
 `worlds.world_numerators`, so no check here can catch a defect in them.
 """
 

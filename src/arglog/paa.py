@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, reduce
-from itertools import chain
+from itertools import chain, compress
 from operator import and_
 from typing import Iterable, Iterator
 
@@ -35,6 +35,7 @@ from .worlds import (
     fact_bits,
     masked_sum,
     world_mask,
+    world_flags,
     world_numerators,
     world_table,
 )
@@ -116,12 +117,20 @@ class PaaEngine:
     def evaluations(self) -> Iterator[tuple[frozenset[Atom], Fraction, frozenset[int]]]:
         """(world, probability, accepted indices) for every world, in mask
         order: the rows of `world_table`, each with the world's applicable
-        arguments whose IN bit is set in the world's block."""
-        vectors, width = self.in_vectors(), block_width(len(self._bit))
-        for mask, (world, prob) in enumerate(self.worlds()):
-            inside, bit = vectors[mask // width], 1 << mask % width
-            accepted = frozenset(i for i in self.applicable_indices(world) if inside[i] & bit)
-            yield world, prob, accepted
+        arguments that are IN in the world. Each block's IN vectors are
+        transposed once into a list per world of the arguments IN there, and
+        the world's applicable set is intersected with its list, so an IN bit
+        where the argument is not applicable is dropped."""
+        rows = iter(self.worlds())
+        worlds = range(block_width(len(self._bit)))
+        for inside in self.in_vectors():
+            in_world: list[list[int]] = [[] for _ in worlds]
+            for i, vector in enumerate(inside):
+                for w in compress(worlds, world_flags(vector)):
+                    in_world[w].append(i)
+            # the block's lists first: zip then takes no row past the block
+            for indices, (world, prob) in zip(in_world, rows):
+                yield world, prob, self.applicable_indices(world).intersection(indices)
 
     def mass(self, vectors: Iterable[int]) -> Fraction:
         """Probability mass at the set bits of `vectors`, one vector per block

@@ -66,16 +66,18 @@ def world_numerators(
     return lows, highs, prod(pf.prob.denominator for pf in facts)
 
 
-def enumerate_worlds(
+def weighted_worlds(
     pfacts: Iterable[ProbFact], max_pfacts: int = Caps.max_pfacts
-) -> Iterator[tuple[int, frozenset[Atom], Fraction]]:
-    """Every world as (mask, world, probability), in mask order.
+) -> tuple[list[tuple[frozenset[Atom], int]], list[tuple[frozenset[Atom], int]], int]:
+    """(lows, highs, denominator): the numerators of `world_numerators`, each
+    paired with the chosen atoms it weighs. The world of mask
+    (block << b) + w, with b = block_bits(n), chooses the union of the sets
+    of lows[w] and highs[block], and has probability the product of their
+    numerators over the denominator.
 
-    Probabilities sum to exactly 1 and come from `world_numerators`. The
-    chosen atoms come from two tables built like its numerators, each
-    doubled once per fact: per low part of a mask (its b = block_bits(n) low
-    facts) and per high part (the rest). A world is then one union of a
-    high and a low set, plus one exact division.
+    The sets are built like the numerators, each table doubled once per
+    fact: per low part of a mask (its b low facts) and per high part (the
+    rest).
     """
     facts = sorted(pfacts, key=lambda pf: pf.atom)
     lows, highs, denominator = world_numerators(facts, max_pfacts)
@@ -84,9 +86,23 @@ def enumerate_worlds(
     for i, pf in enumerate(facts):
         table = low_sets if i < b else high_sets
         table += [chosen | {pf.atom} for chosen in table]
-    for block, (high_set, high) in enumerate(zip(high_sets, highs)):
-        for w, (low_set, low) in enumerate(zip(low_sets, lows)):
-            yield block << b | w, high_set | low_set, Fraction(high * low, denominator)
+    return list(zip(low_sets, lows)), list(zip(high_sets, highs)), denominator
+
+
+def enumerate_worlds(
+    pfacts: Iterable[ProbFact], max_pfacts: int = Caps.max_pfacts
+) -> Iterator[tuple[int, frozenset[Atom], Fraction]]:
+    """Every world as (mask, world, probability), in mask order.
+
+    Probabilities sum to exactly 1 and come from `world_numerators`, through
+    `weighted_worlds`: a world is one union of a high and a low set, plus one
+    exact division.
+    """
+    lows, highs, denominator = weighted_worlds(pfacts, max_pfacts)
+    width = len(lows)
+    for block, (high_set, high) in enumerate(highs):
+        for w, (low_set, low) in enumerate(lows):
+            yield block * width + w, high_set | low_set, Fraction(high * low, denominator)
 
 
 def world_table(
@@ -140,8 +156,14 @@ def block_fact_vectors(n: int, block: int) -> list[int]:
     return vectors
 
 
+def world_flags(vector: int) -> bytes:
+    """A per-world vector as bytes, byte w 1 where bit w is set and 0 where
+    it is not, up to its highest set bit; a selector for `compress`."""
+    return format(vector, "b").encode().translate(_BYTE_OF_BIT)[::-1]
+
+
 def masked_sum(values: Sequence[int], vector: int) -> int:
     """The sum of `values[w]` over the set bits w of a per-world vector."""
     if not vector:
         return 0
-    return sum(compress(values, format(vector, "b").encode().translate(_BYTE_OF_BIT)[::-1]))
+    return sum(compress(values, world_flags(vector)))

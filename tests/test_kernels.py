@@ -4,7 +4,7 @@ world enumeration and its blocks, and the one-evaluation-per-world contract."""
 import ast
 from collections import defaultdict
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 from pathlib import Path
 
 import pytest
@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import arglog.aba as aba_module
 import arglog.cli as cli_module
+import arglog.equivalence as equivalence_module
 import arglog.paa as paa_module
 import arglog.wfm as wfm_module
 import arglog.worlds as worlds_module
@@ -36,6 +37,7 @@ from arglog.aba import (
     enumerate_arguments,
 )
 from arglog.cli import main
+from arglog.distribution import success_probability, total_choices
 from arglog.equivalence import mismatched_worlds, world_traces
 from arglog.model import Literal, ProbFact, Rule
 from arglog.semantics import grounded_block, grounded_extension_of
@@ -51,7 +53,7 @@ from arglog.worlds import (
     world_table,
 )
 
-from conftest import FIXTURES, chain_source
+from conftest import FIXTURES, chain_source, load_fixture
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "arglog"
 
@@ -795,6 +797,98 @@ def test_chain_6_spans_four_blocks_and_both_routes_give_one_64th():
     report = check_query(Atom("a6"), gp)
     assert report.success_probability == report.grounded_query_probability == Fraction(1, 64)
     assert report.holds
+
+
+# --- the lone query's per-world passes on ints ---
+
+
+LONE_PROGRAMS = (
+    [ground(random_program(seed)) for seed in range(400)]
+    + [ground(parse_program(chain_source(n))) for n in range(1, 6)]
+    + [load_fixture("reach.pl")]
+)
+
+
+def reference_evaluations(engine):
+    """Reference: the rows of `world_table`, each with the world's applicable
+    arguments whose IN bit is set in the world, tested one by one."""
+    vectors, width = engine.in_vectors(), 2 ** block_bits(len(engine.gp.pfacts))
+    for mask, (world, prob) in enumerate(world_table(engine.gp.pfacts)):
+        inside, bit = vectors[mask // width], 1 << mask % width
+        accepted = frozenset(i for i in engine.applicable_indices(world) if inside[i] & bit)
+        yield world, prob, accepted
+
+
+@pytest.mark.parametrize("bits", [worlds_module.BLOCK_BITS, 1])
+@pytest.mark.filterwarnings("ignore:degenerate framework")
+def test_evaluations_equal_the_per_argument_reference(bits, monkeypatch):
+    monkeypatch.setattr(worlds_module, "BLOCK_BITS", bits)
+    for gp in LONE_PROGRAMS:
+        engine = PaaEngine(gp)
+        assert list(engine.evaluations()) == list(reference_evaluations(engine))
+
+
+@pytest.mark.parametrize("bits", [worlds_module.BLOCK_BITS, 1])
+def test_evaluations_drop_an_in_bit_where_the_argument_is_not_applicable(bits, monkeypatch):
+    monkeypatch.setattr(worlds_module, "BLOCK_BITS", bits)
+    gp = ground(parse_program(chain_source(3)))
+    width = 2 ** block_bits(len(gp.pfacts))
+    engine = PaaEngine(gp)
+    # x1's one argument is applicable only where x1 (bit 0) is chosen
+    (x1,) = engine.query_argument_indices(Atom("x1"))
+    vectors = [list(inside) for inside in engine.in_vectors()]
+    vectors[36 // width][x1] ^= 1 << 36 % width
+    engine.in_vectors = lambda: vectors
+    rows = list(engine.evaluations())
+    assert rows == list(reference_evaluations(engine))
+    assert x1 not in rows[36][2] and x1 in rows[37][2]
+    traces = world_traces(gp, engine)
+    assert [not t.model_matches_claims for t in traces] == [m == 36 for m in range(64)]
+
+
+def reference_success(query, gp, worlds=None):
+    """Reference: `Fraction` sums over `total_choices`, or over the first
+    `worlds` of them, asking each `well_founded_model` view with
+    `succeeds`, which matches the query against the model's true atoms."""
+    kernel = WellFoundedKernel(gp.rules, gp.herbrand_base, gp.fact_atoms)
+    total = Fraction(0)
+    for choice, prob in islice(total_choices(gp.pfacts), worlds):
+        if succeeds(well_founded_model(gp.rules, gp.herbrand_base, choice, kernel), query):
+            total += prob
+    return total
+
+
+@pytest.mark.parametrize("bits", [worlds_module.BLOCK_BITS, 1])
+@pytest.mark.filterwarnings("ignore:degenerate framework")
+def test_success_probability_equals_the_per_world_fraction_reference(bits, monkeypatch):
+    monkeypatch.setattr(worlds_module, "BLOCK_BITS", bits)
+    for gp in LONE_PROGRAMS:
+        queries = sorted(gp.herbrand_base) + [Atom("zz")]
+        if any(atom.args for atom in queries):
+            # the Datalog program: non-ground queries, one with no instance
+            queries += [Atom("q", ("X",)), Atom("e", ("X", "Y")), Atom("p", ("a", "X"))]
+            queries += [Atom("e", ("X", "X")), Atom("zz", ("X",))]
+        for query in queries:
+            assert success_probability(query, gp) == reference_success(query, gp), query
+
+
+def test_check_catches_a_lone_success_pass_that_drops_the_last_block(capsys, monkeypatch, tmp_path):
+    """`check` also answers one query per program alone, through
+    `success_probability`, so a defect there fails it; the shared reports
+    never call it."""
+
+    def dropping_the_last_block(query, gp, max_pfacts=24):
+        kept = 2 ** len(gp.pfacts) - 2 ** block_bits(len(gp.pfacts))
+        return reference_success(query, gp, kept)
+
+    monkeypatch.setattr(worlds_module, "BLOCK_BITS", 1)
+    monkeypatch.setattr(equivalence_module, "success_probability", dropping_the_last_block)
+    dump = tmp_path / "counterexample.pl"
+    code = main(["check", "--seed-range", "0..199", "--dump", str(dump)])
+    assert code == 3
+    headline = capsys.readouterr().err.splitlines()[0]
+    assert "alone it did not give the shared answers" in headline
+    assert "alone it did not give the shared answers" in dump.read_text(encoding="utf-8")
 
 
 # --- separation of the two routes ---
