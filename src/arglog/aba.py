@@ -194,70 +194,78 @@ def argument_table(
     `argument_sort_key`, with the attack relation factored through claims.
 
     Saturation runs over ints. Sentences, assumptions and rules are numbered
-    in sorted order; the assumptions and their contraries are read off the
-    sentence numbers, with no `Literal` built for them. An argument is one
-    int under its claim: its assumption bits low, its rule bits above them.
-    A rule's body is joined left to right into a set of ints, so each
-    distinct partial union is extended once, however many combinations
-    produce it. Rounds are semi-naive: a rule fires again only on
-    combinations holding an argument found in the previous round, which
-    takes that round's pool at one body position, older pools before it
-    and full pools after it.
+    in sorted order: atom k is sentence 2k and its negation-as-failure
+    2k + 1, so a literal's number is read off its atom's, and the
+    assumptions and their contraries off the sentence numbers, with no
+    `Literal` built for them. An argument is one int under its claim: its
+    assumption bits low, its rule bits above them. A rule's body is joined
+    left to right into a set of ints, so each distinct partial union is
+    extended once, however many combinations produce it.
+
+    Rounds are semi-naive: a rule fires again only on combinations holding
+    an argument found in the previous round, the delta. Such a combination
+    is joined at the body position of its first delta argument: older
+    arguments before that position, the delta there, all arguments after
+    it. Each distinct body claim is joined at its first occurrence only.
+    That is exact because union is commutative: a combination whose first
+    delta argument sits at a later occurrence of claim c holds an older
+    argument for c at c's first occurrence, and swapping the two gives a
+    combination of the first occurrence's join with the same union.
 
     Since the numbering follows the sorted order, sorting on (claim number,
     assumption bit positions, rule bit positions) gives the canonical order
-    without comparing any `Literal` or `Rule`. Bit positions, contraries and
-    fact masks are computed once per distinct mask, and no triple is built:
-    `ArgumentTable.arguments` builds them on first read.
+    without comparing any `Literal` or `Rule`. One pass over the arguments
+    decodes them, computing bit positions, contraries and fact masks once
+    per distinct mask, and no triple is built: `ArgumentTable.arguments`
+    builds them on first read.
     """
     atoms = sorted(framework.herbrand_base)
-    # every sentence an argument can claim, in Literal order without a sort:
-    # atom k is sentence 2k and its negation-as-failure 2k + 1
+    number = {atom: 2 * k for k, atom in enumerate(atoms)}
+    # every sentence an argument can claim, in Literal order without a sort
     sentences = tuple(Literal(a, n) for a in atoms for n in (False, True))
-    number = {lit: n for n, lit in enumerate(sentences)}
     # the assumptions in sorted order, by sentence number: each atom's
     # negation, after the atom itself if it is a fact
     facts = framework.fact_assumptions
     numbered = []
-    for k, atom in enumerate(atoms):
+    for atom, n in number.items():
         if atom in facts:
-            numbered.append(2 * k)
-        numbered.append(2 * k + 1)
+            numbered.append(n)
+        numbered.append(n + 1)
     assumptions = tuple(map(sentences.__getitem__, numbered))
     rules = tuple(sorted(framework.rules))
     width = len(assumptions)
-    fresh: dict[int, set[int]] = defaultdict(set)
-    for bit, n in enumerate(numbered):
-        fresh[n].add(1 << bit)
-    readers: dict[int, list[tuple[int, tuple[int, ...], int]]] = defaultdict(list)
-    for bit, rule in enumerate(rules, start=width):
-        head = number[Literal(rule.head)]
-        if rule.is_fact:
-            fresh[head].add(1 << bit)
+    fresh = {n: {1 << bit} for bit, n in enumerate(numbered)}
+    # a rule with a body as (head, body claims, the position of each distinct
+    # claim's first occurrence, rule bit), in rule order; readers[n] holds
+    # the indices in `compiled` of the rules whose body holds sentence n
+    compiled: list[tuple[int, tuple[int, ...], tuple[int, ...], int]] = []
+    readers: dict[int, list[int]] = {}
+    for bit, (head, body) in enumerate(rules, start=width):
+        if not body:
+            fresh.setdefault(number[head], set()).add(1 << bit)
             continue
-        compiled = (head, tuple(map(number.__getitem__, rule.body)), 1 << bit)
-        for claim in set(compiled[1]):
-            readers[claim].append(compiled)
+        claims = tuple([number[lit.atom] + lit.negated for lit in body])
+        first: dict[int, int] = {}
+        for position, claim in enumerate(claims):
+            first.setdefault(claim, position)
+        for claim in first:
+            readers.setdefault(claim, []).append(len(compiled))
+        compiled.append((number[head], claims, tuple(first.values()), 1 << bit))
     found: list[set[int]] = [set() for _ in sentences]
-    count = sum(len(masks) for masks in fresh.values())
-
-    def refuse_past_cap() -> None:
-        if count > max_arguments:
-            raise CapExceeded(
-                f"argument saturation reached {count} arguments, "
-                f"past the cap of {max_arguments}",
-                cap="max_arguments",
-            )
+    count = sum(map(len, fresh.values()))
 
     while fresh:
-        refuse_past_cap()
+        if count > max_arguments:
+            raise _past_count_cap(count, max_arguments)
         for claim, masks in fresh.items():
             found[claim] |= masks
-        delta, fresh = fresh, defaultdict(set)
-        old = {claim: found[claim] - masks for claim, masks in delta.items()}
-        firing = {rule for claim in delta for rule in readers.get(claim, ())}
-        for head, body, rule_bit in firing:
-            for position, claim in enumerate(body):
+        delta, fresh = fresh, {}
+        old = {claim: found[claim] - masks for claim, masks in delta.items() if claim in readers}
+        # rules fire in rule order, each at most once a round
+        for index in sorted({i for claim in delta for i in readers.get(claim, ())}):
+            head, body, first, rule_bit = compiled[index]
+            for position in first:
+                claim = body[position]
                 if claim not in delta:
                     continue
                 pools = (
@@ -267,15 +275,22 @@ def argument_table(
                 )
                 if not all(pools):
                     continue
-                partial = {rule_bit}
-                for pool in pools:
+                # the first pool's unions are at most its arguments, which
+                # the count below keeps under the cap
+                partial = {rule_bit | mask for mask in pools[0]}
+                for pool in pools[1:]:
+                    # a join holds at most the product of its two sides
+                    if len(partial) * len(pool) <= max_arguments:
+                        partial = {mask | other for mask in partial for other in pool}
+                        continue
                     # the unions a join holds count against the cap like
                     # arguments: their number grows with the product of the
-                    # pool sizes, however few arguments come out, so the
-                    # join is built row by row and refused once past the cap
+                    # pool sizes, however few arguments come out, so a join
+                    # that may pass the cap is built row by row and refused
+                    # once past it
                     joined: set[int] = set()
                     for mask in partial:
-                        joined.update(map(mask.__or__, pool))
+                        joined.update([mask | other for other in pool])
                         if len(joined) > max_arguments:
                             rule = rules[rule_bit.bit_length() - 1 - width]
                             raise CapExceeded(
@@ -288,50 +303,61 @@ def argument_table(
                 if head in fresh:
                     partial -= fresh[head]
                 if partial:
-                    fresh[head] |= partial
+                    fresh.setdefault(head, set()).update(partial)
                     count += len(partial)
-                    refuse_past_cap()
+                    if count > max_arguments:
+                        raise _past_count_cap(count, max_arguments)
 
-    # bit positions, contraries and fact masks once per distinct mask
-    low = (1 << width) - 1
-    assumption_masks = {mask & low for masks in found for mask in masks}
-    rule_masks = {mask >> width for masks in found for mask in masks}
-    positions = {m: _bits(m) for m in assumption_masks | rule_masks}
-    rows = sorted(
-        (claim, positions[mask & low], positions[mask >> width], mask)
-        for claim, masks in enumerate(found)
-        for mask in masks
-    )
-    # by assumption bit: its contrary's number (None for the fact contrary,
-    # which is no sentence), and its bit among the fact assumptions, which
-    # come in sorted order as `worlds.fact_bits` numbers them
+    # one pass over the arguments; bit positions, contraries and fact masks
+    # are computed once per distinct mask. By assumption bit: its contrary's
+    # number (None for the fact contrary, which is no sentence), and its bit
+    # among the fact assumptions, which come in sorted order as
+    # `worlds.fact_bits` numbers them
     contrary = [n - 1 if n & 1 else None for n in numbered]
     bit_of = {n: 1 << j for j, n in enumerate(n for n in numbered if not n & 1)}
     fact_bit = [bit_of.get(n, 0) for n in numbered]
-    decoded: dict[int, tuple[tuple[int, ...], int]] = {}
-    for a in assumption_masks:
-        contraries, fact_mask = [], 0
-        for b in positions[a]:
-            if contrary[b] is None:
-                fact_mask |= fact_bit[b]
-            else:
-                contraries.append(contrary[b])
-        decoded[a] = (tuple(contraries), fact_mask)
-    masks = tuple([mask for _, _, _, mask in rows])
-    by_argument = [decoded[mask & low] for mask in masks]
-    return ArgumentTable(
-        tuple([claim for claim, _, _, _ in rows]),
-        tuple([contraries for contraries, _ in by_argument]),
-        tuple([fact_mask for _, fact_mask in by_argument]),
-        sentences,
-        assumptions,
-        rules,
-        masks,
+    low = (1 << width) - 1
+    by_assumptions: dict[int, tuple[tuple[int, ...], tuple[int, ...], int]] = {}
+    by_rules: dict[int, tuple[int, ...]] = {}
+    rows = []
+    for claim, masks in enumerate(found):
+        for mask in masks:
+            decoded = by_assumptions.get(mask & low)
+            if decoded is None:
+                positions = _bits(mask & low)
+                contraries, fact_mask = [], 0
+                for b in positions:
+                    if contrary[b] is None:
+                        fact_mask |= fact_bit[b]
+                    else:
+                        contraries.append(contrary[b])
+                decoded = by_assumptions[mask & low] = (positions, tuple(contraries), fact_mask)
+            rule_positions = by_rules.get(mask >> width)
+            if rule_positions is None:
+                rule_positions = by_rules[mask >> width] = _bits(mask >> width)
+            # (claim, positions, rule positions) tell rows apart, so the sort
+            # never compares past them
+            rows.append((claim, decoded[0], rule_positions, mask, decoded[1], decoded[2]))
+    rows.sort()
+    claims, _, _, masks, contraries, fact_masks = tuple(zip(*rows)) or ((),) * 6
+    return ArgumentTable(claims, contraries, fact_masks, sentences, assumptions, rules, masks)
+
+
+def _past_count_cap(count: int, max_arguments: int) -> CapExceeded:
+    return CapExceeded(
+        f"argument saturation reached {count} arguments, past the cap of {max_arguments}",
+        cap="max_arguments",
     )
+
+
+# the positions of the set bits of each mask below 256, looked up by `_bits`
+_BYTE_BITS = tuple(tuple(b for b in range(8) if m >> b & 1) for m in range(256))
 
 
 def _bits(mask: int) -> tuple[int, ...]:
     """The positions of the set bits of a mask, in increasing order."""
+    if mask < 256:
+        return _BYTE_BITS[mask]
     positions = []
     while mask:
         low = mask & -mask

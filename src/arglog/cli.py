@@ -312,7 +312,8 @@ def cmd_check(args: argparse.Namespace) -> tuple[int, dict, list[str]]:
         for seed in range(first, last + 1):
             program = random_program(seed)
             gp = ground(program, caps)
-            reports = check_program(gp, caps)
+            engine = PaaEngine(gp, caps)
+            reports = check_program(gp, caps, engine)
             queries += len(reports)
             # both routes share the world weights, so only the input checks them:
             # no rule head is a fact atom, so a fact succeeds with its declared p
@@ -327,11 +328,12 @@ def cmd_check(args: argparse.Namespace) -> tuple[int, dict, list[str]]:
                 elif not r.holds:
                     counterexamples.append((seed, program, r, "", {}))
             # one seeded query per program also runs alone, as `arglog query`
-            # runs it: its success probability then comes from the distribution
-            # route's own pass over the worlds, not from the shared traces
+            # runs it: on the same engine, but with its own world traces, and its
+            # success probability from the distribution route's own pass over
+            # the worlds, not from the shared traces
             if reports:
                 shared = reports[seed % len(reports)]
-                lone = check_query(shared.query, gp, caps)
+                lone = check_query(shared.query, gp, caps, engine=engine)
                 if _answers(lone) != _answers(shared):
                     mismatch = (
                         f"; alone it did not give the shared answers (success probability "

@@ -198,9 +198,13 @@ def check_query(
     return EquivalenceReport(query, success, *engine.query_masses(query), world_traces=traces)
 
 
-def check_program(gp: GroundProgram, caps: Caps = Caps()) -> list[EquivalenceReport]:
-    """One report per Herbrand atom, sharing a single per-world evaluation."""
-    engine = PaaEngine(gp, caps)
+def check_program(
+    gp: GroundProgram, caps: Caps = Caps(), engine: PaaEngine | None = None
+) -> list[EquivalenceReport]:
+    """One report per Herbrand atom, sharing a single per-world evaluation
+    and one engine, built here unless given."""
+    if engine is None:
+        engine = PaaEngine(gp, caps)
     traces = world_traces(gp, engine)
     return [
         check_query(atom, gp, caps, engine=engine, traces=traces)

@@ -239,6 +239,16 @@ def test_the_unions_a_join_holds_count_against_the_argument_cap():
     assert rest == "partial unions in the join of rule 'h :- b1, b2, b3, c', past the cap of 5000"
 
 
+def test_of_two_joins_past_the_cap_the_rule_first_in_sorted_order_is_named():
+    # both joins pass the cap in the same round; rules fire in sorted order,
+    # whatever the order of the source or of any set
+    for last_clause in ("c.\ng :- b3, b2, b1, c.", "g :- b3, b2, b1, c.\nc."):
+        framework = framework_of(join_program(last_clause))
+        with pytest.raises(CapExceeded, match="^argument saturation held ") as refusal:
+            enumerate_arguments(framework, max_arguments=5000)
+        assert "the join of rule 'g :- b3, b2, b1, c'" in str(refusal.value)
+
+
 def test_canonical_argument_order_is_reproducible():
     source = "0.3::b.\na :- b, \\+ c.\nd :- \\+ d.\n"
     first, second = aaf_of(source), aaf_of(source)

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from arglog import ground, random_program
+from arglog import PaaEngine, ground, random_program
 from arglog.cli import main
 
 from conftest import fixture_path
@@ -232,6 +232,21 @@ def test_check_json_summary(capsys):
     assert doc["pass"] is True
     assert doc["programs"] == 3
     assert doc["counterexamples"] == 0
+
+
+def test_check_builds_one_engine_per_program(capsys, monkeypatch):
+    # the shared reports and the lone query read one engine's saturation
+    built = []
+    original = PaaEngine.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(PaaEngine, "__init__", counted)
+    code, out, _ = run(capsys, "check", "--seed-range", "0..9")
+    assert code == 0 and "PASS" in out
+    assert len(built) == 10
 
 
 def forget_self_attacks(monkeypatch):

@@ -498,6 +498,76 @@ def test_mask_keyed_order_is_the_canonical_order_with_repeated_body_literals(pro
     assert table.arguments == tuple(sorted(reference_arguments(framework), key=argument_sort_key))
 
 
+@pytest.mark.parametrize(
+    "name",
+    ["random18", "random19", "random102", "random162"]
+    + [f"chain{n}" for n in range(1, 6)]
+    + ["reach"],
+)
+def test_the_table_is_the_sorted_reference_on_the_heaviest_programs(name):
+    # the corpus' four slowest tables, the ladder's rungs and a Datalog program
+    if name.startswith("random"):
+        gp = ground(random_program(int(name.removeprefix("random"))))
+    elif name.startswith("chain"):
+        gp = ground(parse_program(chain_source(int(name.removeprefix("chain")))))
+    else:
+        gp = load_fixture("reach.pl")
+    framework = build_problog_aba(gp)
+    table = argument_table(framework)
+    assert table.arguments == tuple(sorted(reference_arguments(framework), key=argument_sort_key))
+
+
+def naive_arguments(framework):
+    """Reference: naive saturation over Argument triples. Every round joins
+    each rule's whole body over all arguments found so far, keeping the
+    distinct (assumptions, rules) unions per position; no round is skipped
+    and no body position either. The unions stay few where the combinations
+    of a long body do not, which `reference_arguments` would enumerate."""
+    found = {
+        Argument(frozenset({assumption}), assumption, frozenset())
+        for assumption in framework.assumptions
+    }
+    found |= {
+        Argument(frozenset(), Literal(rule.head), frozenset({rule}))
+        for rule in framework.rules
+        if rule.is_fact
+    }
+    while True:
+        by_claim = defaultdict(list)
+        for arg in found:
+            by_claim[arg.claim].append(arg)
+        derived = set()
+        for rule in framework.rules:
+            partial = {(frozenset(), frozenset({rule}))}
+            for lit in rule.body:
+                partial = {
+                    (support | sub.assumptions, used | sub.rules_used)
+                    for support, used in partial
+                    for sub in by_claim[lit]
+                }
+            derived |= {Argument(support, Literal(rule.head), used) for support, used in partial}
+        if derived <= found:
+            return frozenset(found)
+        found |= derived
+
+
+# bodies of up to six literals over two claims, such as b :- c, a, c, c, a;
+# a join at each distinct claim's first occurrence must find every argument
+two_claim_bodies = st.tuples(body_literals, body_literals).flatmap(
+    lambda pair: st.lists(st.sampled_from(pair), max_size=6).map(tuple)
+)
+two_claim_rules = st.builds(Rule, st.sampled_from(ATOMS[:3]), two_claim_bodies)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.frozensets(two_claim_rules | repeating_rules, max_size=5))
+def test_the_table_is_the_naive_reference_with_bodies_repeating_two_claims(program):
+    pfacts = frozenset({ProbFact(Fraction(1, 2), Atom("d"))})
+    framework = build_problog_aba(ground(Program(program, pfacts)))
+    table = argument_table(framework)
+    assert table.arguments == tuple(sorted(naive_arguments(framework), key=argument_sort_key))
+
+
 def assert_rows_decode_their_arguments(framework):
     """Each row of the table against its argument: the per-mask decode must
     give the row's own claim, contraries and fact mask."""
