@@ -20,14 +20,13 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 
 from .distribution import success_probability
-from .equivalence import WorldTrace, check_program, check_query, random_program
+from .equivalence import WorldTrace, check_program, check_query, random_program, weight_failures
 from .errors import ArglogError, CapExceeded
 from .grounder import ground
 from .limits import Caps
 from .model import GroundProgram
 from .paa import PaaEngine
 from .parser import parse_program, parse_query
-from .worlds import block_fact_vectors
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -185,36 +184,11 @@ def cmd_query(args: argparse.Namespace) -> tuple[int, dict, list[str]]:
         ]
         if "worlds" in eq:
             lines += ["worlds:"] + [_trace_line(row) for row in eq["worlds"]]
-        failures = _query_failures(report, engine)
+        failures = report.failures + weight_failures(engine)
         if failures:
             doc["failure"] = "; ".join(failures)
             return EXIT_COUNTEREXAMPLE, doc, lines + [f"FAIL: {doc['failure']}"]
     return EXIT_OK, doc, lines
-
-
-def _query_failures(report, engine: PaaEngine) -> list[str]:
-    """What a cross-checked query found wrong, one phrase per failure.
-
-    Both routes weigh worlds alike, so only the input checks the weights:
-    no rule head is a fact atom, so each probabilistic fact must weigh its
-    declared probability, the mass at its fact vectors."""
-    failures = []
-    if not report.probabilities_equal:
-        failures.append("the back ends disagree")
-    if not report.sum_bounds_success:
-        failures.append("the argument sum does not bound the success probability")
-    if not report.world_traces.all_match:
-        failures.append("a world's well-founded model does not match its accepted claims")
-    declared = {pf.atom: pf.prob for pf in engine.gp.pfacts}
-    blocks = range(len(engine.in_vectors()))
-    vectors = [block_fact_vectors(len(declared), block) for block in blocks]
-    for bit, atom in enumerate(sorted(declared)):
-        mass = engine.mass(facts[bit] for facts in vectors)
-        if mass != declared[atom]:
-            failures.append(
-                f"the declared probability {declared[atom]} of {atom} did not match its mass {mass}"
-            )
-    return failures
 
 
 def cmd_show(args: argparse.Namespace) -> tuple[int, dict, list[str]]:
@@ -290,22 +264,11 @@ def _parse_seed_range(text: str) -> tuple[int, int]:
     return first, last
 
 
-def _answers(report) -> tuple:
-    """What a lone and a shared report on one query must agree on."""
-    return (
-        report.success_probability,
-        report.grounded_query_probability,
-        report.argument_probability_sum,
-        report.holds,
-    )
-
-
 def cmd_check(args: argparse.Namespace) -> tuple[int, dict, list[str]]:
     caps = resolve_caps(args)
     first, last = args.seed_range
     queries = 0
-    # (seed, program, report, what failed beyond `holds`, its JSON keys)
-    counterexamples = []
+    counterexamples = []  # (seed, program, report, what failed)
     with warnings.catch_warnings():
         # generated programs are sometimes empty, and that is expected here
         warnings.filterwarnings("ignore", "degenerate framework", UserWarning)
@@ -315,32 +278,24 @@ def cmd_check(args: argparse.Namespace) -> tuple[int, dict, list[str]]:
             engine = PaaEngine(gp, caps)
             reports = check_program(gp, caps, engine)
             queries += len(reports)
-            # both routes share the world weights, so only the input checks them:
-            # no rule head is a fact atom, so a fact succeeds with its declared p
-            declared = {pf.atom: pf.prob for pf in program.pfacts}
-            for r in reports:
-                p = declared.get(r.query, r.success_probability)
-                if p != r.success_probability:
-                    mismatch = f"; the declared probability {p} did not match"
-                    counterexamples.append(
-                        (seed, program, r, mismatch, {"declared_probability": probability_doc(p)})
-                    )
-                elif not r.holds:
-                    counterexamples.append((seed, program, r, "", {}))
-            # one seeded query per program also runs alone, as `arglog query`
-            # runs it: on the same engine, but with its own world traces, and its
-            # success probability from the distribution route's own pass over
-            # the worlds, not from the shared traces
-            if reports:
-                shared = reports[seed % len(reports)]
-                lone = check_query(shared.query, gp, caps, engine=engine)
-                if _answers(lone) != _answers(shared):
-                    mismatch = (
-                        f"; alone it did not give the shared answers (success probability "
-                        f"{shared.success_probability}, grounded "
-                        f"{shared.grounded_query_probability})"
-                    )
-                    counterexamples.append((seed, program, lone, mismatch, {}))
+            if not reports:
+                continue  # no atom, so no query to report a failure on
+            # the seeded query carries what is checked once per program: the
+            # world weights against the input, and its success probability
+            # from the distribution route's own pass over the worlds, which
+            # the shared reports never call
+            seeded = reports[seed % len(reports)]
+            program_failures = weight_failures(engine)
+            lone = success_probability(seeded.query, gp, caps.max_pfacts)
+            if lone != seeded.success_probability:
+                program_failures.append(
+                    f"alone it did not give the shared answers (success probability "
+                    f"{lone}, not {seeded.success_probability})"
+                )
+            for report in reports:
+                failures = report.failures + (program_failures if report is seeded else [])
+                if failures:
+                    counterexamples.append((seed, program, report, "; ".join(failures)))
     doc = {
         "command": "check",
         "seeds": f"{first}..{last}",
@@ -354,21 +309,22 @@ def cmd_check(args: argparse.Namespace) -> tuple[int, dict, list[str]]:
             f"PASS: seeds {doc['seeds']}, {doc['programs']} programs, "
             f"{doc['queries']} queries, 0 counterexamples"
         ]
-    seed, program, report, mismatch, keys = counterexamples[0]
+    seed, program, report, failure = counterexamples[0]
     with open(args.dump, "w", encoding="utf-8") as handle:
-        handle.write(f"% seed {seed}, query {report.query}{mismatch}\n")
+        handle.write(f"% seed {seed}, query {report.query}; {failure}\n")
         handle.write(f"% success probability {report.success_probability}, ")
         handle.write(f"grounded {report.grounded_query_probability}\n")
         handle.write(program.to_source())
-    doc |= keys | {
+    doc |= {
         "seed": seed,
         "query": str(report.query),
+        "failure": failure,
         "dump": args.dump,
         "worlds": [_trace_row(t) for t in report.world_traces],
     }
     return EXIT_COUNTEREXAMPLE, doc, [
         f"FAIL: {doc['counterexamples']} counterexample(s); first at seed {doc['seed']}, "
-        f"query {doc['query']}{mismatch}; program written to {doc['dump']}"
+        f"query {doc['query']}; {failure}; program written to {doc['dump']}"
     ] + [_trace_line(row) for row in doc["worlds"]]
 
 

@@ -19,9 +19,12 @@ vectors, its grounded ones, as on every path, from the engine's
 probability from `success_probability`, the distribution semantics' own
 pass over the worlds, which sums integer numerators: `arglog query` then
 compares the very functions that its `--semantics dist` and
-`--semantics arg` print, and `arglog check` compares one lone query per
-program with its shared report. Both routes weigh worlds by
-`worlds.world_numerators`, so no check here can catch a defect in them.
+`--semantics arg` print, and `arglog check` compares one query's
+`success_probability` per program with its shared report's. Both routes
+weigh worlds by `worlds.world_numerators`, so no comparison of the routes
+can catch a defect in them; `weight_failures` checks them against the
+input instead. `EquivalenceReport.failures` and `weight_failures` phrase
+every failure that `arglog query` and `arglog check` report.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from .limits import Caps
 from .model import Atom, GroundProgram, Literal, ProbFact, Program, Rule
 from .paa import PaaEngine
 from .wfm import ThreeValuedModel, WellFoundedKernel, well_founded_model
-from .worlds import block_width
+from .worlds import block_fact_vectors, block_width
 
 
 class WorldTrace(NamedTuple):
@@ -83,12 +86,20 @@ class EquivalenceReport:
         return self.success_probability <= self.argument_probability_sum
 
     @property
+    def failures(self) -> list[str]:
+        """What the report found wrong, one phrase per failed condition."""
+        failures = []
+        if not self.probabilities_equal:
+            failures.append("the back ends disagree")
+        if not self.sum_bounds_success:
+            failures.append("the argument sum does not bound the success probability")
+        if not self.world_traces.all_match:
+            failures.append("a world's well-founded model does not match its accepted claims")
+        return failures
+
+    @property
     def holds(self) -> bool:
-        return (
-            self.probabilities_equal
-            and self.sum_bounds_success
-            and self.world_traces.all_match
-        )
+        return not self.failures
 
 
 def mismatched_worlds(
@@ -196,6 +207,29 @@ def check_query(
             reduce(or_, [sure[k] for k in rows], 0) for sure in traces.true_vectors
         )
     return EquivalenceReport(query, success, *engine.query_masses(query), world_traces=traces)
+
+
+def weight_failures(engine: PaaEngine) -> list[str]:
+    """What the input finds wrong with the world weights, one phrase per failure.
+
+    Both routes weigh worlds alike, so only the input checks the weights:
+    the worlds weigh 1 in total, the mass at the full vector of every block,
+    and, as no rule head is a fact atom, each probabilistic fact weighs its
+    declared probability, the mass at its fact vectors."""
+    declared = {pf.atom: pf.prob for pf in engine.gp.pfacts}
+    n = len(declared)
+    vectors = [block_fact_vectors(n, block) for block in range(len(engine.in_vectors()))]
+    failures = []
+    total = engine.mass((1 << block_width(n)) - 1 for _ in vectors)
+    if total != 1:
+        failures.append(f"the worlds weigh {total} in total, not 1")
+    for bit, atom in enumerate(sorted(declared)):
+        mass = engine.mass(facts[bit] for facts in vectors)
+        if mass != declared[atom]:
+            failures.append(
+                f"the declared probability {declared[atom]} of {atom} did not match its mass {mass}"
+            )
+    return failures
 
 
 def check_program(

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+import arglog.equivalence as equivalence_module
 from arglog import PaaEngine, ground, random_program
 from arglog.cli import main
 
@@ -235,18 +236,24 @@ def test_check_json_summary(capsys):
 
 
 def test_check_builds_one_engine_per_program(capsys, monkeypatch):
-    # the shared reports and the lone query read one engine's saturation
-    built = []
-    original = PaaEngine.__init__
+    # the shared reports and the lone success probability read one engine's
+    # saturation, and the worlds are traced once per program
+    built, traced = [], []
+    original, original_traces = PaaEngine.__init__, equivalence_module.world_traces
 
     def counted(self, *args, **kwargs):
         built.append(self)
         original(self, *args, **kwargs)
 
+    def counted_traces(*args):
+        traced.append(args)
+        return original_traces(*args)
+
     monkeypatch.setattr(PaaEngine, "__init__", counted)
+    monkeypatch.setattr(equivalence_module, "world_traces", counted_traces)
     code, out, _ = run(capsys, "check", "--seed-range", "0..9")
     assert code == 0 and "PASS" in out
-    assert len(built) == 10
+    assert len(built) == len(traced) == 10
 
 
 def forget_self_attacks(monkeypatch):
@@ -292,6 +299,8 @@ def test_check_catches_a_corrupted_build(capsys, monkeypatch, tmp_path):
     assert rows == listing
     assert any(row.endswith(" match=NO") for row in rows)
     assert failure.startswith("FAIL: ") and "does not match its accepted claims" in failure
+    # both commands name the failure in the same words
+    assert f"; {failure.removeprefix('FAIL: ')}; program written to" in headline
 
 
 def swap_world_weights(monkeypatch):
@@ -319,6 +328,11 @@ def test_check_catches_world_weights_that_both_routes_share(capsys, monkeypatch,
     assert code == 3
     assert "the declared probability" in err.splitlines()[0]
     assert "did not match" in dump.read_text(encoding="utf-8").splitlines()[0]
+    code, out, err = run(
+        capsys, "check", "--seed-range", "0..199", "--dump", str(dump), "--format", "json"
+    )
+    assert code == 3 and not out
+    assert json.loads(err)["failure"].startswith("the declared probability ")
 
 
 def test_query_catches_world_weights_that_both_routes_share(capsys, monkeypatch, tmp_path):
@@ -335,6 +349,43 @@ def test_query_catches_world_weights_that_both_routes_share(capsys, monkeypatch,
     code, out, err = run(capsys, "query", str(program), "--query", "q", "--format", "json")
     assert code == 3 and not out
     assert json.loads(err)["failure"].startswith("the declared probability 3/10 of a")
+
+
+def bump_the_first_world_weight(monkeypatch):
+    """Mutation: the first world of every block weighs one numerator more.
+    Both routes still agree. With at most `BLOCK_BITS` facts, every fact's
+    vector lies inside one block and never holds its first world, so each
+    fact still weighs its declared probability; only the total weight sees
+    the bump."""
+    import arglog.paa as paa_module
+    import arglog.worlds as worlds_module
+
+    original = worlds_module.world_numerators
+
+    def bumped(*args):
+        lows, highs, denominator = original(*args)
+        return [lows[0] + 1, *lows[1:]], highs, denominator
+
+    for module in (worlds_module, paa_module):
+        monkeypatch.setattr(module, "world_numerators", bumped)
+
+
+def test_check_and_query_catch_world_weights_that_do_not_sum_to_one(
+    capsys, monkeypatch, tmp_path
+):
+    bump_the_first_world_weight(monkeypatch)
+    dump = tmp_path / "counterexample.pl"
+    code, _, err = run(capsys, "check", "--seed-range", "0..199", "--dump", str(dump))
+    assert code == 3
+    assert "in total, not 1" in err.splitlines()[0]
+    program = tmp_path / "fact.pl"
+    program.write_text("0.3::a. q :- \\+ a.\n", encoding="utf-8")
+    code, out, err = run(capsys, "query", str(program), "--query", "q")
+    assert code == 3 and not out
+    # the routes agree on the bumped weight, 4/5 where 7/10 is right
+    assert "success probability (distribution): 4/5 (0.8)" in err
+    assert "back ends agree exactly: yes" in err
+    assert err.splitlines()[-1] == "FAIL: the worlds weigh 11/10 in total, not 1"
 
 
 @pytest.mark.parametrize(

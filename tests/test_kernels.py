@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 import arglog.aba as aba_module
 import arglog.cli as cli_module
-import arglog.equivalence as equivalence_module
 import arglog.paa as paa_module
 import arglog.wfm as wfm_module
 import arglog.worlds as worlds_module
@@ -943,16 +942,16 @@ def test_success_probability_equals_the_per_world_fraction_reference(bits, monke
 
 
 def test_check_catches_a_lone_success_pass_that_drops_the_last_block(capsys, monkeypatch, tmp_path):
-    """`check` also answers one query per program alone, through
-    `success_probability`, so a defect there fails it; the shared reports
-    never call it."""
+    """`check` also answers one query per program through
+    `success_probability`, the name the CLI imports, so a defect there fails
+    it; the shared reports never call it."""
 
     def dropping_the_last_block(query, gp, max_pfacts=24):
         kept = 2 ** len(gp.pfacts) - 2 ** block_bits(len(gp.pfacts))
         return reference_success(query, gp, kept)
 
     monkeypatch.setattr(worlds_module, "BLOCK_BITS", 1)
-    monkeypatch.setattr(equivalence_module, "success_probability", dropping_the_last_block)
+    monkeypatch.setattr(cli_module, "success_probability", dropping_the_last_block)
     dump = tmp_path / "counterexample.pl"
     code = main(["check", "--seed-range", "0..199", "--dump", str(dump)])
     assert code == 3
