@@ -9,9 +9,12 @@ correspondence the equality rests on: true atoms of the well-founded model
 are exactly the accepted atomic claims, false atoms exactly the atoms whose
 negation-as-failure is an accepted claim.
 
-`world_traces` evaluates every world once on each route. Besides the
-per-world rows, which the listings and a counterexample's dump print, it
-keeps each block's true vectors. A query that shares those traces (as in
+`world_traces` evaluates every world once on each route. Its per-world
+rows, which the listings and a counterexample's dump print, are views of
+their block: a row keeps its world, its model and its bit, and builds its
+probability and accepted claims when they are read. Per block, it also
+checks that no argument is IN in a world that lacks its facts, and keeps
+the block's true vectors. A query that shares those traces (as in
 `check_program`) is answered by masked sums over the engine's cached block
 labellings: its success probability at the OR of its instances' true
 vectors, its grounded ones, as on every path, from the engine's
@@ -33,7 +36,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import islice
+from itertools import compress
 from operator import or_
 from typing import NamedTuple, Sequence
 
@@ -42,17 +45,73 @@ from .limits import Caps
 from .model import Atom, GroundProgram, Literal, ProbFact, Program, Rule
 from .paa import PaaEngine
 from .wfm import ThreeValuedModel, WellFoundedKernel, well_founded_model
-from .worlds import block_fact_vectors, block_width
+from .worlds import block_fact_vectors, block_width, weighted_worlds
 
 
-class WorldTrace(NamedTuple):
-    """One world's view from both back ends, plus whether they agree."""
+class _Block(NamedTuple):
+    """What the rows of one block of worlds share: each argument's claim and
+    IN vector, the block's high numerator, the low numerators and the
+    common denominator."""
 
-    world: frozenset[Atom]
-    probability: Fraction
-    model: ThreeValuedModel
-    accepted_claims: frozenset[Literal]
-    model_matches_claims: bool
+    claim_of: list[Literal]
+    inside: list[int]
+    high: int
+    lows: list[int]
+    denominator: int
+
+
+class WorldTrace:
+    """One world's view from both back ends, plus whether they agree.
+
+    A row is a view of its block of worlds, as its `ThreeValuedModel` is: it
+    keeps the world, the model, whether they agree and the world's place in
+    the block. `probability` is one `Fraction` from the world's numerator,
+    and `accepted_claims` the claims of the arguments IN at the world's bit;
+    both are built each time they are read, and neither is kept. A row
+    compares, hashes and pickles as the tuple of its five `_fields`.
+    """
+
+    __slots__ = ("world", "model", "model_matches_claims", "_block", "_w")
+    _fields = ("world", "probability", "model", "accepted_claims", "model_matches_claims")
+
+    def __init__(
+        self,
+        world: frozenset[Atom],
+        model: ThreeValuedModel,
+        model_matches_claims: bool,
+        block: _Block,
+        w: int,
+    ):
+        self.world, self.model, self.model_matches_claims = world, model, model_matches_claims
+        self._block, self._w = block, w
+
+    @property
+    def probability(self) -> Fraction:
+        block = self._block
+        return Fraction(block.high * block.lows[self._w], block.denominator)
+
+    @property
+    def accepted_claims(self) -> frozenset[Literal]:
+        bit = 1 << self._w
+        return frozenset(compress(self._block.claim_of, [v & bit for v in self._block.inside]))
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, field) for field in self._fields)
+
+    def __eq__(self, other):
+        if isinstance(other, (WorldTrace, tuple)):
+            return self._key() == tuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __iter__(self):
+        return iter(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self))
+        return f"{self.__class__.__qualname__}({fields})"
 
 
 class WorldTraces(tuple):
@@ -61,12 +120,14 @@ class WorldTraces(tuple):
 
     `true_vectors` holds, per block of worlds, the kernel's true vector per
     atom, numbered by `index`. `all_match` says whether every world's model
-    matched its accepted claims.
+    matched its accepted claims, and `all_applicable` whether every argument
+    IN in a world was applicable there.
     """
 
     true_vectors: list[list[int]]
     index: dict[Atom, int]
     all_match: bool
+    all_applicable: bool
 
 
 @dataclass(frozen=True)
@@ -95,6 +156,10 @@ class EquivalenceReport:
             failures.append("the argument sum does not bound the success probability")
         if not self.world_traces.all_match:
             failures.append("a world's well-founded model does not match its accepted claims")
+        if not self.world_traces.all_applicable:
+            failures.append(
+                "a world's grounded extension accepts an argument whose facts the world lacks"
+            )
         return failures
 
     @property
@@ -131,38 +196,57 @@ def mismatched_worlds(
     return mismatch
 
 
+def stray_worlds(inside: Sequence[int], applicable: Sequence[int]) -> int:
+    """The worlds of a block, as a bit vector, where some argument is IN but
+    not applicable: `inside[i]` and `applicable[i]` are argument i's IN and
+    applicable vectors."""
+    stray = 0
+    for in_vector, applicable_vector in zip(inside, applicable, strict=True):
+        stray |= in_vector & ~applicable_vector
+    return stray
+
+
 def world_traces(gp: GroundProgram, engine: PaaEngine) -> WorldTraces:
     """Evaluate every world (including zero-probability ones) on both routes.
 
-    The worlds, their probabilities and accepted arguments are the engine's
-    `evaluations`, read a block at a time, in mask order. Each route
-    evaluates each world once, a block of worlds at a time, and whether a
-    world's model matches its accepted claims is read from one
-    `mismatched_worlds` vector per block. The kernel's true vectors are
-    kept with the rows (see `WorldTraces`).
+    Worlds come a block at a time, in mask order, from the set and
+    numerator tables of `weighted_worlds`; each route evaluates each world
+    once, a block of worlds at a time. Per block, the worlds whose model
+    does not match their accepted claims are one `mismatched_worlds` vector,
+    and those where an argument is IN without being applicable one
+    `stray_worlds` vector, over the engine's `applicable_vectors`, the
+    vectors that `applicable_indices` transposes. Per world, the row is a
+    view of the block (see `WorldTrace`) holding the world's well-founded
+    model. The kernel's true vectors are kept with the rows (see
+    `WorldTraces`).
     """
     kernel = WellFoundedKernel(gp.rules, gp.herbrand_base, gp.fact_atoms)
     claim_of = engine.claim_of
     claiming: list[tuple[list[int], list[int]]] = [([], []) for _ in kernel.atoms]
     for i, claim in enumerate(claim_of):
         claiming[kernel.index[claim.atom]][claim.negated].append(i)
-    evaluations = engine.evaluations()
-    width = block_width(len(gp.pfacts))
+    lows, highs, denominator = weighted_worlds(gp.pfacts, engine.caps.max_pfacts)
+    low_numerators = [low for _, low in lows]
     rows, true_vectors = [], []
-    mismatches = 0
-    for block, inside in enumerate(engine.in_vectors()):
+    mismatches = strays = 0
+    blocks = zip(highs, engine.in_vectors(), strict=True)
+    for block, ((high_set, high), inside) in enumerate(blocks):
         sure, false, _ = kernel.block_vectors(block)
         true_vectors.append(sure)
         mismatch = mismatched_worlds(sure, false, inside, claiming)
         mismatches |= mismatch
-        for world, prob, accepted in islice(evaluations, width):
+        strays |= stray_worlds(inside, engine.applicable_vectors(block))
+        shared = _Block(claim_of, inside, high, low_numerators, denominator)
+        for w, (low_set, _) in enumerate(lows):
+            world = high_set | low_set
             model = well_founded_model(gp.rules, gp.herbrand_base, world, kernel)
-            claims = frozenset(map(claim_of.__getitem__, accepted))
-            rows.append(WorldTrace(world, prob, model, claims, not mismatch & 1))
-            mismatch >>= 1
+            # the world's framework, which the benchmark's tracer counts
+            # (perfbench/tracing.py); the check above reads the vectors
+            engine.applicable_indices(world)
+            rows.append(WorldTrace(world, model, not mismatch >> w & 1, shared, w))
     traces = WorldTraces(rows)
     traces.true_vectors, traces.index = true_vectors, kernel.index
-    traces.all_match = not mismatches
+    traces.all_match, traces.all_applicable = not mismatches, not strays
     return traces
 
 

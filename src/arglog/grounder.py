@@ -28,7 +28,7 @@ def ground(program: Program, caps: Caps = Caps()) -> GroundProgram:
     """
     if program.violations:
         raise GroundingError("; ".join(v.message for v in program.violations))
-    open_rules = [(rule, vs) for rule in program.rules if (vs := tuple(rule.variables()))]
+    open_rules = list(program.rule_variables.items())
     constants = constants_of(program.atoms) if open_rules else []
     instances = len(program.rules) - len(open_rules)
     instances += sum(len(constants) ** len(vs) for _, vs in open_rules)

@@ -148,8 +148,9 @@ def format_probability(p: Fraction) -> str:
 class Program:
     """A set of rules plus a set of probabilistic facts.
 
-    Its atoms and its violations are computed once, on first use, and kept
-    with it: `parse_program` validates a program and `ground` reuses both.
+    Its atoms, its rules' variables and its violations are computed once,
+    on first use, and kept with it: `parse_program` validates a program and
+    `ground` reuses all three.
     """
 
     rules: frozenset[Rule] = frozenset()
@@ -159,6 +160,11 @@ class Program:
     def atoms(self) -> frozenset[Atom]:
         """`herbrand_base` of the clauses as written."""
         return herbrand_base(self.rules, self.pfacts)
+
+    @cached_property
+    def rule_variables(self) -> dict[Rule, tuple[str, ...]]:
+        """The rules that have variables, each with its variables."""
+        return {rule: variables for rule in self.rules if (variables := tuple(rule.variables()))}
 
     @cached_property
     def violations(self) -> tuple[Violation, ...]:
@@ -209,11 +215,15 @@ def validate(program: Program) -> list[Violation]:
     not depend on the order, the clauses are sorted only once one is.
     """
     unordered = (program.atoms, program.rules, program.pfacts)
-    return _violations(*unordered) and _violations(*map(sorted, unordered))
+    open_rules = program.rule_variables
+    return _violations(*unordered, open_rules) and _violations(*map(sorted, unordered), open_rules)
 
 
 def _violations(
-    atoms: Collection[Atom], rules: Collection[Rule], pfacts: Collection[ProbFact]
+    atoms: Collection[Atom],
+    rules: Collection[Rule],
+    pfacts: Collection[ProbFact],
+    open_rules: Collection[Rule],
 ) -> list[Violation]:
     violations: list[Violation] = []
     for atom in atoms:
@@ -236,11 +246,12 @@ def _violations(
             )
         else:
             seen[pf.atom] = pf
-    constants = constants_of(atoms)
-    for rule in rules:
-        reason = ungroundable_reason(rule, constants)
-        if reason is not None:
-            violations.append(Violation("rule_not_groundable", reason, rule))
+    # a rule without variables is its own ground instance
+    if open_rules:
+        constants = constants_of(atoms)
+        for rule in rules:
+            if rule in open_rules and (reason := ungroundable_reason(rule, constants)):
+                violations.append(Violation("rule_not_groundable", reason, rule))
     for pf in pfacts:
         reason = nonground_reason(pf)
         if reason is not None:
@@ -261,11 +272,9 @@ def _violations(
 
 
 def ungroundable_reason(rule: Rule, constants: Collection[str]) -> str | None:
-    """Why the rule cannot be finitely grounded over the program's
-    `constants`: some head variable occurs in no positive body literal, or
-    the rule has variables and there are no constants. None when it can be."""
-    if not rule.variables():
-        return None
+    """Why a rule with variables cannot be finitely grounded over the
+    program's `constants`: some head variable occurs in no positive body
+    literal, or there are no constants. None when it can be."""
     unrestricted = rule.head.variables()
     for atom in rule.positive_atoms():
         unrestricted -= atom.variables()

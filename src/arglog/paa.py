@@ -61,6 +61,12 @@ class PaaEngine:
         for i, need in enumerate(table.fact_masks):
             self._by_need.setdefault(need, []).append(i)
         self.claim_of = [table.sentences[c] for c in table.claims]
+        self._width = block_width(len(self._bit))
+        # the last block of worlds asked for, its group vectors and, once
+        # `applicable_indices` has asked, per world of it the applicable arguments
+        self._kept_block = -1
+        self._kept_groups: list[int] = []
+        self._kept_lists: list[list[int]] | None = None
         self._claiming: dict[Atom, list[int]] = {}
         for i, claim in enumerate(self.claim_of):
             if not claim.negated:
@@ -81,10 +87,42 @@ class PaaEngine:
     def worlds(self) -> list[tuple[frozenset[Atom], Fraction]]:
         return world_table(self.gp.pfacts, self.caps.max_pfacts)
 
+    def _group_vectors(self, block: int) -> list[int]:
+        """Per fact-support group of `_by_need`, in its order, the worlds of
+        a block that hold every fact of the group's need: the AND of the
+        facts' vectors. Those of the last block asked for are kept."""
+        if block != self._kept_block:
+            vectors = block_fact_vectors(len(self._bit), block)
+            full = (1 << self._width) - 1
+            self._kept_groups = [
+                reduce(and_, [vectors[i] for i in range(need.bit_length()) if need >> i & 1], full)
+                for need in self._by_need
+            ]
+            self._kept_block, self._kept_lists = block, None
+        return self._kept_groups
+
+    def applicable_vectors(self, block: int) -> list[int]:
+        """Per argument, the worlds of a block where it is applicable: those
+        that hold all of its facts."""
+        active = [0] * len(self.claim_of)
+        for vector, group in zip(self._group_vectors(block), self._by_need.values()):
+            for i in group:
+                active[i] = vector
+        return active
+
     def applicable_indices(self, world: frozenset[Atom]) -> frozenset[int]:
-        mask = world_mask(self._bit, world)
-        groups = [group for need, group in self._by_need.items() if need & mask == need]
-        return frozenset(chain.from_iterable(groups))
+        """The arguments whose facts the world holds, looked up in one list
+        per world of its block: the block's `applicable_vectors`, transposed
+        a fact-support group at a time. The lists of one block are kept."""
+        block, w = divmod(world_mask(self._bit, world), self._width)
+        groups = self._group_vectors(block)
+        if self._kept_lists is None:
+            worlds = range(self._width)
+            self._kept_lists = [[] for _ in worlds]
+            for vector, group in zip(groups, self._by_need.values()):
+                for v in compress(worlds, world_flags(vector)):
+                    self._kept_lists[v] += group
+        return frozenset(self._kept_lists[w])
 
     @cached_property
     def _labels(self) -> tuple[list[int], list[tuple[int, list[int]]], int]:
@@ -92,20 +130,13 @@ class PaaEngine:
         each argument's IN vector, and the common denominator, as
         `world_numerators` gives them; computed on first use.
 
-        An argument's active vector is the AND of its facts' vectors over the
-        block, and one block labelling gives each argument's IN vector.
+        One block labelling of the arguments' applicable vectors gives each
+        argument's IN vector.
         """
         lows, highs, denominator = world_numerators(self.gp.pfacts, self.caps.max_pfacts)
-        n, full = len(self._bit), (1 << len(lows)) - 1
-        supports = {need: [i for i in range(n) if need >> i & 1] for need in self._by_need}
         blocks = []
-        active = [0] * len(self.claim_of)
         for block, high in enumerate(highs):
-            vectors = block_fact_vectors(n, block)
-            for need, group in self._by_need.items():
-                vector = reduce(and_, [vectors[i] for i in supports[need]], full)
-                for i in group:
-                    active[i] = vector
+            active = self.applicable_vectors(block)
             inside = grounded_block(active, self._table.claims, self._table.contraries)
             blocks.append((high, inside))
         return lows, blocks, denominator
@@ -119,10 +150,12 @@ class PaaEngine:
         order: the rows of `world_table`, each with the world's applicable
         arguments that are IN in the world. Each block's IN vectors are
         transposed once into a list per world of the arguments IN there, and
-        the world's applicable set is intersected with its list, so an IN bit
-        where the argument is not applicable is dropped."""
+        the world's applicable set, looked up by `applicable_indices` in the
+        block's lists, is intersected with its list. So an IN bit where the
+        argument is not applicable is dropped here; `world_traces` reports
+        it as a failure."""
         rows = iter(self.worlds())
-        worlds = range(block_width(len(self._bit)))
+        worlds = range(self._width)
         for inside in self.in_vectors():
             in_world: list[list[int]] = [[] for _ in worlds]
             for i, vector in enumerate(inside):

@@ -915,6 +915,64 @@ def test_evaluations_drop_an_in_bit_where_the_argument_is_not_applicable(bits, m
     assert [not t.model_matches_claims for t in traces] == [m == 36 for m in range(64)]
 
 
+@pytest.mark.parametrize("bits", [worlds_module.BLOCK_BITS, 1])
+@pytest.mark.filterwarnings("ignore:degenerate framework")
+def test_applicability_and_rows_follow_the_world_across_block_sizes(bits, monkeypatch):
+    """Each world's applicable arguments are those whose facts it holds, and
+    its row weighs what the world weighs and accepts the claims of the
+    arguments IN there, whatever the block a world falls in."""
+    monkeypatch.setattr(worlds_module, "BLOCK_BITS", bits)
+    programs = [ground(random_program(seed)) for seed in range(200)]
+    programs += [ground(parse_program(chain_source(n))) for n in range(1, 7)]
+    for gp in programs:
+        engine = PaaEngine(gp)
+        numbering = fact_bits(gp.fact_atoms)
+        needs = engine._table.fact_masks
+        claims = [arg.claim for arg in engine.arguments]
+        width = 2 ** block_bits(len(gp.pfacts))
+        traces = world_traces(gp, engine)
+        assert len(traces) == 2 ** len(gp.pfacts)
+        for mask, row in enumerate(traces):
+            assert world_mask(numbering, row.world) == mask
+            applicable = frozenset(i for i, need in enumerate(needs) if need & mask == need)
+            assert engine.applicable_indices(row.world) == applicable, (gp, mask)
+            assert row.probability == world_probability(row.world, gp.pfacts)
+            inside, w = engine.in_vectors()[mask // width], mask % width
+            accepted = frozenset(c for c, vector in zip(claims, inside) if vector >> w & 1)
+            assert row.accepted_claims == accepted, (gp, mask)
+        assert traces.all_match and traces.all_applicable
+
+
+def claim_wide(active, claims, contraries):
+    """A faulty labeller: the grounded labelling, then each argument IN
+    wherever an argument with its claim is IN, whether the world holds its
+    facts or not."""
+    inside = grounded_block(active, claims, contraries)
+    by_claim = defaultdict(int)
+    for claim, vector in zip(claims, inside):
+        by_claim[claim] |= vector
+    return [by_claim[claim] for claim in claims]
+
+
+def test_an_in_bit_where_the_world_lacks_the_facts_fails_query_and_check(
+    capsys, monkeypatch, tmp_path
+):
+    """q's two arguments share their claim, so accepting the one whose fact
+    the world lacks changes no accepted claim and no model: only the check
+    against each world's applicable arguments sees it."""
+    monkeypatch.setattr(paa_module, "grounded_block", claim_wide)
+    program = tmp_path / "two_ways.pl"
+    program.write_text("0.5::a.\n0.5::b.\nq :- a.\nq :- b.\n", encoding="utf-8")
+    assert main(["query", str(program), "--query", "q"]) == 3
+    err = capsys.readouterr().err
+    assert "per-argument probability sum: 3/2 (1.5)" in err
+    assert "FAIL: a world's grounded extension accepts an argument whose facts" in err
+    dump = tmp_path / "counterexample.pl"
+    assert main(["check", "--seed-range", "0..199", "--dump", str(dump)]) == 3
+    headline = capsys.readouterr().err.splitlines()[0]
+    assert "accepts an argument whose facts the world lacks" in headline
+
+
 def reference_success(query, gp, worlds=None):
     """Reference: `Fraction` sums over `total_choices`, or over the first
     `worlds` of them, asking each `well_founded_model` view with
