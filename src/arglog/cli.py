@@ -4,7 +4,8 @@ Commands: query (probability of an atom under either or both back ends),
 show (the argumentation view of a program), worlds (the world table with
 accepted claims), check (the seeded cross-check suite). Exit codes: 0 ok,
 1 input error or a reader that closed standard output, 2 resource-cap
-refusal, 3 counterexample found by check or by a cross-checked query.
+refusal or a run out of memory, 3 counterexample found by check, by a
+cross-checked query or by the world listing.
 
 All listings are canonically ordered so repeated runs are byte-identical.
 """
@@ -20,7 +21,8 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 
 from .distribution import success_probability
-from .equivalence import WorldTrace, check_program, check_query, random_program, weight_failures
+from .equivalence import WorldTrace, check_program, check_query, random_program
+from .equivalence import weight_failures, world_traces, world_weight
 from .errors import ArglogError, CapExceeded
 from .grounder import ground
 from .limits import Caps
@@ -140,6 +142,14 @@ def _trace_line(row: dict) -> str:
 # which it renders from the document alone; `main` prints one of the two.
 
 
+def _verdict(failures: list[str], doc: dict, lines: list[str]) -> tuple[int, dict, list[str]]:
+    """Exit 0, or exit 3 naming the failures under `failure` and in a last line."""
+    if not failures:
+        return EXIT_OK, doc, lines
+    doc["failure"] = "; ".join(failures)
+    return EXIT_COUNTEREXAMPLE, doc, lines + [f"FAIL: {doc['failure']}"]
+
+
 def cmd_query(args: argparse.Namespace) -> tuple[int, dict, list[str]]:
     caps = resolve_caps(args)
     gp = load_ground_program(args.file, caps)
@@ -184,10 +194,7 @@ def cmd_query(args: argparse.Namespace) -> tuple[int, dict, list[str]]:
         ]
         if "worlds" in eq:
             lines += ["worlds:"] + [_trace_line(row) for row in eq["worlds"]]
-        failures = report.failures + weight_failures(engine)
-        if failures:
-            doc["failure"] = "; ".join(failures)
-            return EXIT_COUNTEREXAMPLE, doc, lines + [f"FAIL: {doc['failure']}"]
+        return _verdict(report.failures + weight_failures(engine), doc, lines)
     return EXIT_OK, doc, lines
 
 
@@ -232,13 +239,11 @@ def cmd_show(args: argparse.Namespace) -> tuple[int, dict, list[str]]:
 def cmd_worlds(args: argparse.Namespace) -> tuple[int, dict, list[str]]:
     caps = resolve_caps(args)
     engine = PaaEngine(load_ground_program(args.file, caps), caps)
-    rows = []
-    total = Fraction(0)
-    for world, prob, accepted in engine.evaluations():
-        total += prob
-        rows.append(_world_row(world, prob, {engine.claim_of[i] for i in accepted}))
-    if total != 1:
-        raise RuntimeError(f"internal error: world probabilities sum to {total}, not exactly 1")
+    traces = world_traces(engine.gp, engine)
+    rows = [_world_row(t.world, t.probability, t.accepted_claims) for t in traces]
+    failures = traces.failures + weight_failures(engine)
+    del traces  # the rows hold all that is printed; free the views before rendering
+    total = world_weight(engine)
     doc = {"command": "worlds", "worlds": rows, "total_probability": probability_doc(total)}
     lines = [
         f"{_braced(row['world'])}  p={_probability_text(row['probability'])}  "
@@ -246,7 +251,7 @@ def cmd_worlds(args: argparse.Namespace) -> tuple[int, dict, list[str]]:
         for row in rows
     ]
     lines.append(f"total probability: {_probability_text(doc['total_probability'])}")
-    return EXIT_OK, doc, lines
+    return _verdict(failures, doc, lines)
 
 
 def _parse_seed_range(text: str) -> tuple[int, int]:
@@ -410,15 +415,23 @@ def main(argv=None) -> int:
             # a library warning is one line of standard error, not a source location
             warnings.showwarning = lambda msg, *_: print(f"warning: {msg}", file=sys.stderr)
             code, doc, lines = args.func(args)
+        if args.format == "json":
+            del lines  # as large as the document, and not printed: freed before rendering
+            text = json.dumps(doc, indent=2, sort_keys=True)
+        else:
+            text = "\n".join(lines)
     except CapExceeded as exc:
         setting = CAP_SETTINGS.get(exc.cap)
         hint = f"; raise it with {setting[0]} or {setting[1]}" if setting else ""
         print(f"error: {exc}{hint}", file=sys.stderr)
         return EXIT_CAP
+    except MemoryError:
+        hint = "a lower {} or {} refuses such a program".format(*CAP_SETTINGS["max_pfacts"])
+        print(f"error: out of memory; {hint}", file=sys.stderr)
+        return EXIT_CAP
     except (ArglogError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    text = json.dumps(doc, indent=2, sort_keys=True) if args.format == "json" else "\n".join(lines)
     try:
         # a counterexample's listing goes to standard error, like the other failures
         print(text, file=sys.stdout if code == EXIT_OK else sys.stderr, flush=True)

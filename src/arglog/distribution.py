@@ -8,7 +8,7 @@ from typing import Iterable, Iterator
 from .limits import Caps
 from .model import Atom, GroundProgram, ProbFact, Rule, matches
 from .wfm import WellFoundedKernel, well_founded_model
-from .worlds import enumerate_worlds, weighted_worlds
+from .worlds import weighted_worlds, world_table
 
 
 def induced_program(total_choice: frozenset[Atom], gp: GroundProgram) -> frozenset[Rule]:
@@ -20,7 +20,7 @@ def total_choices(
     pfacts: Iterable[ProbFact], max_pfacts: int = Caps.max_pfacts
 ) -> Iterator[tuple[frozenset[Atom], Fraction]]:
     """All subsets of the probabilistic-fact atoms with their probabilities."""
-    return ((choice, prob) for _, choice, prob in enumerate_worlds(pfacts, max_pfacts))
+    return iter(world_table(pfacts, max_pfacts))
 
 
 def success_probability(

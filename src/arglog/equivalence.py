@@ -10,24 +10,26 @@ are exactly the accepted atomic claims, false atoms exactly the atoms whose
 negation-as-failure is an accepted claim.
 
 `world_traces` evaluates every world once on each route. Its per-world
-rows, which the listings and a counterexample's dump print, are views of
-their block: a row keeps its world, its model and its bit, and builds its
-probability and accepted claims when they are read. Per block, it also
-checks that no argument is IN in a world that lacks its facts, and keeps
-the block's true vectors. A query that shares those traces (as in
-`check_program`) is answered by masked sums over the engine's cached block
-labellings: its success probability at the OR of its instances' true
-vectors, its grounded ones, as on every path, from the engine's
-`query_masses`. It walks no world. A lone query instead takes its success
-probability from `success_probability`, the distribution semantics' own
-pass over the worlds, which sums integer numerators: `arglog query` then
-compares the very functions that its `--semantics dist` and
-`--semantics arg` print, and `arglog check` compares one query's
+rows, which `arglog worlds`, `query --trace` and a counterexample's dump
+print, are views of their block: a row keeps its model, its match bit and
+its place in the block, and builds its world, its probability and its
+accepted claims when they are read, the claims from one transposition of
+the block's IN vectors. Per block, it also checks that no argument is IN in
+a world that lacks its facts, and keeps the block's true vectors. A query
+that shares those traces (as in `check_program`) is answered by masked sums
+over the engine's cached block labellings: its success probability at the
+OR of its instances' true vectors, its grounded ones, as on every path,
+from the engine's `query_masses`. It walks no world. A lone query instead
+takes its success probability from `success_probability`, the distribution
+semantics' own pass over the worlds, which sums integer numerators:
+`arglog query` then compares the very functions that its `--semantics dist`
+and `--semantics arg` print, and `arglog check` compares one query's
 `success_probability` per program with its shared report's. Both routes
 weigh worlds by `worlds.world_numerators`, so no comparison of the routes
-can catch a defect in them; `weight_failures` checks them against the
-input instead. `EquivalenceReport.failures` and `weight_failures` phrase
-every failure that `arglog query` and `arglog check` report.
+can catch a defect in them; `weight_failures` checks them against the input
+instead. `WorldTraces.failures`, `EquivalenceReport.failures` and
+`weight_failures` phrase every failure that `arglog query`, `arglog worlds`
+and `arglog check` report.
 """
 
 from __future__ import annotations
@@ -36,64 +38,67 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import compress
 from operator import or_
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .distribution import success_probability
 from .limits import Caps
 from .model import Atom, GroundProgram, Literal, ProbFact, Program, Rule
 from .paa import PaaEngine
 from .wfm import ThreeValuedModel, WellFoundedKernel, well_founded_model
-from .worlds import block_fact_vectors, block_width, weighted_worlds
+from .worlds import block_fact_vectors, block_width, weighted_worlds, world_lists
 
 
-class _Block(NamedTuple):
-    """What the rows of one block of worlds share: each argument's claim and
-    IN vector, the block's high numerator, the low numerators and the
-    common denominator."""
+@dataclass(eq=False)
+class _Block:
+    """What the rows of one block share: its high set and numerator, the low
+    (set, numerator) pairs and denominator of `weighted_worlds`, each argument's
+    claim (a one-item list) and IN vector, and `kept`, shared by all blocks."""
 
-    claim_of: list[Literal]
-    inside: list[int]
+    high_set: frozenset[Atom]
     high: int
-    lows: list[int]
+    lows: list[tuple[frozenset[Atom], int]]
     denominator: int
+    claims: list[list[Literal]]
+    inside: list[int]
+    kept: list
+
+    @property
+    def in_claims(self) -> list[list[Literal]]:
+        """Per world, the claims IN there; `kept` holds the last block's alone."""
+        if self.kept[0] is not self.inside:
+            self.kept[:] = self.inside, world_lists(len(self.lows), self.inside, self.claims)
+        return self.kept[1]
 
 
 class WorldTrace:
     """One world's view from both back ends, plus whether they agree.
 
     A row is a view of its block of worlds, as its `ThreeValuedModel` is: it
-    keeps the world, the model, whether they agree and the world's place in
-    the block. `probability` is one `Fraction` from the world's numerator,
-    and `accepted_claims` the claims of the arguments IN at the world's bit;
-    both are built each time they are read, and neither is kept. A row
-    compares, hashes and pickles as the tuple of its five `_fields`.
+    keeps the model, whether they agree, the block and the world's place `w`
+    in it. `world`, `probability` (one `Fraction`) and `accepted_claims`
+    (read in the block's transposed IN vectors) are built each time they
+    are read. A row compares, hashes and pickles as its five `_fields`.
     """
 
-    __slots__ = ("world", "model", "model_matches_claims", "_block", "_w")
+    __slots__ = ("model", "model_matches_claims", "_block", "_w")
     _fields = ("world", "probability", "model", "accepted_claims", "model_matches_claims")
 
-    def __init__(
-        self,
-        world: frozenset[Atom],
-        model: ThreeValuedModel,
-        model_matches_claims: bool,
-        block: _Block,
-        w: int,
-    ):
-        self.world, self.model, self.model_matches_claims = world, model, model_matches_claims
+    def __init__(self, model: ThreeValuedModel, model_matches_claims: bool, block: _Block, w: int):
+        self.model, self.model_matches_claims = model, model_matches_claims
         self._block, self._w = block, w
 
     @property
+    def world(self) -> frozenset[Atom]:
+        return self._block.high_set | self._block.lows[self._w][0]
+
+    @property
     def probability(self) -> Fraction:
-        block = self._block
-        return Fraction(block.high * block.lows[self._w], block.denominator)
+        return Fraction(self._block.high * self._block.lows[self._w][1], self._block.denominator)
 
     @property
     def accepted_claims(self) -> frozenset[Literal]:
-        bit = 1 << self._w
-        return frozenset(compress(self._block.claim_of, [v & bit for v in self._block.inside]))
+        return frozenset(self._block.in_claims[self._w])
 
     def _key(self) -> tuple:
         return tuple(getattr(self, field) for field in self._fields)
@@ -119,15 +124,14 @@ class WorldTraces(tuple):
     is answered from without walking them.
 
     `true_vectors` holds, per block of worlds, the kernel's true vector per
-    atom, numbered by `index`. `all_match` says whether every world's model
-    matched its accepted claims, and `all_applicable` whether every argument
-    IN in a world was applicable there.
+    atom, numbered by `index`. `failures` phrases what the worlds showed
+    wrong, one phrase per failed condition: a model that does not match its
+    accepted claims, or an argument IN in a world that lacks its facts.
     """
 
     true_vectors: list[list[int]]
     index: dict[Atom, int]
-    all_match: bool
-    all_applicable: bool
+    failures: list[str]
 
 
 @dataclass(frozen=True)
@@ -154,13 +158,7 @@ class EquivalenceReport:
             failures.append("the back ends disagree")
         if not self.sum_bounds_success:
             failures.append("the argument sum does not bound the success probability")
-        if not self.world_traces.all_match:
-            failures.append("a world's well-founded model does not match its accepted claims")
-        if not self.world_traces.all_applicable:
-            failures.append(
-                "a world's grounded extension accepts an argument whose facts the world lacks"
-            )
-        return failures
+        return failures + self.world_traces.failures
 
     @property
     def holds(self) -> bool:
@@ -221,13 +219,12 @@ def world_traces(gp: GroundProgram, engine: PaaEngine) -> WorldTraces:
     `WorldTraces`).
     """
     kernel = WellFoundedKernel(gp.rules, gp.herbrand_base, gp.fact_atoms)
-    claim_of = engine.claim_of
     claiming: list[tuple[list[int], list[int]]] = [([], []) for _ in kernel.atoms]
-    for i, claim in enumerate(claim_of):
+    for i, claim in enumerate(engine.claim_of):
         claiming[kernel.index[claim.atom]][claim.negated].append(i)
     lows, highs, denominator = weighted_worlds(gp.pfacts, engine.caps.max_pfacts)
-    low_numerators = [low for _, low in lows]
-    rows, true_vectors = [], []
+    claims = [[claim] for claim in engine.claim_of]
+    rows, true_vectors, kept = [], [], [None, None]
     mismatches = strays = 0
     blocks = zip(highs, engine.in_vectors(), strict=True)
     for block, ((high_set, high), inside) in enumerate(blocks):
@@ -236,17 +233,22 @@ def world_traces(gp: GroundProgram, engine: PaaEngine) -> WorldTraces:
         mismatch = mismatched_worlds(sure, false, inside, claiming)
         mismatches |= mismatch
         strays |= stray_worlds(inside, engine.applicable_vectors(block))
-        shared = _Block(claim_of, inside, high, low_numerators, denominator)
+        shared = _Block(high_set, high, lows, denominator, claims, inside, kept)
         for w, (low_set, _) in enumerate(lows):
             world = high_set | low_set
             model = well_founded_model(gp.rules, gp.herbrand_base, world, kernel)
             # the world's framework, which the benchmark's tracer counts
             # (perfbench/tracing.py); the check above reads the vectors
             engine.applicable_indices(world)
-            rows.append(WorldTrace(world, model, not mismatch >> w & 1, shared, w))
+            rows.append(WorldTrace(model, not mismatch >> w & 1, shared, w))
     traces = WorldTraces(rows)
-    traces.true_vectors, traces.index = true_vectors, kernel.index
-    traces.all_match, traces.all_applicable = not mismatches, not strays
+    traces.true_vectors, traces.index, traces.failures = true_vectors, kernel.index, []
+    if mismatches:
+        traces.failures.append("a world's well-founded model does not match its accepted claims")
+    if strays:
+        traces.failures.append(
+            "a world's grounded extension accepts an argument whose facts the world lacks"
+        )
     return traces
 
 
@@ -265,7 +267,7 @@ def check_query(
     whatever the number of queries. The success probability is the mass at
     the OR of the true vectors of the engine's `instance_atoms`, and the
     grounded ones come from the engine's `query_masses`, which finds the
-    arguments through its own claim index. On this path `all_match` implies
+    arguments through its own claim index. On this path empty `failures` imply
     `probabilities_equal` and `sum_bounds_success`: the two sides share the
     instances and the numerators, and where every world matches, each
     instance's true vector is the OR of its claiming arguments' IN vectors.
@@ -278,7 +280,7 @@ def check_query(
     the worlds with its own instance matching, so a lone query checks the
     functions that answer each route on its own. Either way the grounded
     probability and the argument sum come from one `query_masses` pass, and
-    `holds` reads the traces' `all_match`.
+    `holds` reads the traces' `failures`.
     """
     if engine is None:
         engine = PaaEngine(gp, caps)
@@ -293,18 +295,23 @@ def check_query(
     return EquivalenceReport(query, success, *engine.query_masses(query), world_traces=traces)
 
 
+def world_weight(engine: PaaEngine) -> Fraction:
+    """The mass of all the worlds, at the full vector of every block."""
+    return engine.mass((1 << block_width(len(engine.gp.pfacts))) - 1 for _ in engine.in_vectors())
+
+
 def weight_failures(engine: PaaEngine) -> list[str]:
     """What the input finds wrong with the world weights, one phrase per failure.
 
     Both routes weigh worlds alike, so only the input checks the weights:
-    the worlds weigh 1 in total, the mass at the full vector of every block,
-    and, as no rule head is a fact atom, each probabilistic fact weighs its
-    declared probability, the mass at its fact vectors."""
+    the worlds weigh 1 in total, their `world_weight`, and, as no rule head
+    is a fact atom, each probabilistic fact weighs its declared probability,
+    the mass at its fact vectors."""
     declared = {pf.atom: pf.prob for pf in engine.gp.pfacts}
     n = len(declared)
     vectors = [block_fact_vectors(n, block) for block in range(len(engine.in_vectors()))]
     failures = []
-    total = engine.mass((1 << block_width(n)) - 1 for _ in vectors)
+    total = world_weight(engine)
     if total != 1:
         failures.append(f"the worlds weigh {total} in total, not 1")
     for bit, atom in enumerate(sorted(declared)):

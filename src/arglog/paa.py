@@ -14,16 +14,17 @@ so it costs one entry per assumption and never one per attack. Every world is th
 of worlds per labelling. Each block's IN vectors are kept with the block's
 share of the world probability numerators from `worlds.world_numerators`;
 a probability is the sum of the worlds' integer numerators at the set bits
-of a vector, over one common denominator.
+of a vector, over one common denominator. The engine builds no row per
+world: `equivalence.world_traces` builds them from its vectors.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, reduce
-from itertools import chain, compress
+from itertools import chain
 from operator import and_
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .aba import AaFramework, Argument, argument_table, build_problog_aba, compute_attacks
 from .limits import Caps
@@ -34,8 +35,8 @@ from .worlds import (
     block_width,
     fact_bits,
     masked_sum,
+    world_lists,
     world_mask,
-    world_flags,
     world_numerators,
     world_table,
 )
@@ -117,11 +118,7 @@ class PaaEngine:
         block, w = divmod(world_mask(self._bit, world), self._width)
         groups = self._group_vectors(block)
         if self._kept_lists is None:
-            worlds = range(self._width)
-            self._kept_lists = [[] for _ in worlds]
-            for vector, group in zip(groups, self._by_need.values()):
-                for v in compress(worlds, world_flags(vector)):
-                    self._kept_lists[v] += group
+            self._kept_lists = world_lists(self._width, groups, self._by_need.values())
         return frozenset(self._kept_lists[w])
 
     @cached_property
@@ -144,26 +141,6 @@ class PaaEngine:
     def in_vectors(self) -> list[list[int]]:
         """Per block of worlds, in mask order, each argument's IN vector."""
         return [inside for _, inside in self._labels[1]]
-
-    def evaluations(self) -> Iterator[tuple[frozenset[Atom], Fraction, frozenset[int]]]:
-        """(world, probability, accepted indices) for every world, in mask
-        order: the rows of `world_table`, each with the world's applicable
-        arguments that are IN in the world. Each block's IN vectors are
-        transposed once into a list per world of the arguments IN there, and
-        the world's applicable set, looked up by `applicable_indices` in the
-        block's lists, is intersected with its list. So an IN bit where the
-        argument is not applicable is dropped here; `world_traces` reports
-        it as a failure."""
-        rows = iter(self.worlds())
-        worlds = range(self._width)
-        for inside in self.in_vectors():
-            in_world: list[list[int]] = [[] for _ in worlds]
-            for i, vector in enumerate(inside):
-                for w in compress(worlds, world_flags(vector)):
-                    in_world[w].append(i)
-            # the block's lists first: zip then takes no row past the block
-            for indices, (world, prob) in zip(in_world, rows):
-                yield world, prob, self.applicable_indices(world).intersection(indices)
 
     def mass(self, vectors: Iterable[int]) -> Fraction:
         """Probability mass at the set bits of `vectors`, one vector per block

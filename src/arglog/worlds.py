@@ -10,7 +10,8 @@ Both back ends also evaluate worlds in blocks of `block_width(n)`, that is
 2**min(n, BLOCK_BITS), consecutive masks: inside a block, a Boolean fact
 holds one bit per world, bit w standing for the world whose mask is the
 block's first mask plus w. `world_numerators` alone computes the worlds'
-probabilities, as integer numerators over one common denominator.
+probabilities, as integer numerators over one common denominator, and
+`world_lists` alone transposes a block's per-world vectors into lists.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import compress
 from math import prod
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import CapExceeded
 from .limits import Caps
@@ -89,27 +90,17 @@ def weighted_worlds(
     return list(zip(low_sets, lows)), list(zip(high_sets, highs)), denominator
 
 
-def enumerate_worlds(
-    pfacts: Iterable[ProbFact], max_pfacts: int = Caps.max_pfacts
-) -> Iterator[tuple[int, frozenset[Atom], Fraction]]:
-    """Every world as (mask, world, probability), in mask order.
-
-    Probabilities sum to exactly 1 and come from `world_numerators`, through
-    `weighted_worlds`: a world is one union of a high and a low set, plus one
-    exact division.
-    """
-    lows, highs, denominator = weighted_worlds(pfacts, max_pfacts)
-    width = len(lows)
-    for block, (high_set, high) in enumerate(highs):
-        for w, (low_set, low) in enumerate(lows):
-            yield block * width + w, high_set | low_set, Fraction(high * low, denominator)
-
-
 def world_table(
     pfacts: Iterable[ProbFact], max_pfacts: int = Caps.max_pfacts
 ) -> list[tuple[frozenset[Atom], Fraction]]:
-    """All 2**n (world, probability) pairs, in mask order."""
-    return [(world, prob) for _, world, prob in enumerate_worlds(pfacts, max_pfacts)]
+    """All 2**n (world, probability) pairs, in mask order, from the tables
+    of `weighted_worlds`."""
+    lows, highs, denominator = weighted_worlds(pfacts, max_pfacts)
+    return [
+        (high_set | low_set, Fraction(high * low, denominator))
+        for high_set, high in highs
+        for low_set, low in lows
+    ]
 
 
 def fact_bits(atoms: Iterable[Atom]) -> dict[Atom, int]:
@@ -167,3 +158,14 @@ def masked_sum(values: Sequence[int], vector: int) -> int:
     if not vector:
         return 0
     return sum(compress(values, world_flags(vector)))
+
+
+def world_lists(width: int, vectors: Iterable[int], groups: Iterable[list]) -> list[list]:
+    """Per world of a block of `width` worlds, the items of every group whose
+    vector, paired with the groups in order, holds the world."""
+    worlds = range(width)
+    lists: list[list] = [[] for _ in worlds]
+    for vector, group in zip(vectors, groups, strict=True):
+        for w in compress(worlds, world_flags(vector)):
+            lists[w] += group
+    return lists

@@ -135,16 +135,25 @@ def test_worlds_table(capsys):
 
 
 def test_worlds_enumerates_the_worlds_once(capsys, monkeypatch):
+    """The listing renders the rows of one `world_traces` call and builds no
+    world table of its own."""
+    import arglog.cli as cli_module
     import arglog.paa as paa_module
+    import arglog.worlds as worlds_module
 
     calls = []
-    original = paa_module.world_table
+    original = cli_module.world_traces
 
     def counting(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(paa_module, "world_table", counting)
+    def refuse(*args):
+        raise AssertionError("a world table was built")
+
+    monkeypatch.setattr(cli_module, "world_traces", counting)
+    for module in (worlds_module, paa_module):
+        monkeypatch.setattr(module, "world_table", refuse)
     code, _, _ = run(capsys, "worlds", TWO_WORLD)
     assert code == 0 and len(calls) == 1
 
@@ -483,10 +492,9 @@ def test_check_counterexample_as_json_goes_to_stderr(capsys, monkeypatch, tmp_pa
     assert any(not row["model_matches_claims"] for row in doc["worlds"])
 
 
-def test_an_argumentation_query_on_18_facts_fits_in_128_mib(tmp_path):
-    """`--semantics arg` holds the numerators and the IN vectors, not a row
-    per world: 2**18 worlds fit in an address space that a world table
-    overflows."""
+def run_in_128_mib(tmp_path, *argv):
+    """Run arglog on 18 probabilistic facts in a child whose address space
+    is capped at 128 MiB."""
     resource = pytest.importorskip("resource")
     path = tmp_path / "facts.pl"
     path.write_text(
@@ -496,12 +504,28 @@ def test_an_argumentation_query_on_18_facts_fits_in_128_mib(tmp_path):
     def limit_address_space():
         resource.setrlimit(resource.RLIMIT_AS, (128 << 20, 128 << 20))
 
-    result = subprocess.run(
-        [sys.executable, "-m", "arglog", "query", str(path), "--query", "q", "--semantics", "arg"],
+    return subprocess.run(
+        [sys.executable, "-m", "arglog", argv[0], str(path), *argv[1:]],
         capture_output=True,
         text=True,
         check=False,
         preexec_fn=limit_address_space,
     )
+
+
+@pytest.mark.parametrize("semantics", ["arg", "both"])
+def test_an_argumentation_query_on_18_facts_fits_in_128_mib(tmp_path, semantics):
+    """`--semantics arg` holds the numerators and the IN vectors, not a row
+    per world, and the rows of `--semantics both` keep no world set: 2**18
+    worlds fit in an address space that a world table overflows."""
+    result = run_in_128_mib(tmp_path, "query", "--query", "q", "--semantics", semantics)
     assert result.returncode == 0, result.stderr
     assert "21/100" in result.stdout
+
+
+def test_a_listing_out_of_memory_exits_two_naming_the_worlds_cap(tmp_path):
+    result = run_in_128_mib(tmp_path, "worlds")
+    assert result.returncode == 2, result.stderr
+    assert "Traceback" not in result.stderr
+    assert result.stderr.startswith("error: out of memory; ")
+    assert "--worlds-cap or ARGLOG_WORLDS_CAP" in result.stderr

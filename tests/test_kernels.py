@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 
 import arglog.aba as aba_module
 import arglog.cli as cli_module
+import arglog.distribution as distribution_module
+import arglog.equivalence as equivalence_module
 import arglog.paa as paa_module
 import arglog.wfm as wfm_module
 import arglog.worlds as worlds_module
@@ -44,7 +46,6 @@ from arglog.wfm import ThreeValuedModel, WellFoundedKernel, succeeds, well_found
 from arglog.worlds import (
     block_bits,
     block_fact_vectors,
-    enumerate_worlds,
     fact_bits,
     world_mask,
     world_numerators,
@@ -634,7 +635,7 @@ def assert_factored_labelling_matches_the_pairs(gp):
     engine = PaaEngine(gp)
     attacks = compute_attacks(engine.framework, engine.arguments)
     expected = {}
-    for world, _, accepted in engine.evaluations():
+    for world, _, accepted in reference_evaluations(engine):
         active = frozenset(
             i for i, arg in enumerate(engine.arguments) if arg.fact_support <= world
         )
@@ -664,7 +665,7 @@ def reference_probabilities(engine, atom):
     per-world `Fraction` sums over the engine's accepted sets."""
     claiming = engine.query_argument_indices(atom)
     query = argument_sum = Fraction(0)
-    for _, prob, accepted in engine.evaluations():
+    for _, prob, accepted in reference_evaluations(engine):
         if not claiming.isdisjoint(accepted):
             query += prob
         argument_sum += prob * len(claiming & accepted)
@@ -702,7 +703,7 @@ def test_vector_probabilities_equal_per_world_fraction_sums(source):
         assert engine.grounded_prob_query(atom) == query, atom
         assert engine.argument_probability_sum(atom) == argument_sum, atom
     by_argument = [Fraction(0)] * len(engine.arguments)
-    for _, prob, accepted in engine.evaluations():
+    for _, prob, accepted in reference_evaluations(engine):
         for i in accepted:
             by_argument[i] += prob
     for arg, prob in zip(engine.arguments, by_argument):
@@ -743,10 +744,11 @@ ENUMERATION_PROGRAMS = {f"chain-{n}": chain_source(n) for n in range(1, 7)} | {
 
 @pytest.mark.parametrize("source", ENUMERATION_PROGRAMS.values(), ids=ENUMERATION_PROGRAMS)
 def test_world_probabilities_sum_to_exactly_one(source):
-    pfacts = ground(parse_program(source)).pfacts
-    rows = list(enumerate_worlds(pfacts))
-    assert [mask for mask, _, _ in rows] == list(range(2 ** len(pfacts)))
-    assert sum(prob for _, _, prob in rows) == 1
+    gp = ground(parse_program(source))
+    numbering = fact_bits(gp.fact_atoms)
+    rows = world_table(gp.pfacts)
+    assert [world_mask(numbering, world) for world, _ in rows] == list(range(2 ** len(gp.pfacts)))
+    assert sum(prob for _, prob in rows) == 1
 
 
 NUMERATOR_PROGRAMS = {
@@ -767,23 +769,29 @@ def test_incremental_probabilities_equal_the_product_per_world(bits, source, mon
     b = block_bits(len(atoms))
     lows, highs, denominator = world_numerators(pfacts)
     assert (len(lows), len(highs)) == (2**b, 2 ** (len(atoms) - b))
-    rows = list(enumerate_worlds(pfacts))
-    assert [mask for mask, _, _ in rows] == list(range(2 ** len(atoms)))
-    for mask, world, prob in rows:
+    rows = world_table(pfacts)
+    assert len(rows) == 2 ** len(atoms)
+    for mask, (world, prob) in enumerate(rows):
         assert world == {atoms[i] for i in range(len(atoms)) if mask >> i & 1}
         expected = world_probability(world, pfacts)
         assert Fraction(highs[mask >> b] * lows[mask & (2**b - 1)], denominator) == expected
         assert prob == expected
 
 
-def test_worlds_command_checks_the_sum_without_assert(monkeypatch):
-    def halved(pfacts, max_pfacts=24):
-        for mask, world, prob in enumerate_worlds(pfacts, max_pfacts):
-            yield mask, world, prob / 2
+def test_worlds_command_checks_the_sum_without_assert(capsys, monkeypatch):
+    original = worlds_module.world_numerators
 
-    monkeypatch.setattr(worlds_module, "enumerate_worlds", halved)
-    with pytest.raises(RuntimeError, match="sum to 1/2, not exactly 1"):
-        main(["worlds", str(FIXTURES / "two_world.pl")])
+    def halved(*args):
+        lows, highs, denominator = original(*args)
+        return lows, highs, 2 * denominator
+
+    for module in (worlds_module, paa_module):
+        monkeypatch.setattr(module, "world_numerators", halved)
+    assert main(["worlds", str(FIXTURES / "two_world.pl")]) == 3
+    out, err = capsys.readouterr()
+    assert not out
+    assert "total probability: 1/2 (0.5)" in err
+    assert err.splitlines()[-1].startswith("FAIL: the worlds weigh 1/2 in total, not 1; ")
 
 
 # --- one evaluation per world and route ---
@@ -824,6 +832,15 @@ def test_check_program_evaluates_each_world_once_per_route(monkeypatch):
     assert models == 2**4
 
 
+def refuse_world_listings(monkeypatch, refuse):
+    """Replace the world tables, `world_table` and the `weighted_worlds`
+    that it and the per-world passes read, wherever a module binds them."""
+    for module in (worlds_module, paa_module, distribution_module, equivalence_module):
+        for name in ("world_table", "weighted_worlds"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+
+
 def test_a_query_sharing_the_traces_walks_no_world(monkeypatch):
     """Once `world_traces` has run, a query sharing them builds no model, no
     world row and no labelling: it reads the vectors the traces kept and the
@@ -837,10 +854,10 @@ def test_a_query_sharing_the_traces_walks_no_world(monkeypatch):
     traces = world_traces(gp, engine)
     for name in ("model", "block_vectors"):
         monkeypatch.setattr(WellFoundedKernel, name, refuse)
-    for name in ("evaluations", "worlds", "applicable_indices"):
+    for name in ("worlds", "applicable_indices"):
         monkeypatch.setattr(engine, name, refuse)
     monkeypatch.setattr(paa_module, "grounded_block", refuse)
-    monkeypatch.setattr(worlds_module, "enumerate_worlds", refuse)
+    refuse_world_listings(monkeypatch, refuse)
     report = check_query(Atom("a6"), gp, engine=engine, traces=traces)
     assert report.success_probability == report.grounded_query_probability == Fraction(1, 64)
     assert report.holds
@@ -853,8 +870,7 @@ def test_an_argumentation_query_builds_no_world_table(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a world table was built")
 
-    monkeypatch.setattr(worlds_module, "enumerate_worlds", refuse)
-    monkeypatch.setattr(paa_module, "world_table", refuse)
+    refuse_world_listings(monkeypatch, refuse)
     engine = PaaEngine(ground(parse_program(chain_source(6))))
     assert engine.grounded_prob_query(Atom("a6")) == Fraction(1, 64)
     assert engine.argument_probability_sum(Atom("a6")) == Fraction(1, 64)
@@ -888,17 +904,32 @@ def reference_evaluations(engine):
         yield world, prob, accepted
 
 
+def reference_rows(engine):
+    """The rows of `reference_evaluations`, with each accepted argument
+    replaced by its claim, as a `WorldTrace` lists them."""
+    for world, prob, accepted in reference_evaluations(engine):
+        yield world, prob, frozenset(engine.claim_of[i] for i in accepted)
+
+
+def trace_rows(gp, engine):
+    """The (world, probability, accepted claims) of each `world_traces` row."""
+    return [(t.world, t.probability, t.accepted_claims) for t in world_traces(gp, engine)]
+
+
 @pytest.mark.parametrize("bits", [worlds_module.BLOCK_BITS, 1])
 @pytest.mark.filterwarnings("ignore:degenerate framework")
 def test_evaluations_equal_the_per_argument_reference(bits, monkeypatch):
     monkeypatch.setattr(worlds_module, "BLOCK_BITS", bits)
     for gp in LONE_PROGRAMS:
         engine = PaaEngine(gp)
-        assert list(engine.evaluations()) == list(reference_evaluations(engine))
+        assert trace_rows(gp, engine) == list(reference_rows(engine))
 
 
 @pytest.mark.parametrize("bits", [worlds_module.BLOCK_BITS, 1])
-def test_evaluations_drop_an_in_bit_where_the_argument_is_not_applicable(bits, monkeypatch):
+def test_a_row_lists_an_in_bit_where_the_argument_is_not_applicable(bits, monkeypatch):
+    """The row reads the IN vectors alone, so a stray IN bit shows in its
+    accepted claims, where the per-argument reference drops it, and the
+    traces fail on it."""
     monkeypatch.setattr(worlds_module, "BLOCK_BITS", bits)
     gp = ground(parse_program(chain_source(3)))
     width = 2 ** block_bits(len(gp.pfacts))
@@ -908,11 +939,16 @@ def test_evaluations_drop_an_in_bit_where_the_argument_is_not_applicable(bits, m
     vectors = [list(inside) for inside in engine.in_vectors()]
     vectors[36 // width][x1] ^= 1 << 36 % width
     engine.in_vectors = lambda: vectors
-    rows = list(engine.evaluations())
-    assert rows == list(reference_evaluations(engine))
-    assert x1 not in rows[36][2] and x1 in rows[37][2]
+    rows, expected = trace_rows(gp, engine), list(reference_rows(engine))
+    claim = Literal(Atom("x1"))
+    assert claim in rows[36][2] and claim not in expected[36][2]
+    assert rows[:36] + rows[37:] == expected[:36] + expected[37:]
     traces = world_traces(gp, engine)
     assert [not t.model_matches_claims for t in traces] == [m == 36 for m in range(64)]
+    assert traces.failures == [
+        "a world's well-founded model does not match its accepted claims",
+        "a world's grounded extension accepts an argument whose facts the world lacks",
+    ]
 
 
 @pytest.mark.parametrize("bits", [worlds_module.BLOCK_BITS, 1])
@@ -940,7 +976,7 @@ def test_applicability_and_rows_follow_the_world_across_block_sizes(bits, monkey
             inside, w = engine.in_vectors()[mask // width], mask % width
             accepted = frozenset(c for c, vector in zip(claims, inside) if vector >> w & 1)
             assert row.accepted_claims == accepted, (gp, mask)
-        assert traces.all_match and traces.all_applicable
+        assert not traces.failures
 
 
 def claim_wide(active, claims, contraries):
@@ -967,6 +1003,12 @@ def test_an_in_bit_where_the_world_lacks_the_facts_fails_query_and_check(
     err = capsys.readouterr().err
     assert "per-argument probability sum: 3/2 (1.5)" in err
     assert "FAIL: a world's grounded extension accepts an argument whose facts" in err
+    assert main(["worlds", str(program)]) == 3
+    out, err = capsys.readouterr()
+    assert not out
+    assert err.splitlines()[-1] == (
+        "FAIL: a world's grounded extension accepts an argument whose facts the world lacks"
+    )
     dump = tmp_path / "counterexample.pl"
     assert main(["check", "--seed-range", "0..199", "--dump", str(dump)]) == 3
     headline = capsys.readouterr().err.splitlines()[0]

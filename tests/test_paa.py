@@ -4,6 +4,7 @@ import pytest
 
 from arglog import Atom, CapExceeded, Caps, PaaEngine, ground, parse_program, parse_query
 from arglog.aba import AaFramework, Argument
+from arglog.equivalence import world_traces
 from arglog.model import Literal
 from arglog.semantics import grounded_extension
 from arglog.worlds import world_numerators, world_probability, world_table
@@ -131,10 +132,7 @@ def test_grounded_prob_argument_values(two_world_engine):
 def test_applicable_indices_refuses_atoms_that_are_not_probabilistic_facts():
     engine = engine_of("0.5::a.\n0.5::b.\nc :- a.\n")
     a, b = Atom("a"), Atom("b")
-    claims = {
-        world: {engine.arguments[i].claim for i in accepted}
-        for world, _, accepted in engine.evaluations()
-    }
+    claims = {t.world: t.accepted_claims for t in world_traces(engine.gp, engine)}
     assert Literal(Atom("c")) in claims[frozenset({a})]
     assert Literal(Atom("c"), True) in claims[frozenset({b})]
     for outsider in (Atom("c"), Atom("zz")):
