@@ -8,7 +8,7 @@ from typing import Iterable, Iterator
 from .limits import Caps
 from .model import Atom, GroundProgram, ProbFact, Rule, matches
 from .wfm import WellFoundedKernel, well_founded_model
-from .worlds import weighted_worlds, world_table
+from .worlds import WeightedWorlds, weighted_worlds, world_numerators, world_table
 
 
 def induced_program(total_choice: frozenset[Atom], gp: GroundProgram) -> frozenset[Rule]:
@@ -24,7 +24,11 @@ def total_choices(
 
 
 def success_probability(
-    query: Atom, gp: GroundProgram, max_pfacts: int = Caps.max_pfacts
+    query: Atom,
+    gp: GroundProgram,
+    max_pfacts: int = Caps.max_pfacts,
+    kernel: WellFoundedKernel | None = None,
+    worlds: WeightedWorlds | None = None,
 ) -> Fraction:
     """Exact probability mass of the total choices whose induced program makes
     some ground instance of the query true in its well-founded model.
@@ -36,13 +40,24 @@ def success_probability(
     The choices and their integer numerators come from `weighted_worlds`: a
     block's successful low numerators are summed, times the block's high
     numerator, and one `Fraction` is built at the end.
+
+    `kernel`, the program compiled by `WellFoundedKernel` with its fact
+    atoms as choices, and `worlds`, the `weighted_worlds` of its facts, save
+    compiling and enumerating again when a caller already holds them; the
+    pass over the worlds, its instance matching and its per-world
+    `well_founded_model` calls are the same either way, and so is the
+    answer. Without them, both are built here, refusing more than
+    `max_pfacts` facts.
     """
     if query.is_ground:
         instances = [query]
     else:
         instances = [atom for atom in gp.herbrand_base if matches(query, atom)]
-    kernel = WellFoundedKernel(gp.rules, gp.herbrand_base, gp.fact_atoms)
-    lows, highs, denominator = weighted_worlds(gp.pfacts, max_pfacts)
+    if kernel is None:
+        kernel = WellFoundedKernel(gp.rules, gp.herbrand_base, gp.fact_atoms)
+    if worlds is None:
+        worlds = weighted_worlds(gp.pfacts, world_numerators(gp.pfacts, max_pfacts))
+    lows, highs, denominator = worlds
     total = 0
     for high_set, high in highs:
         successes = 0

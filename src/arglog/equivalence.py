@@ -24,12 +24,17 @@ takes its success probability from `success_probability`, the distribution
 semantics' own pass over the worlds, which sums integer numerators:
 `arglog query` then compares the very functions that its `--semantics dist`
 and `--semantics arg` print, and `arglog check` compares one query's
-`success_probability` per program with its shared report's. Both routes
-weigh worlds by `worlds.world_numerators`, so no comparison of the routes
-can catch a defect in them; `weight_failures` checks them against the input
-instead. `WorldTraces.failures`, `EquivalenceReport.failures` and
-`weight_failures` phrase every failure that `arglog query`, `arglog worlds`
-and `arglog check` report.
+`success_probability` per program with its shared report's. The lone query
+hands that pass the kernel that its `world_traces` compiled and the
+engine's world-set table, so the program is compiled and its worlds are
+listed once. The pass keeps its own walk over the worlds, its own instance
+matching and its own per-world models, and its answer is the one it gives
+when it builds both itself, as `check` calls it. Both routes weigh worlds
+by `worlds.world_numerators`, so no comparison of the routes can catch a
+defect in them; `weight_failures` checks them against the input instead.
+`WorldTraces.failures`, `EquivalenceReport.failures` and `weight_failures`
+phrase every failure that `arglog query`, `arglog worlds` and
+`arglog check` report.
 """
 
 from __future__ import annotations
@@ -46,14 +51,15 @@ from .limits import Caps
 from .model import Atom, GroundProgram, Literal, ProbFact, Program, Rule
 from .paa import PaaEngine
 from .wfm import ThreeValuedModel, WellFoundedKernel, well_founded_model
-from .worlds import block_fact_vectors, block_width, weighted_worlds, world_lists
+from .worlds import block_fact_vectors, block_width, world_lists
 
 
 @dataclass(eq=False)
 class _Block:
     """What the rows of one block share: its high set and numerator, the low
-    (set, numerator) pairs and denominator of `weighted_worlds`, each argument's
-    claim (a one-item list) and IN vector, and `kept`, shared by all blocks."""
+    (set, numerator) pairs and denominator of the engine's `world_sets`, each
+    argument's claim (a one-item list) and IN vector, and `kept`, shared by
+    all blocks."""
 
     high_set: frozenset[Atom]
     high: int
@@ -123,14 +129,15 @@ class WorldTraces(tuple):
     """The `WorldTrace` rows of every world, in mask order, and what a query
     is answered from without walking them.
 
-    `true_vectors` holds, per block of worlds, the kernel's true vector per
-    atom, numbered by `index`. `failures` phrases what the worlds showed
+    `kernel` is the `WellFoundedKernel` that evaluated the worlds, and
+    `true_vectors` holds, per block of worlds, its true vector per atom,
+    numbered by its `index`. `failures` phrases what the worlds showed
     wrong, one phrase per failed condition: a model that does not match its
     accepted claims, or an argument IN in a world that lacks its facts.
     """
 
+    kernel: WellFoundedKernel
     true_vectors: list[list[int]]
-    index: dict[Atom, int]
     failures: list[str]
 
 
@@ -207,22 +214,22 @@ def stray_worlds(inside: Sequence[int], applicable: Sequence[int]) -> int:
 def world_traces(gp: GroundProgram, engine: PaaEngine) -> WorldTraces:
     """Evaluate every world (including zero-probability ones) on both routes.
 
-    Worlds come a block at a time, in mask order, from the set and
-    numerator tables of `weighted_worlds`; each route evaluates each world
+    Worlds come a block at a time, in mask order, from the engine's
+    `world_sets`, built on the first pass; each route evaluates each world
     once, a block of worlds at a time. Per block, the worlds whose model
     does not match their accepted claims are one `mismatched_worlds` vector,
     and those where an argument is IN without being applicable one
     `stray_worlds` vector, over the engine's `applicable_vectors`, the
     vectors that `applicable_indices` transposes. Per world, the row is a
     view of the block (see `WorldTrace`) holding the world's well-founded
-    model. The kernel's true vectors are kept with the rows (see
+    model. The kernel and its true vectors are kept with the rows (see
     `WorldTraces`).
     """
     kernel = WellFoundedKernel(gp.rules, gp.herbrand_base, gp.fact_atoms)
     claiming: list[tuple[list[int], list[int]]] = [([], []) for _ in kernel.atoms]
     for i, claim in enumerate(engine.claim_of):
         claiming[kernel.index[claim.atom]][claim.negated].append(i)
-    lows, highs, denominator = weighted_worlds(gp.pfacts, engine.caps.max_pfacts)
+    lows, highs, denominator = engine.world_sets
     claims = [[claim] for claim in engine.claim_of]
     rows, true_vectors, kept = [], [], [None, None]
     mismatches = strays = 0
@@ -242,7 +249,7 @@ def world_traces(gp: GroundProgram, engine: PaaEngine) -> WorldTraces:
             engine.applicable_indices(world)
             rows.append(WorldTrace(model, not mismatch >> w & 1, shared, w))
     traces = WorldTraces(rows)
-    traces.true_vectors, traces.index, traces.failures = true_vectors, kernel.index, []
+    traces.kernel, traces.true_vectors, traces.failures = kernel, true_vectors, []
     if mismatches:
         traces.failures.append("a world's well-founded model does not match its accepted claims")
     if strays:
@@ -278,17 +285,20 @@ def check_query(
     Without `traces`, they are computed, and the success probability comes
     from `success_probability`, the distribution semantics' own pass over
     the worlds with its own instance matching, so a lone query checks the
-    functions that answer each route on its own. Either way the grounded
-    probability and the argument sum come from one `query_masses` pass, and
-    `holds` reads the traces' `failures`.
+    functions that answer each route on its own. That pass is handed the
+    traces' `kernel` and the engine's `world_sets`, which `world_traces`
+    has just used, instead of compiling and listing them again; its answer
+    is the same either way. Either way the grounded probability and the
+    argument sum come from one `query_masses` pass, and `holds` reads the
+    traces' `failures`.
     """
     if engine is None:
         engine = PaaEngine(gp, caps)
     if traces is None:
         traces = world_traces(gp, engine)
-        success = success_probability(query, gp, caps.max_pfacts)
+        success = success_probability(query, gp, kernel=traces.kernel, worlds=engine.world_sets)
     else:
-        rows = [traces.index[atom] for atom in engine.instance_atoms(query)]
+        rows = [traces.kernel.index[atom] for atom in engine.instance_atoms(query)]
         success = engine.mass(
             reduce(or_, [sure[k] for k in rows], 0) for sure in traces.true_vectors
         )

@@ -257,17 +257,27 @@ def _violations(
         if reason is not None:
             violations.append(Violation("probabilistic_fact_not_ground", reason, pf))
     # a fact atom that is an instance of a rule head breaks flatness; a fact
-    # that is not ground is reported above
-    for pf in (pf for pf in pfacts if pf.atom.is_ground):
-        for rule in rules:
-            if matches(rule.head, pf.atom):
-                violations.append(
-                    Violation(
-                        "probabilistic_fact_is_rule_head",
-                        f"probabilistic fact atom {pf.atom} unifies with the head of rule '{rule}'",
-                        pf,
+    # that is not ground is reported above. Only a head with the fact's
+    # predicate and arity can match it, so only the rules whose head
+    # predicate is some fact's, none in a flat program, are grouped by those
+    ground_facts = [pf for pf in pfacts if pf.atom.is_ground]
+    predicates = {pf.atom.predicate for pf in ground_facts}
+    heads: dict[tuple[str, int], list[Rule]] = {}
+    for rule in rules:
+        if (head := rule.head).predicate in predicates:
+            heads.setdefault((head.predicate, len(head.args)), []).append(rule)
+    if heads:
+        for pf in ground_facts:
+            for rule in heads.get((pf.atom.predicate, len(pf.atom.args)), ()):
+                if matches(rule.head, pf.atom):
+                    violations.append(
+                        Violation(
+                            "probabilistic_fact_is_rule_head",
+                            f"probabilistic fact atom {pf.atom} unifies with the head of rule "
+                            f"'{rule}'",
+                            pf,
+                        )
                     )
-                )
     return violations
 
 

@@ -16,6 +16,10 @@ share of the world probability numerators from `worlds.world_numerators`;
 a probability is the sum of the worlds' integer numerators at the set bits
 of a vector, over one common denominator. The engine builds no row per
 world: `equivalence.world_traces` builds them from its vectors.
+
+The engine owns the program's one world table: the numerators, which every
+probability reads, and the chosen-atom sets paired with them, which only
+the passes that walk the worlds read; each is built on first use.
 """
 
 from __future__ import annotations
@@ -31,10 +35,12 @@ from .limits import Caps
 from .model import Atom, GroundProgram, matches
 from .semantics import grounded_block
 from .worlds import (
+    WeightedWorlds,
     block_fact_vectors,
     block_width,
     fact_bits,
     masked_sum,
+    weighted_worlds,
     world_lists,
     world_mask,
     world_numerators,
@@ -88,6 +94,20 @@ class PaaEngine:
     def worlds(self) -> list[tuple[frozenset[Atom], Fraction]]:
         return world_table(self.gp.pfacts, self.caps.max_pfacts)
 
+    @cached_property
+    def numerators(self) -> tuple[list[int], list[int], int]:
+        """The program's world table as `world_numerators` gives it: the
+        low-bit and per-block numerators and the common denominator,
+        computed on first use. Probabilities read these alone."""
+        return world_numerators(self.gp.pfacts, self.caps.max_pfacts)
+
+    @cached_property
+    def world_sets(self) -> WeightedWorlds:
+        """The world table with each numerator paired with the chosen atoms
+        it weighs, by `weighted_worlds` over `numerators`; built on first use,
+        by the first pass that walks the worlds, and shared by every later one."""
+        return weighted_worlds(self.gp.pfacts, self.numerators)
+
     def _group_vectors(self, block: int) -> list[int]:
         """Per fact-support group of `_by_need`, in its order, the worlds of
         a block that hold every fact of the group's need: the AND of the
@@ -125,12 +145,12 @@ class PaaEngine:
     def _labels(self) -> tuple[list[int], list[tuple[int, list[int]]], int]:
         """The low-bit numerators, per block of worlds its high numerator and
         each argument's IN vector, and the common denominator, as
-        `world_numerators` gives them; computed on first use.
+        `numerators` gives them; computed on first use.
 
         One block labelling of the arguments' applicable vectors gives each
         argument's IN vector.
         """
-        lows, highs, denominator = world_numerators(self.gp.pfacts, self.caps.max_pfacts)
+        lows, highs, denominator = self.numerators
         blocks = []
         for block, high in enumerate(highs):
             active = self.applicable_vectors(block)

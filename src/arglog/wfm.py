@@ -26,21 +26,22 @@ class ThreeValuedModel:
 
     A model is a view, built by `WellFoundedKernel`, of one world of an
     evaluated block: the kernel's atoms, the block's sure, false and
-    undefined vectors over them, and the world's bit in those vectors;
-    `index` numbers the atoms. A view builds a set each time it is read and
-    keeps none, and compares, hashes and prints as its three sets.
+    undefined vectors over them, and the world's place `w` in the block,
+    the bit it reads in those vectors; `index` numbers the atoms. A view
+    builds a set each time it is read and keeps none, and compares, hashes
+    and prints as its three sets.
     """
 
-    __slots__ = ("_atoms", "_index", "_vectors", "_bit")
+    __slots__ = ("_atoms", "_index", "_vectors", "_w")
 
     def __init__(
-        self, atoms: list[Atom], index: dict[Atom, int], vectors: tuple[list[int], ...], bit: int
+        self, atoms: list[Atom], index: dict[Atom, int], vectors: tuple[list[int], ...], w: int
     ):
-        self._atoms, self._index, self._vectors, self._bit = atoms, index, vectors, bit
+        self._atoms, self._index, self._vectors, self._w = atoms, index, vectors, w
 
     def _section(self, k: int) -> frozenset[Atom]:
-        bit = self._bit
-        return frozenset(compress(self._atoms, [v & bit for v in self._vectors[k]]))
+        w = self._w
+        return frozenset(compress(self._atoms, [v >> w & 1 for v in self._vectors[k]]))
 
     @property
     def true_atoms(self) -> frozenset[Atom]:
@@ -57,7 +58,7 @@ class ThreeValuedModel:
     def is_true(self, atom: Atom) -> bool:
         """Whether the atom is true, read off one bit; builds no set."""
         k = self._index.get(atom)
-        return k is not None and bool(self._vectors[0][k] & self._bit)
+        return k is not None and bool(self._vectors[0][k] >> self._w & 1)
 
     @property
     def is_two_valued(self) -> bool:
@@ -229,11 +230,10 @@ class WellFoundedKernel:
         """The well-founded model of the program plus one fact per given atom.
 
         The atoms are choices, and name a world: the model is a view of the
-        world's bit in its block's vectors.
+        world's place in its block's vectors.
         """
-        mask = world_mask(self._bit, frozenset(facts))
-        vectors = self.block_vectors(mask // self._width)
-        return ThreeValuedModel(self.atoms, self.index, vectors, 1 << mask % self._width)
+        block, w = divmod(world_mask(self._bit, frozenset(facts)), self._width)
+        return ThreeValuedModel(self.atoms, self.index, self.block_vectors(block), w)
 
 
 def well_founded_model(

@@ -31,6 +31,10 @@ BLOCK_BITS = 10
 
 _BYTE_OF_BIT = bytes.maketrans(b"01", b"\x00\x01")
 
+# the (lows, highs, denominator) of `weighted_worlds`: per low part and per
+# high part of a mask, the chosen atoms with their numerator
+WeightedWorlds = tuple[list[tuple[frozenset[Atom], int]], list[tuple[frozenset[Atom], int]], int]
+
 
 def world_probability(world: frozenset[Atom], pfacts: Iterable[ProbFact]) -> Fraction:
     """Product of p over chosen facts and (1-p) over the rest; exact."""
@@ -68,20 +72,20 @@ def world_numerators(
 
 
 def weighted_worlds(
-    pfacts: Iterable[ProbFact], max_pfacts: int = Caps.max_pfacts
-) -> tuple[list[tuple[frozenset[Atom], int]], list[tuple[frozenset[Atom], int]], int]:
-    """(lows, highs, denominator): the numerators of `world_numerators`, each
-    paired with the chosen atoms it weighs. The world of mask
-    (block << b) + w, with b = block_bits(n), chooses the union of the sets
-    of lows[w] and highs[block], and has probability the product of their
-    numerators over the denominator.
+    pfacts: Iterable[ProbFact], numerators: tuple[list[int], list[int], int]
+) -> WeightedWorlds:
+    """(lows, highs, denominator): the `world_numerators` of the facts, as
+    `numerators`, each paired with the chosen atoms it weighs. The world of
+    mask (block << b) + w, with b = block_bits(n), chooses the union of the
+    sets of lows[w] and highs[block], and has probability the product of
+    their numerators over the denominator.
 
     The sets are built like the numerators, each table doubled once per
     fact: per low part of a mask (its b low facts) and per high part (the
     rest).
     """
     facts = sorted(pfacts, key=lambda pf: pf.atom)
-    lows, highs, denominator = world_numerators(facts, max_pfacts)
+    lows, highs, denominator = numerators
     b = block_bits(len(facts))
     low_sets, high_sets = [frozenset()], [frozenset()]
     for i, pf in enumerate(facts):
@@ -95,7 +99,8 @@ def world_table(
 ) -> list[tuple[frozenset[Atom], Fraction]]:
     """All 2**n (world, probability) pairs, in mask order, from the tables
     of `weighted_worlds`."""
-    lows, highs, denominator = weighted_worlds(pfacts, max_pfacts)
+    pfacts = list(pfacts)
+    lows, highs, denominator = weighted_worlds(pfacts, world_numerators(pfacts, max_pfacts))
     return [
         (high_set | low_set, Fraction(high * low, denominator))
         for high_set, high in highs

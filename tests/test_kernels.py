@@ -39,7 +39,7 @@ from arglog.aba import (
 )
 from arglog.cli import main
 from arglog.distribution import success_probability, total_choices
-from arglog.equivalence import mismatched_worlds, world_traces
+from arglog.equivalence import EquivalenceReport, mismatched_worlds, world_traces
 from arglog.model import Literal, ProbFact, Rule
 from arglog.semantics import grounded_block, grounded_extension_of
 from arglog.wfm import ThreeValuedModel, WellFoundedKernel, succeeds, well_founded_model
@@ -280,7 +280,7 @@ def test_views_of_two_kernels_compare_and_hash_as_their_sets(bits, program):
             sure, false, undefined = kernel.block_vectors(mask // width)
             decided = [f | u for f, u in zip(false, undefined)]
             other = ThreeValuedModel(
-                kernel.atoms, kernel.index, (sure, decided, [0] * len(sure)), 1 << mask % width
+                kernel.atoms, kernel.index, (sure, decided, [0] * len(sure)), mask % width
             )
             assert other.true_atoms == expected[0]
             assert (kernel.model(world) != other) == bool(expected[2])
@@ -1039,6 +1039,48 @@ def test_success_probability_equals_the_per_world_fraction_reference(bits, monke
             queries += [Atom("e", ("X", "X")), Atom("zz", ("X",))]
         for query in queries:
             assert success_probability(query, gp) == reference_success(query, gp), query
+
+
+@pytest.mark.parametrize("bits", [worlds_module.BLOCK_BITS, 1])
+@pytest.mark.filterwarnings("ignore:degenerate framework")
+def test_a_lone_query_compiles_one_kernel_and_builds_one_world_table(bits, monkeypatch):
+    """A lone `check_query` hands the kernel and the world-set table of its
+    `world_traces` to `success_probability`, and answers and fails as a
+    standalone `success_probability` and fresh traces do."""
+    monkeypatch.setattr(worlds_module, "BLOCK_BITS", bits)
+    built = defaultdict(int)
+    compile_kernel, tabulate = WellFoundedKernel.__init__, worlds_module.weighted_worlds
+
+    def counting_kernel(self, *args):
+        built["kernels"] += 1
+        compile_kernel(self, *args)
+
+    def counting_table(*args):
+        built["tables"] += 1
+        return tabulate(*args)
+
+    monkeypatch.setattr(WellFoundedKernel, "__init__", counting_kernel)
+    for module in (worlds_module, paa_module, distribution_module, equivalence_module):
+        if hasattr(module, "weighted_worlds"):
+            monkeypatch.setattr(module, "weighted_worlds", counting_table)
+    for n, gp in enumerate(LONE_PROGRAMS):
+        atoms = sorted(gp.herbrand_base)
+        queries = [atoms[n % len(atoms)] if atoms else Atom("zz")]
+        if any(atom.args for atom in atoms):
+            queries.append(Atom("q", ("X",)))
+        for query in queries:
+            built.clear()
+            report = check_query(query, gp)
+            assert built == {"kernels": 1, "tables": 1}, (gp, query)
+            engine = PaaEngine(gp)
+            alone = EquivalenceReport(
+                query,
+                success_probability(query, gp),
+                *engine.query_masses(query),
+                world_traces(gp, engine),
+            )
+            assert report == alone, (gp, query)
+            assert report.failures == alone.failures
 
 
 def test_check_catches_a_lone_success_pass_that_drops_the_last_block(capsys, monkeypatch, tmp_path):

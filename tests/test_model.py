@@ -73,6 +73,32 @@ def test_validate_uses_unification_against_nonground_heads():
     assert [v.kind for v in validate(program)] == ["probabilistic_fact_is_rule_head"]
 
 
+def test_flatness_violations_come_fact_by_fact_in_rule_order():
+    """A fact meets only the heads of its predicate and arity: p(a,b) and
+    q(b) share a predicate with a fact and match none."""
+    program = Program(
+        frozenset(
+            Rule(Atom(*head), body)
+            for head, body in [
+                (("p", ("X",)), (Literal(Atom("r", ("X",))),)),
+                (("p", ("a",)), (Literal(Atom("s")),)),
+                (("p", ("a", "b")), (Literal(Atom("s")),)),
+                (("q", ("b",)), ()),
+                (("r", ("a",)), ()),
+            ]
+        ),
+        frozenset(
+            ProbFact(Fraction(1, 2), Atom(*atom))
+            for atom in [("p", ("a",)), ("p", ("b",)), ("q", ("a",))]
+        ),
+    )
+    assert [v.message for v in validate(program)] == [
+        "probabilistic fact atom p(a) unifies with the head of rule 'p(X) :- r(X)'",
+        "probabilistic fact atom p(a) unifies with the head of rule 'p(a) :- s'",
+        "probabilistic fact atom p(b) unifies with the head of rule 'p(X) :- r(X)'",
+    ]
+
+
 def test_validate_reports_a_nonground_fact_once_even_when_it_meets_a_head():
     rule = Rule(Atom("p", ("Y",)), (Literal(Atom("q", ("Y",))),))
     program = Program(
