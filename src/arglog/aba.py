@@ -14,7 +14,11 @@ with a derivation are kept, not just subset-minimal ones, because distinct
 derivations of one claim are counted separately by the per-argument
 probability measure. `argument_table` keeps each triple as one int, its
 assumption bits below its rule bits, and builds the triples themselves only
-on first read of `ArgumentTable.arguments`; inference never reads them.
+on first read of `ArgumentTable.arguments`; inference never reads them. Its
+saturation joins only the body sentences that a rule with a body derives,
+each at its first occurrence in a body. Any other body sentence, an
+assumption or an atom that only a bodyless rule heads, has at most one
+argument, known before the first round, and the rule ORs it into its mask.
 
 Since the framework is flat, argument i attacks argument j exactly when i's
 claim is the contrary of one of j's assumptions. `argument_table` keeps that
@@ -202,15 +206,36 @@ def argument_table(
     left to right into a set of ints, so each distinct partial union is
     extended once, however many combinations produce it.
 
+    A body sentence that no rule with a body derives is folded into the
+    rule, for it has at most one argument, known before the first round:
+    its assumption (a negation-as-failure literal or a probabilistic-fact
+    atom) or its bodyless rule. The rule ORs that argument's bits into its
+    mask. A rule reading such a sentence with no argument never fires and
+    is dropped, and a rule left with no body claim makes its one argument
+    without a join, in the first round, at its place in rule order.
+
     Rounds are semi-naive: a rule fires again only on combinations holding
     an argument found in the previous round, the delta. Such a combination
     is joined at the body position of its first delta argument: older
     arguments before that position, the delta there, all arguments after
-    it. Each distinct body claim is joined at its first occurrence only.
-    That is exact because union is commutative: a combination whose first
-    delta argument sits at a later occurrence of claim c holds an older
-    argument for c at c's first occurrence, and swapping the two gives a
-    combination of the first occurrence's join with the same union.
+    it. Each distinct derived body claim is joined at its first occurrence
+    only. That is exact because union is commutative: a combination whose
+    first delta argument sits at a later occurrence of claim c holds an
+    older argument for c at c's first occurrence, and swapping the two
+    gives a combination of the first occurrence's join with the same union.
+    Unfolded, a folded argument is in the first round's delta only, where
+    a rule's first join makes every combination of its body; so each round
+    makes the arguments it makes unfolded, rule by rule in the same order,
+    and the count passes the cap at the same argument.
+
+    A join's partial unions count against the cap too, and a folded join
+    may hold fewer of them: two unions that differ only in a folded
+    argument's bits are one once those bits are in. With s arguments first
+    folded in after a rule's first derived claim, a folded union stands for
+    at most 2**s unfolded ones, so a folded join whose two sides multiply
+    to at most the cap over 2**s is one that the unfolded join builds
+    without counting. Past that, saturation starts over unfolded, and so
+    refuses exactly where it did.
 
     Since the numbering follows the sorted order, sorting on (claim number,
     assumption bit positions, rule bit positions) gives the canonical order
@@ -234,79 +259,10 @@ def argument_table(
     assumptions = tuple(map(sentences.__getitem__, numbered))
     rules = tuple(sorted(framework.rules))
     width = len(assumptions)
-    fresh = {n: {1 << bit} for bit, n in enumerate(numbered)}
-    # a rule with a body as (head, body claims, the position of each distinct
-    # claim's first occurrence, rule bit), in rule order; readers[n] holds
-    # the indices in `compiled` of the rules whose body holds sentence n
-    compiled: list[tuple[int, tuple[int, ...], tuple[int, ...], int]] = []
-    readers: dict[int, list[int]] = {}
-    for bit, (head, body) in enumerate(rules, start=width):
-        if not body:
-            fresh.setdefault(number[head], set()).add(1 << bit)
-            continue
-        claims = tuple([number[lit.atom] + lit.negated for lit in body])
-        first: dict[int, int] = {}
-        for position, claim in enumerate(claims):
-            first.setdefault(claim, position)
-        for claim in first:
-            readers.setdefault(claim, []).append(len(compiled))
-        compiled.append((number[head], claims, tuple(first.values()), 1 << bit))
-    found: list[set[int]] = [set() for _ in sentences]
-    count = sum(map(len, fresh.values()))
-
-    while fresh:
-        if count > max_arguments:
-            raise _past_count_cap(count, max_arguments)
-        for claim, masks in fresh.items():
-            found[claim] |= masks
-        delta, fresh = fresh, {}
-        old = {claim: found[claim] - masks for claim, masks in delta.items() if claim in readers}
-        # rules fire in rule order, each at most once a round
-        for index in sorted({i for claim in delta for i in readers.get(claim, ())}):
-            head, body, first, rule_bit = compiled[index]
-            for position in first:
-                claim = body[position]
-                if claim not in delta:
-                    continue
-                pools = (
-                    [old.get(c, found[c]) for c in body[:position]]
-                    + [delta[claim]]
-                    + [found[c] for c in body[position + 1 :]]
-                )
-                if not all(pools):
-                    continue
-                # the first pool's unions are at most its arguments, which
-                # the count below keeps under the cap
-                partial = {rule_bit | mask for mask in pools[0]}
-                for pool in pools[1:]:
-                    # a join holds at most the product of its two sides
-                    if len(partial) * len(pool) <= max_arguments:
-                        partial = {mask | other for mask in partial for other in pool}
-                        continue
-                    # the unions a join holds count against the cap like
-                    # arguments: their number grows with the product of the
-                    # pool sizes, however few arguments come out, so a join
-                    # that may pass the cap is built row by row and refused
-                    # once past it
-                    joined: set[int] = set()
-                    for mask in partial:
-                        joined.update([mask | other for other in pool])
-                        if len(joined) > max_arguments:
-                            rule = rules[rule_bit.bit_length() - 1 - width]
-                            raise CapExceeded(
-                                f"argument saturation held {len(joined)} partial unions in "
-                                f"the join of rule '{rule}', past the cap of {max_arguments}",
-                                cap="max_arguments",
-                            )
-                    partial = joined
-                partial -= found[head]
-                if head in fresh:
-                    partial -= fresh[head]
-                if partial:
-                    fresh.setdefault(head, set()).update(partial)
-                    count += len(partial)
-                    if count > max_arguments:
-                        raise _past_count_cap(count, max_arguments)
+    try:
+        found = _saturate(number, numbered, rules, max_arguments, fold=True)
+    except _JoinMayPassTheCap:
+        found = _saturate(number, numbered, rules, max_arguments, fold=False)
 
     # one pass over the arguments; bit positions, contraries and fact masks
     # are computed once per distinct mask. By assumption bit: its contrary's
@@ -341,6 +297,162 @@ def argument_table(
     rows.sort()
     claims, _, _, masks, contraries, fact_masks = tuple(zip(*rows)) or ((),) * 6
     return ArgumentTable(claims, contraries, fact_masks, sentences, assumptions, rules, masks)
+
+
+def _saturate(
+    number: dict[Atom, int],
+    numbered: list[int],
+    rules: tuple[Rule, ...],
+    max_arguments: int,
+    fold: bool,
+) -> list[set[int]]:
+    """The argument masks claiming each sentence, by the semi-naive rounds
+    of `argument_table`, with body sentences folded if `fold` is set."""
+    width = len(numbered)
+    fresh = {n: {1 << bit} for bit, n in enumerate(numbered)}
+    derived = set()
+    for bit, (head, body) in enumerate(rules, start=width):
+        # a fact that heads a bodyless rule has two arguments, so it is not
+        # folded; a flat framework has no such fact
+        if body or number[head] in fresh:
+            derived.add(number[head])
+        if not body:
+            fresh.setdefault(number[head], set()).add(1 << bit)
+    # a rule with a body as (head, body claims, the position of each distinct
+    # claim's first occurrence, mask, the bound on a join's two sides that
+    # keeps the join exact, rule), in rule order; readers[n] holds the indices
+    # in `compiled` of the rules whose body holds claim n, `free` those of the
+    # rules with none, and `early` the claims that a rule reads before its
+    # last first occurrence, the only ones whose previous-round pool a join
+    # reads
+    compiled: list[tuple[int, tuple[int, ...], tuple[int, ...], int, int, Rule]] = []
+    readers: dict[int, list[int]] = {}
+    free: list[int] = []
+    early: set[int] = set()
+    for bit, rule in enumerate(rules, start=width):
+        head, body = rule
+        if not body:
+            continue
+        mask = 1 << bit
+        claims = []
+        # the folded arguments first read after the first body claim; each
+        # may stand between a folded union and two unfolded ones
+        spare = 0
+        for atom, negated in body:
+            claim = number[atom] + negated
+            if not fold or claim in derived:
+                claims.append(claim)
+            elif claim in fresh:
+                (argument,) = fresh[claim]
+                if claims and not mask & argument:
+                    spare += 1
+                mask |= argument
+            else:
+                break
+        else:
+            first: dict[int, int] = {}
+            for position, claim in enumerate(claims):
+                first.setdefault(claim, position)
+            for claim in first:
+                readers.setdefault(claim, []).append(len(compiled))
+            if not first:
+                free.append(len(compiled))
+            early.update(list(first)[:-1])
+            limit = max_arguments >> spare
+            compiled.append((number[head], tuple(claims), tuple(first.values()), mask, limit, rule))
+    found: list[set[int]] = [set() for _ in range(2 * len(number))]
+    count = sum(map(len, fresh.values()))
+    if count > max_arguments:
+        raise _past_count_cap(count, max_arguments)
+    # a seed whose sentence no rule joins is found before the first round
+    for claim in [claim for claim in fresh if claim not in readers]:
+        found[claim] = fresh.pop(claim)
+
+    while fresh or free:
+        for claim, masks in fresh.items():
+            found[claim] |= masks
+        delta, fresh = fresh, {}
+        old = {claim: found[claim] - masks for claim, masks in delta.items() if claim in early}
+        # rules fire in rule order, each at most once a round
+        firing = {i for claim in delta for i in readers.get(claim, ())}.union(free)
+        free = []
+        for index in sorted(firing):
+            head, body, first, rule_mask, limit, rule = compiled[index]
+            # a rule with no body claim makes its one argument, unjoined
+            for position in first or (None,):
+                if position is None:
+                    partial = {rule_mask}
+                elif body[position] not in delta:
+                    continue
+                elif len(body) == 1:
+                    partial = {rule_mask | mask for mask in delta[body[0]]}
+                else:
+                    pools = (
+                        [old.get(c, found[c]) for c in body[:position]]
+                        + [delta[body[position]]]
+                        + [found[c] for c in body[position + 1 :]]
+                    )
+                    if not all(pools):
+                        continue
+                    partial = _join(rule_mask, pools, limit, max_arguments, rule, fold)
+                partial -= found[head]
+                if head in fresh:
+                    partial -= fresh[head]
+                if partial:
+                    # no join reads the arguments of a head that no rule
+                    # reads, so they are found at once, and start no round
+                    if head in readers:
+                        fresh.setdefault(head, set()).update(partial)
+                    else:
+                        found[head] |= partial
+                    count += len(partial)
+                    if count > max_arguments:
+                        raise _past_count_cap(count, max_arguments)
+    return found
+
+
+class _JoinMayPassTheCap(Exception):
+    """A folded join whose unfolded join may hold more partial unions than
+    the cap."""
+
+
+def _join(
+    rule_mask: int, pools: list[set[int]], limit: int, max_arguments: int, rule: Rule, fold: bool
+) -> set[int]:
+    """The unions of `rule_mask` with one argument from each pool, joined
+    left to right, each distinct partial union extended once.
+
+    A step whose two sides multiply to at most `limit` is built whole:
+    `limit` is the cap, or for a folded rule the cap over 2**s, under which
+    the unfolded step holds no more unions than the cap either. Past it, a
+    folded join gives up, for only the unfolded join holds the unions that
+    the cap refusal counts, and an unfolded one is built row by row and
+    refused once it holds more unions than the cap."""
+    # the first pool's unions are at most its arguments, which the
+    # saturation's count keeps under the cap
+    partial = {rule_mask | mask for mask in pools[0]}
+    for pool in pools[1:]:
+        # a join holds at most the product of its two sides
+        if len(partial) * len(pool) <= limit:
+            partial = {mask | other for mask in partial for other in pool}
+            continue
+        if fold:
+            raise _JoinMayPassTheCap
+        # the unions a join holds count against the cap like arguments: their
+        # number grows with the product of the pool sizes, however few
+        # arguments come out, so a join that may pass the cap is built row by
+        # row and refused once past it
+        joined: set[int] = set()
+        for mask in partial:
+            joined.update([mask | other for other in pool])
+            if len(joined) > max_arguments:
+                raise CapExceeded(
+                    f"argument saturation held {len(joined)} partial unions in "
+                    f"the join of rule '{rule}', past the cap of {max_arguments}",
+                    cap="max_arguments",
+                )
+        partial = joined
+    return partial
 
 
 def _past_count_cap(count: int, max_arguments: int) -> CapExceeded:

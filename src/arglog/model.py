@@ -115,7 +115,8 @@ class ProbFact(_ProbFactFields):
             raise TypeError("probabilities must be exact rationals, not floats")
         if type(prob) is not Fraction:
             prob = Fraction(prob)
-        if not 0 <= prob <= 1:
+        # a Fraction's denominator is positive: 0 <= prob <= 1 on its ints
+        if not 0 <= prob.numerator <= prob.denominator:
             raise ValueError(f"probability {prob} of {atom} is outside [0,1]")
         return tuple.__new__(cls, (prob, atom))
 
@@ -188,8 +189,9 @@ class GroundProgram:
     pfacts: frozenset[ProbFact]
     herbrand_base: frozenset[Atom]
 
-    @property
+    @cached_property
     def fact_atoms(self) -> frozenset[Atom]:
+        """The atoms of the probabilistic facts, built on first read and kept."""
         return frozenset(pf.atom for pf in self.pfacts)
 
 

@@ -176,6 +176,11 @@ def test_cyclic_and_direct_rules_give_two_distinct_triples():
         "0.5::f.\ng.\nq :- f.\nq :- f, g.\n",
         "a :- b.\nb :- a.\na.\nb.\n",
         "x :- \\+ y, z.\nz :- z.\nz.\ny :- \\+ x.\n",
+        # a body of assumptions only, a body atom whose one rule is bodyless,
+        # and a body atom that nothing derives
+        "0.5::f.\np :- \\+ q, f.\n",
+        "c.\ns :- c, \\+ p.\n",
+        "t :- u.\n",
     ],
 )
 def test_saturation_matches_the_tree_oracle(source):

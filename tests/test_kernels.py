@@ -446,8 +446,9 @@ def test_saturation_matches_the_reference_on_the_seeded_corpus():
 
 
 # repeated body literals, such as a :- a, a, \+ a, are what the join dedupes;
-# d is a probabilistic fact, so it is never a head
-body_literals = st.builds(Literal, st.sampled_from(ATOMS[:4]), st.booleans())
+# d is a probabilistic fact, so it is never a head; e is neither a head nor a
+# fact, so a rule whose body holds e never fires
+body_literals = st.builds(Literal, st.sampled_from(ATOMS[:5]), st.booleans())
 repeating_rules = st.builds(
     Rule, st.sampled_from(ATOMS[:3]), st.lists(body_literals, max_size=4).map(tuple)
 )
@@ -468,6 +469,30 @@ def test_argument_cap_refuses_exactly_past_the_argument_count():
         CapExceeded, match=r"^argument saturation reached 243 arguments, past the cap of 242$"
     ):
         enumerate_arguments(framework, max_arguments=242)
+
+
+@pytest.mark.parametrize("seed", [49, 102])
+def test_folded_saturation_refuses_where_unfolded_saturation_does(seed, monkeypatch):
+    # ORing a folded argument in early merges partial unions of seed 49's
+    # a :- a, a, not b, and reorders the rows of seed 102's b :- not c, b, b
+    # joins, so at some caps a folded join counts its unions differently
+    framework = build_problog_aba(ground(random_program(seed)))
+    caps = range(len(argument_table(framework).masks) + 2)
+
+    def outcomes():
+        for max_arguments in caps:
+            try:
+                yield argument_table(framework, max_arguments).masks
+            except CapExceeded as refusal:
+                yield str(refusal)
+
+    folded = list(outcomes())
+    assert any("partial unions in the join of rule" in str(o) for o in folded)
+    saturate = aba_module._saturate
+    monkeypatch.setattr(
+        aba_module, "_saturate", lambda *args, fold: saturate(*args, fold=False)
+    )
+    assert list(outcomes()) == folded
 
 
 # --- the argumentation route on ints ---
