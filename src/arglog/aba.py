@@ -226,16 +226,8 @@ def argument_table(
     Unfolded, a folded argument is in the first round's delta only, where
     a rule's first join makes every combination of its body; so each round
     makes the arguments it makes unfolded, rule by rule in the same order,
-    and the count passes the cap at the same argument.
-
-    A join's partial unions count against the cap too, and a folded join
-    may hold fewer of them: two unions that differ only in a folded
-    argument's bits are one once those bits are in. With s arguments first
-    folded in after a rule's first derived claim, a folded union stands for
-    at most 2**s unfolded ones, so a folded join whose two sides multiply
-    to at most the cap over 2**s is one that the unfolded join builds
-    without counting. Past that, saturation starts over unfolded, and so
-    refuses exactly where it did.
+    and the count passes the cap at the same argument. A join's partial
+    unions count against the cap too, as the folded join holds them.
 
     Since the numbering follows the sorted order, sorting on (claim number,
     assumption bit positions, rule bit positions) gives the canonical order
@@ -259,10 +251,7 @@ def argument_table(
     assumptions = tuple(map(sentences.__getitem__, numbered))
     rules = tuple(sorted(framework.rules))
     width = len(assumptions)
-    try:
-        found = _saturate(number, numbered, rules, max_arguments, fold=True)
-    except _JoinMayPassTheCap:
-        found = _saturate(number, numbered, rules, max_arguments, fold=False)
+    found = _saturate(number, numbered, rules, max_arguments)
 
     # one pass over the arguments; bit positions, contraries and fact masks
     # are computed once per distinct mask. By assumption bit: its contrary's
@@ -304,10 +293,9 @@ def _saturate(
     numbered: list[int],
     rules: tuple[Rule, ...],
     max_arguments: int,
-    fold: bool,
 ) -> list[set[int]]:
     """The argument masks claiming each sentence, by the semi-naive rounds
-    of `argument_table`, with body sentences folded if `fold` is set."""
+    of `argument_table`."""
     width = len(numbered)
     fresh = {n: {1 << bit} for bit, n in enumerate(numbered)}
     derived = set()
@@ -319,13 +307,12 @@ def _saturate(
         if not body:
             fresh.setdefault(number[head], set()).add(1 << bit)
     # a rule with a body as (head, body claims, the position of each distinct
-    # claim's first occurrence, mask, the bound on a join's two sides that
-    # keeps the join exact, rule), in rule order; readers[n] holds the indices
-    # in `compiled` of the rules whose body holds claim n, `free` those of the
-    # rules with none, and `early` the claims that a rule reads before its
-    # last first occurrence, the only ones whose previous-round pool a join
-    # reads
-    compiled: list[tuple[int, tuple[int, ...], tuple[int, ...], int, int, Rule]] = []
+    # claim's first occurrence, mask, rule), in rule order; readers[n] holds
+    # the indices in `compiled` of the rules whose body holds claim n, `free`
+    # those of the rules with none, and `early` the claims that a rule reads
+    # before its last first occurrence, the only ones whose previous-round
+    # pool a join reads
+    compiled: list[tuple[int, tuple[int, ...], tuple[int, ...], int, Rule]] = []
     readers: dict[int, list[int]] = {}
     free: list[int] = []
     early: set[int] = set()
@@ -335,17 +322,12 @@ def _saturate(
             continue
         mask = 1 << bit
         claims = []
-        # the folded arguments first read after the first body claim; each
-        # may stand between a folded union and two unfolded ones
-        spare = 0
         for atom, negated in body:
             claim = number[atom] + negated
-            if not fold or claim in derived:
+            if claim in derived:
                 claims.append(claim)
             elif claim in fresh:
                 (argument,) = fresh[claim]
-                if claims and not mask & argument:
-                    spare += 1
                 mask |= argument
             else:
                 break
@@ -358,8 +340,7 @@ def _saturate(
             if not first:
                 free.append(len(compiled))
             early.update(list(first)[:-1])
-            limit = max_arguments >> spare
-            compiled.append((number[head], tuple(claims), tuple(first.values()), mask, limit, rule))
+            compiled.append((number[head], tuple(claims), tuple(first.values()), mask, rule))
     found: list[set[int]] = [set() for _ in range(2 * len(number))]
     count = sum(map(len, fresh.values()))
     if count > max_arguments:
@@ -377,7 +358,7 @@ def _saturate(
         firing = {i for claim in delta for i in readers.get(claim, ())}.union(free)
         free = []
         for index in sorted(firing):
-            head, body, first, rule_mask, limit, rule = compiled[index]
+            head, body, first, rule_mask, rule = compiled[index]
             # a rule with no body claim makes its one argument, unjoined
             for position in first or (None,):
                 if position is None:
@@ -394,7 +375,7 @@ def _saturate(
                     )
                     if not all(pools):
                         continue
-                    partial = _join(rule_mask, pools, limit, max_arguments, rule, fold)
+                    partial = _join(rule_mask, pools, max_arguments, rule)
                 partial -= found[head]
                 if head in fresh:
                     partial -= fresh[head]
@@ -411,37 +392,24 @@ def _saturate(
     return found
 
 
-class _JoinMayPassTheCap(Exception):
-    """A folded join whose unfolded join may hold more partial unions than
-    the cap."""
-
-
-def _join(
-    rule_mask: int, pools: list[set[int]], limit: int, max_arguments: int, rule: Rule, fold: bool
-) -> set[int]:
+def _join(rule_mask: int, pools: list[set[int]], max_arguments: int, rule: Rule) -> set[int]:
     """The unions of `rule_mask` with one argument from each pool, joined
     left to right, each distinct partial union extended once.
 
-    A step whose two sides multiply to at most `limit` is built whole:
-    `limit` is the cap, or for a folded rule the cap over 2**s, under which
-    the unfolded step holds no more unions than the cap either. Past it, a
-    folded join gives up, for only the unfolded join holds the unions that
-    the cap refusal counts, and an unfolded one is built row by row and
-    refused once it holds more unions than the cap."""
+    A step whose two sides multiply to at most the cap is built whole; past
+    that, it is built row by row and refused once it holds more unions than
+    the cap."""
     # the first pool's unions are at most its arguments, which the
     # saturation's count keeps under the cap
     partial = {rule_mask | mask for mask in pools[0]}
     for pool in pools[1:]:
         # a join holds at most the product of its two sides
-        if len(partial) * len(pool) <= limit:
+        if len(partial) * len(pool) <= max_arguments:
             partial = {mask | other for mask in partial for other in pool}
             continue
-        if fold:
-            raise _JoinMayPassTheCap
         # the unions a join holds count against the cap like arguments: their
         # number grows with the product of the pool sizes, however few
-        # arguments come out, so a join that may pass the cap is built row by
-        # row and refused once past it
+        # arguments come out
         joined: set[int] = set()
         for mask in partial:
             joined.update([mask | other for other in pool])

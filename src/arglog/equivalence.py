@@ -307,7 +307,7 @@ def check_query(
 
 def world_weight(engine: PaaEngine) -> Fraction:
     """The mass of all the worlds, at the full vector of every block."""
-    return engine.mass((1 << block_width(len(engine.gp.pfacts))) - 1 for _ in engine.in_vectors())
+    return engine.mass((1 << block_width(len(engine.gp.pfacts))) - 1 for _ in engine.numerators[1])
 
 
 def weight_failures(engine: PaaEngine) -> list[str]:
@@ -319,7 +319,7 @@ def weight_failures(engine: PaaEngine) -> list[str]:
     the mass at its fact vectors."""
     declared = {pf.atom: pf.prob for pf in engine.gp.pfacts}
     n = len(declared)
-    vectors = [block_fact_vectors(n, block) for block in range(len(engine.in_vectors()))]
+    vectors = [block_fact_vectors(n, block) for block in range(len(engine.numerators[1]))]
     failures = []
     total = world_weight(engine)
     if total != 1:

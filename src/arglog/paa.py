@@ -10,12 +10,12 @@ canonical order as ints, each with its claim's number and its fact support
 as an int bitmask over the fact atoms (in the bit order of the shared world
 enumeration), and the attack relation factored through claims: the
 arguments claiming one sentence attack the arguments assuming its contrary,
-so it costs one entry per assumption and never one per attack. Every world is then labelled exactly once, a block
-of worlds per labelling. Each block's IN vectors are kept with the block's
-share of the world probability numerators from `worlds.world_numerators`;
-a probability is the sum of the worlds' integer numerators at the set bits
-of a vector, over one common denominator. The engine builds no row per
-world: `equivalence.world_traces` builds them from its vectors.
+so it costs one entry per assumption and never one per attack. Every world
+is then labelled exactly once, a block of worlds per labelling, and each
+block's IN vectors are kept. A probability is the sum of the worlds'
+integer numerators from `worlds.world_numerators` at the set bits of a
+vector, over one common denominator. The engine builds no row per world:
+`equivalence.world_traces` builds them from its vectors.
 
 The engine owns the program's one world table: the numerators, which every
 probability reads, and the chosen-atom sets paired with them, which only
@@ -142,33 +142,26 @@ class PaaEngine:
         return frozenset(self._kept_lists[w])
 
     @cached_property
-    def _labels(self) -> tuple[list[int], list[tuple[int, list[int]]], int]:
-        """The low-bit numerators, per block of worlds its high numerator and
-        each argument's IN vector, and the common denominator, as
-        `numerators` gives them; computed on first use.
-
-        One block labelling of the arguments' applicable vectors gives each
-        argument's IN vector.
-        """
-        lows, highs, denominator = self.numerators
-        blocks = []
-        for block, high in enumerate(highs):
-            active = self.applicable_vectors(block)
-            inside = grounded_block(active, self._table.claims, self._table.contraries)
-            blocks.append((high, inside))
-        return lows, blocks, denominator
+    def _labels(self) -> list[list[int]]:
+        """Per block of worlds, in mask order, each argument's IN vector: one
+        block labelling of the arguments' applicable vectors, computed on
+        first use."""
+        claims, contraries = self._table.claims, self._table.contraries
+        return [
+            grounded_block(self.applicable_vectors(block), claims, contraries)
+            for block in range(len(self.numerators[1]))
+        ]
 
     def in_vectors(self) -> list[list[int]]:
         """Per block of worlds, in mask order, each argument's IN vector."""
-        return [inside for _, inside in self._labels[1]]
+        return self._labels
 
     def mass(self, vectors: Iterable[int]) -> Fraction:
         """Probability mass at the set bits of `vectors`, one vector per block
         of worlds in mask order."""
-        lows, blocks, denominator = self._labels
+        lows, highs, denominator = self.numerators
         total = sum(
-            high * masked_sum(lows, vector)
-            for (high, _), vector in zip(blocks, vectors, strict=True)
+            high * masked_sum(lows, vector) for high, vector in zip(highs, vectors, strict=True)
         )
         return Fraction(total, denominator)
 
@@ -196,9 +189,9 @@ class PaaEngine:
         """The query's grounded probability and its argument probability sum,
         in one pass over the block labellings."""
         claiming = self.query_argument_indices(query)
-        lows, blocks, denominator = self._labels
+        lows, highs, denominator = self.numerators
         grounded = spread = 0
-        for high, inside in blocks:
+        for high, inside in zip(highs, self._labels):
             accepted = 0
             for i in claiming:
                 accepted |= inside[i]

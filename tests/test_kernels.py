@@ -2,6 +2,7 @@
 world enumeration and its blocks, and the one-evaluation-per-world contract."""
 
 import ast
+import re
 from collections import defaultdict
 from fractions import Fraction
 from itertools import islice, product
@@ -471,28 +472,65 @@ def test_argument_cap_refuses_exactly_past_the_argument_count():
         enumerate_arguments(framework, max_arguments=242)
 
 
-@pytest.mark.parametrize("seed", [49, 102])
-def test_folded_saturation_refuses_where_unfolded_saturation_does(seed, monkeypatch):
-    # ORing a folded argument in early merges partial unions of seed 49's
-    # a :- a, a, not b, and reorders the rows of seed 102's b :- not c, b, b
-    # joins, so at some caps a folded join counts its unions differently
-    framework = build_problog_aba(ground(random_program(seed)))
-    caps = range(len(argument_table(framework).masks) + 2)
+def test_argument_table_saturates_once(monkeypatch):
+    # seed 608's b :- b, b, not c joins sides of 146 and 373 unions, whose
+    # product is more than half the default cap
+    framework = build_problog_aba(ground(random_program(608)))
+    saturate, calls = aba_module._saturate, []
 
-    def outcomes():
-        for max_arguments in caps:
-            try:
-                yield argument_table(framework, max_arguments).masks
-            except CapExceeded as refusal:
-                yield str(refusal)
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return saturate(*args, **kwargs)
 
-    folded = list(outcomes())
-    assert any("partial unions in the join of rule" in str(o) for o in folded)
-    saturate = aba_module._saturate
-    monkeypatch.setattr(
-        aba_module, "_saturate", lambda *args, fold: saturate(*args, fold=False)
-    )
-    assert list(outcomes()) == folded
+    monkeypatch.setattr(aba_module, "_saturate", counted)
+    table = argument_table(framework)
+    assert len(calls) == 1
+    assert table.arguments == tuple(sorted(naive_arguments(framework), key=argument_sort_key))
+
+
+REFUSAL = re.compile(
+    r"argument saturation (?:reached (\d+) arguments|held (\d+) partial unions in the "
+    r"join of rule '[^']*'), past the cap of (\d+)"
+)
+
+
+def cap_sweep_failures(framework):
+    """What goes wrong when `argument_table` runs at every cap from 0 to the
+    argument count + 1, one phrase per failure. Each outcome must be the
+    default cap's masks or a `max_arguments` refusal naming a count above
+    its cap, and the caps that give a table one range up to the top."""
+    masks = argument_table(framework).masks
+    top, failures, accepted = len(masks) + 1, [], []
+    for cap in range(top + 1):
+        try:
+            table = argument_table(framework, cap)
+        except CapExceeded as refusal:
+            match = REFUSAL.fullmatch(str(refusal))
+            if refusal.cap != "max_arguments" or match is None:
+                failures.append(f"cap {cap}: refused with {refusal}")
+            elif int(match[3]) != cap or int(match[1] or match[2]) <= cap:
+                failures.append(f"cap {cap}: {refusal}")
+            continue
+        if table.masks != masks:
+            failures.append(f"cap {cap}: a table other than the default cap's")
+        accepted.append(cap)
+    if accepted != list(range(top + 1 - len(accepted), top + 1)):
+        failures.append(f"the caps giving a table, {accepted}, are no range up to {top}")
+    return failures
+
+
+@pytest.mark.parametrize(
+    "name",
+    # the seeds of 0..999 where folding merges partial unions that a join's
+    # refusal counts, and the ladder's rungs
+    [f"random{seed}" for seed in (49, 102, 515, 608)] + [f"chain{n}" for n in range(1, 6)],
+)
+def test_every_cap_gives_the_table_or_a_refusal_past_it(name):
+    if name.startswith("random"):
+        gp = ground(random_program(int(name.removeprefix("random"))))
+    else:
+        gp = ground(parse_program(chain_source(int(name.removeprefix("chain")))))
+    assert cap_sweep_failures(build_problog_aba(gp)) == []
 
 
 # --- the argumentation route on ints ---
@@ -886,6 +924,19 @@ def test_a_query_sharing_the_traces_walks_no_world(monkeypatch):
     report = check_query(Atom("a6"), gp, engine=engine, traces=traces)
     assert report.success_probability == report.grounded_query_probability == Fraction(1, 64)
     assert report.holds
+
+
+@pytest.mark.parametrize("bits", [worlds_module.BLOCK_BITS, 1])
+def test_the_world_weights_label_no_block(bits, monkeypatch):
+    """The weights read the numerators alone; counting the blocks labels none."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a block was labelled")
+
+    monkeypatch.setattr(worlds_module, "BLOCK_BITS", bits)
+    monkeypatch.setattr(paa_module, "grounded_block", refuse)
+    engine = PaaEngine(ground(parse_program(chain_source(3))))
+    assert equivalence_module.weight_failures(engine) == []
 
 
 def test_an_argumentation_query_builds_no_world_table(monkeypatch):
