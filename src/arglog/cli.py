@@ -242,7 +242,7 @@ def cmd_worlds(args: argparse.Namespace) -> tuple[int, dict, list[str]]:
     traces = world_traces(engine.gp, engine)
     rows = [_world_row(t.world, t.probability, t.accepted_claims) for t in traces]
     failures = traces.failures + weight_failures(engine)
-    del traces  # the rows hold all that is printed; free the views before rendering
+    del traces  # the rows hold all that is printed; free the block vectors before rendering
     total = world_weight(engine)
     doc = {"command": "worlds", "worlds": rows, "total_probability": probability_doc(total)}
     lines = [

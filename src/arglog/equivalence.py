@@ -9,13 +9,15 @@ correspondence the equality rests on: true atoms of the well-founded model
 are exactly the accepted atomic claims, false atoms exactly the atoms whose
 negation-as-failure is an accepted claim.
 
-`world_traces` evaluates every world once on each route. Its per-world
-rows, which `arglog worlds`, `query --trace` and a counterexample's dump
-print, are views of their block: a row keeps its model, its match bit and
-its place in the block, and builds its world, its probability and its
-accepted claims when they are read, the claims from one transposition of
-the block's IN vectors. Per block, it also checks that no argument is IN in
-a world that lacks its facts, and keeps the block's true vectors. A query
+`world_traces` evaluates every world once on each route, a block of worlds
+at a time. Per block, it checks each world's model against its accepted
+claims and that no argument is IN in a world that lacks its facts, and
+keeps what it read: the block's true, false and undefined vectors, its IN
+vectors and its mismatched worlds. The per-world rows, which
+`arglog worlds`, `query --trace` and a counterexample's dump print, are
+built from those only when the traces are iterated, a block at a time, the
+accepted claims from one transposition of the block's IN vectors, and
+nothing keeps them. A query
 that shares those traces (as in `check_program`) is answered by masked sums
 over the engine's cached block labellings: its success probability at the
 OR of its instances' true vectors, its grounded ones, as on every path,
@@ -44,101 +46,81 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from operator import or_
-from typing import Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .distribution import success_probability
 from .limits import Caps
 from .model import Atom, GroundProgram, Literal, ProbFact, Program, Rule
 from .paa import PaaEngine
 from .wfm import ThreeValuedModel, WellFoundedKernel, well_founded_model
-from .worlds import block_fact_vectors, block_width, world_lists
+from .worlds import WeightedWorlds, block_fact_vectors, block_width, world_lists
 
 
-@dataclass(eq=False)
-class _Block:
-    """What the rows of one block share: its high set and numerator, the low
-    (set, numerator) pairs and denominator of the engine's `world_sets`, each
-    argument's claim (a one-item list) and IN vector, and `kept`, shared by
-    all blocks."""
+class WorldTrace(NamedTuple):
+    """One world's view from both back ends, plus whether they agree."""
 
-    high_set: frozenset[Atom]
-    high: int
-    lows: list[tuple[frozenset[Atom], int]]
-    denominator: int
-    claims: list[list[Literal]]
-    inside: list[int]
-    kept: list
-
-    @property
-    def in_claims(self) -> list[list[Literal]]:
-        """Per world, the claims IN there; `kept` holds the last block's alone."""
-        if self.kept[0] is not self.inside:
-            self.kept[:] = self.inside, world_lists(len(self.lows), self.inside, self.claims)
-        return self.kept[1]
+    world: frozenset[Atom]
+    probability: Fraction
+    model: ThreeValuedModel
+    accepted_claims: frozenset[Literal]
+    model_matches_claims: bool
 
 
-class WorldTrace:
-    """One world's view from both back ends, plus whether they agree.
+class WorldTraces:
+    """The per-world evaluation of a program, kept as block vectors: iterating
+    it yields one `WorldTrace` per world, in mask order, built then and kept
+    by no one.
 
-    A row is a view of its block of worlds, as its `ThreeValuedModel` is: it
-    keeps the model, whether they agree, the block and the world's place `w`
-    in it. `world`, `probability` (one `Fraction`) and `accepted_claims`
-    (read in the block's transposed IN vectors) are built each time they
-    are read. A row compares, hashes and pickles as its five `_fields`.
+    Per block it keeps the kernel's (true, false, undefined) vectors, the IN
+    vectors that `world_traces` checked and its `mismatched_worlds` vector,
+    with the engine's `world_sets` and each argument's claim. A block's IN
+    vectors are transposed by `world_lists` once per iteration of the block.
+    `kernel` is the `WellFoundedKernel` that evaluated the worlds, and
+    `true_vectors` holds, per block, its true vector per atom, numbered by its
+    `index`. `failures` phrases what the worlds showed wrong, one phrase per
+    failed condition: a model that does not match its accepted claims, or an
+    argument IN in a world that lacks its facts. Two `WorldTraces` are equal
+    when their failures and their rows are.
     """
 
-    __slots__ = ("model", "model_matches_claims", "_block", "_w")
-    _fields = ("world", "probability", "model", "accepted_claims", "model_matches_claims")
-
-    def __init__(self, model: ThreeValuedModel, model_matches_claims: bool, block: _Block, w: int):
-        self.model, self.model_matches_claims = model, model_matches_claims
-        self._block, self._w = block, w
-
-    @property
-    def world(self) -> frozenset[Atom]:
-        return self._block.high_set | self._block.lows[self._w][0]
-
-    @property
-    def probability(self) -> Fraction:
-        return Fraction(self._block.high * self._block.lows[self._w][1], self._block.denominator)
+    def __init__(
+        self,
+        kernel: WellFoundedKernel,
+        worlds: WeightedWorlds,
+        claims: list[Literal],
+        blocks: list[tuple[tuple[list[int], list[int], list[int]], list[int], int]],
+        failures: list[str],
+    ):
+        self.kernel, self.failures = kernel, failures
+        self._worlds, self._claims, self._blocks = worlds, claims, blocks
 
     @property
-    def accepted_claims(self) -> frozenset[Literal]:
-        return frozenset(self._block.in_claims[self._w])
+    def true_vectors(self) -> list[list[int]]:
+        return [vectors[0] for vectors, _, _ in self._blocks]
 
-    def _key(self) -> tuple:
-        return tuple(getattr(self, field) for field in self._fields)
+    def __len__(self) -> int:
+        lows, highs, _ = self._worlds
+        return len(lows) * len(highs)
+
+    def __iter__(self) -> Iterator[WorldTrace]:
+        atoms, index = self.kernel.atoms, self.kernel.index
+        lows, highs, denominator = self._worlds
+        claims = [[claim] for claim in self._claims]
+        for (high_set, high), (vectors, inside, mismatch) in zip(highs, self._blocks):
+            accepted = world_lists(len(lows), inside, claims)
+            for w, (low_set, low) in enumerate(lows):
+                yield WorldTrace(
+                    high_set | low_set,
+                    Fraction(high * low, denominator),
+                    ThreeValuedModel(atoms, index, vectors, w),
+                    frozenset(accepted[w]),
+                    not mismatch >> w & 1,
+                )
 
     def __eq__(self, other):
-        if isinstance(other, (WorldTrace, tuple)):
-            return self._key() == tuple(other)
+        if isinstance(other, WorldTraces):
+            return self.failures == other.failures and list(self) == list(other)
         return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __iter__(self):
-        return iter(self._key())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self))
-        return f"{self.__class__.__qualname__}({fields})"
-
-
-class WorldTraces(tuple):
-    """The `WorldTrace` rows of every world, in mask order, and what a query
-    is answered from without walking them.
-
-    `kernel` is the `WellFoundedKernel` that evaluated the worlds, and
-    `true_vectors` holds, per block of worlds, its true vector per atom,
-    numbered by its `index`. `failures` phrases what the worlds showed
-    wrong, one phrase per failed condition: a model that does not match its
-    accepted claims, or an argument IN in a world that lacks its facts.
-    """
-
-    kernel: WellFoundedKernel
-    true_vectors: list[list[int]]
-    failures: list[str]
 
 
 @dataclass(frozen=True)
@@ -220,43 +202,37 @@ def world_traces(gp: GroundProgram, engine: PaaEngine) -> WorldTraces:
     does not match their accepted claims are one `mismatched_worlds` vector,
     and those where an argument is IN without being applicable one
     `stray_worlds` vector, over the engine's `applicable_vectors`, the
-    vectors that `applicable_indices` transposes. Per world, the row is a
-    view of the block (see `WorldTrace`) holding the world's well-founded
-    model. The kernel and its true vectors are kept with the rows (see
-    `WorldTraces`).
+    vectors that `applicable_indices` transposes. What the rows are built
+    from is kept per block (see `WorldTraces`); no row is built here.
     """
     kernel = WellFoundedKernel(gp.rules, gp.herbrand_base, gp.fact_atoms)
     claiming: list[tuple[list[int], list[int]]] = [([], []) for _ in kernel.atoms]
     for i, claim in enumerate(engine.claim_of):
         claiming[kernel.index[claim.atom]][claim.negated].append(i)
-    lows, highs, denominator = engine.world_sets
-    claims = [[claim] for claim in engine.claim_of]
-    rows, true_vectors, kept = [], [], [None, None]
+    lows, highs, _ = engine.world_sets
+    blocks = []
     mismatches = strays = 0
-    blocks = zip(highs, engine.in_vectors(), strict=True)
-    for block, ((high_set, high), inside) in enumerate(blocks):
-        sure, false, _ = kernel.block_vectors(block)
-        true_vectors.append(sure)
-        mismatch = mismatched_worlds(sure, false, inside, claiming)
+    for block, ((high_set, _), inside) in enumerate(zip(highs, engine.in_vectors(), strict=True)):
+        vectors = kernel.block_vectors(block)
+        mismatch = mismatched_worlds(vectors[0], vectors[1], inside, claiming)
         mismatches |= mismatch
         strays |= stray_worlds(inside, engine.applicable_vectors(block))
-        shared = _Block(high_set, high, lows, denominator, claims, inside, kept)
-        for w, (low_set, _) in enumerate(lows):
+        blocks.append((vectors, inside, mismatch))
+        # Nothing reads these two per-world results. The benchmark's tracer
+        # counts the calls (perfbench/tracing.py), and its test pins
+        # wfm.calls == 8 and paa.distinct_frameworks == 4 on chain-1.
+        for low_set, _ in lows:
             world = high_set | low_set
-            model = well_founded_model(gp.rules, gp.herbrand_base, world, kernel)
-            # the world's framework, which the benchmark's tracer counts
-            # (perfbench/tracing.py); the check above reads the vectors
+            well_founded_model(gp.rules, gp.herbrand_base, world, kernel)
             engine.applicable_indices(world)
-            rows.append(WorldTrace(model, not mismatch >> w & 1, shared, w))
-    traces = WorldTraces(rows)
-    traces.kernel, traces.true_vectors, traces.failures = kernel, true_vectors, []
+    failures = []
     if mismatches:
-        traces.failures.append("a world's well-founded model does not match its accepted claims")
+        failures.append("a world's well-founded model does not match its accepted claims")
     if strays:
-        traces.failures.append(
+        failures.append(
             "a world's grounded extension accepts an argument whose facts the world lacks"
         )
-    return traces
+    return WorldTraces(kernel, engine.world_sets, engine.claim_of, blocks, failures)
 
 
 def check_query(
@@ -267,7 +243,8 @@ def check_query(
     traces: WorldTraces | None = None,
 ) -> EquivalenceReport:
     """Compare both back ends on one query; the report is the project's
-    primary debugging instrument, so it carries the full per-world trace.
+    primary debugging instrument, so it carries the per-world trace, whose
+    rows are built each time it is iterated.
 
     Given `traces`, what `world_traces` returned for this program and
     `engine` (as `check_program` passes them), no world is walked again,

@@ -24,12 +24,12 @@ from .worlds import block_fact_vectors, block_width, fact_bits, world_mask
 class ThreeValuedModel:
     """Partition of the Herbrand base into true / false / undefined atoms.
 
-    A model is a view, built by `WellFoundedKernel`, of one world of an
-    evaluated block: the kernel's atoms, the block's sure, false and
-    undefined vectors over them, and the world's place `w` in the block,
-    the bit it reads in those vectors; `index` numbers the atoms. A view
-    builds a set each time it is read and keeps none, and compares, hashes
-    and prints as its three sets.
+    A model is a view, built by `WellFoundedKernel` or from the vectors that
+    `equivalence.WorldTraces` keeps, of one world of an evaluated block: the
+    kernel's atoms, the block's sure, false and undefined vectors over them,
+    and the world's place `w` in the block, the bit it reads in those
+    vectors; `index` numbers the atoms. A view builds a set each time it is
+    read and keeps none, and compares, hashes and prints as its three sets.
     """
 
     __slots__ = ("_atoms", "_index", "_vectors", "_w")

@@ -492,9 +492,9 @@ def test_check_counterexample_as_json_goes_to_stderr(capsys, monkeypatch, tmp_pa
     assert any(not row["model_matches_claims"] for row in doc["worlds"])
 
 
-def run_in_128_mib(tmp_path, *argv):
+def run_capped(tmp_path, *argv, mib=128):
     """Run arglog on 18 probabilistic facts in a child whose address space
-    is capped at 128 MiB."""
+    is capped at `mib` MiB."""
     resource = pytest.importorskip("resource")
     path = tmp_path / "facts.pl"
     path.write_text(
@@ -502,7 +502,7 @@ def run_in_128_mib(tmp_path, *argv):
     )
 
     def limit_address_space():
-        resource.setrlimit(resource.RLIMIT_AS, (128 << 20, 128 << 20))
+        resource.setrlimit(resource.RLIMIT_AS, (mib << 20, mib << 20))
 
     return subprocess.run(
         [sys.executable, "-m", "arglog", argv[0], str(path), *argv[1:]],
@@ -515,16 +515,24 @@ def run_in_128_mib(tmp_path, *argv):
 
 @pytest.mark.parametrize("semantics", ["arg", "both"])
 def test_an_argumentation_query_on_18_facts_fits_in_128_mib(tmp_path, semantics):
-    """`--semantics arg` holds the numerators and the IN vectors, not a row
-    per world, and the rows of `--semantics both` keep no world set: 2**18
-    worlds fit in an address space that a world table overflows."""
-    result = run_in_128_mib(tmp_path, "query", "--query", "q", "--semantics", semantics)
+    """`--semantics arg` holds the numerators and the IN vectors, and
+    `--semantics both` the block vectors too, and neither a row per world:
+    2**18 worlds fit in an address space that a world table overflows."""
+    result = run_capped(tmp_path, "query", "--query", "q", "--semantics", semantics)
+    assert result.returncode == 0, result.stderr
+    assert "21/100" in result.stdout
+
+
+def test_a_query_on_18_facts_fits_in_64_mib(tmp_path):
+    """`query` keeps each block's vectors and no row per world: 2**18
+    worlds fit in 64 MiB, which a row per world overflowed."""
+    result = run_capped(tmp_path, "query", "--query", "q", "--semantics", "both", mib=64)
     assert result.returncode == 0, result.stderr
     assert "21/100" in result.stdout
 
 
 def test_a_listing_out_of_memory_exits_two_naming_the_worlds_cap(tmp_path):
-    result = run_in_128_mib(tmp_path, "worlds")
+    result = run_capped(tmp_path, "worlds")
     assert result.returncode == 2, result.stderr
     assert "Traceback" not in result.stderr
     assert result.stderr.startswith("error: out of memory; ")

@@ -927,6 +927,29 @@ def test_a_query_sharing_the_traces_walks_no_world(monkeypatch):
 
 
 @pytest.mark.parametrize("bits", [worlds_module.BLOCK_BITS, 1])
+def test_world_rows_are_built_only_when_the_traces_are_listed(bits, monkeypatch):
+    """Neither `world_traces` nor a lone `check_query` builds a
+    `WorldTrace`; each listing of the traces builds one per world, and a
+    second listing gives the same rows."""
+    monkeypatch.setattr(worlds_module, "BLOCK_BITS", bits)
+    built = []
+    row = equivalence_module.WorldTrace
+
+    def counting(*args):
+        built.append(args)
+        return row(*args)
+
+    monkeypatch.setattr(equivalence_module, "WorldTrace", counting)
+    gp = ground(parse_program(chain_source(3)))
+    traces = world_traces(gp, PaaEngine(gp))
+    report = check_query(Atom("a3"), gp)
+    assert report.holds and not built
+    rows = list(traces)
+    assert len(rows) == len(built) == len(traces) == 2 ** len(gp.pfacts)
+    assert list(traces) == rows and len(built) == 2 * len(rows)
+
+
+@pytest.mark.parametrize("bits", [worlds_module.BLOCK_BITS, 1])
 def test_the_world_weights_label_no_block(bits, monkeypatch):
     """The weights read the numerators alone; counting the blocks labels none."""
 
@@ -1005,7 +1028,8 @@ def test_evaluations_equal_the_per_argument_reference(bits, monkeypatch):
 def test_a_row_lists_an_in_bit_where_the_argument_is_not_applicable(bits, monkeypatch):
     """The row reads the IN vectors alone, so a stray IN bit shows in its
     accepted claims, where the per-argument reference drops it, and the
-    traces fail on it."""
+    traces fail on it. The rows read the vectors that `world_traces`
+    checked, not the engine's when they are listed."""
     monkeypatch.setattr(worlds_module, "BLOCK_BITS", bits)
     gp = ground(parse_program(chain_source(3)))
     width = 2 ** block_bits(len(gp.pfacts))
@@ -1015,11 +1039,12 @@ def test_a_row_lists_an_in_bit_where_the_argument_is_not_applicable(bits, monkey
     vectors = [list(inside) for inside in engine.in_vectors()]
     vectors[36 // width][x1] ^= 1 << 36 % width
     engine.in_vectors = lambda: vectors
-    rows, expected = trace_rows(gp, engine), list(reference_rows(engine))
+    traces, expected = world_traces(gp, engine), list(reference_rows(engine))
+    del engine.in_vectors
+    rows = [(t.world, t.probability, t.accepted_claims) for t in traces]
     claim = Literal(Atom("x1"))
     assert claim in rows[36][2] and claim not in expected[36][2]
     assert rows[:36] + rows[37:] == expected[:36] + expected[37:]
-    traces = world_traces(gp, engine)
     assert [not t.model_matches_claims for t in traces] == [m == 36 for m in range(64)]
     assert traces.failures == [
         "a world's well-founded model does not match its accepted claims",

@@ -201,7 +201,7 @@ def test_value_types_hash_and_compare_as_the_tuple_of_their_fields():
         "Rule": RULE_A,
         "ProbFact": ProbFact(Fraction(1, 2), B),
         "Argument": engine.arguments[0],
-        "WorldTrace": world_traces(gp, engine)[0],
+        "WorldTrace": next(iter(world_traces(gp, engine))),
     }
     for name, value in values.items():
         assert type(value).__name__ == name
