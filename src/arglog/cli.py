@@ -4,8 +4,8 @@ Commands: query (probability of an atom under either or both back ends),
 show (the argumentation view of a program), worlds (the world table with
 accepted claims), check (the seeded cross-check suite). Exit codes: 0 ok,
 1 input error or a reader that closed standard output, 2 resource-cap
-refusal or a run out of memory, 3 counterexample found by check, by a
-cross-checked query or by the world listing.
+refusal, a run out of memory or a number too long to print, 3 counterexample
+found by check, by a cross-checked query or by the world listing.
 
 All listings are canonically ordered so repeated runs are byte-identical.
 """
@@ -428,6 +428,13 @@ def main(argv=None) -> int:
     except MemoryError:
         hint = "a lower {} or {} refuses such a program".format(*CAP_SETTINGS["max_pfacts"])
         print(f"error: out of memory; {hint}", file=sys.stderr)
+        return EXIT_CAP
+    except ValueError as exc:
+        if "integer string conversion" not in str(exc):
+            raise
+        limit = f"the limit of {sys.get_int_max_str_digits()} digits for integer string conversion"
+        hint = "; PYTHONINTMAXSTRDIGITS raises it"
+        print(f"error: a number to print exceeds {limit}{hint}", file=sys.stderr)
         return EXIT_CAP
     except (ArglogError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

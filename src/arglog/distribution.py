@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .limits import Caps
 from .model import Atom, GroundProgram, ProbFact, Rule, matches
@@ -29,6 +29,7 @@ def success_probability(
     max_pfacts: int = Caps.max_pfacts,
     kernel: WellFoundedKernel | None = None,
     worlds: WeightedWorlds | None = None,
+    blocks: Sequence[tuple[list[int], list[int], list[int]]] | None = None,
 ) -> Fraction:
     """Exact probability mass of the total choices whose induced program makes
     some ground instance of the query true in its well-founded model.
@@ -42,12 +43,12 @@ def success_probability(
     numerator, and one `Fraction` is built at the end.
 
     `kernel`, the program compiled by `WellFoundedKernel` with its fact
-    atoms as choices, and `worlds`, the `weighted_worlds` of its facts, save
-    compiling and enumerating again when a caller already holds them; the
-    pass over the worlds, its instance matching and its per-world
-    `well_founded_model` calls are the same either way, and so is the
-    answer. Without them, both are built here, refusing more than
-    `max_pfacts` facts.
+    atoms as choices, `worlds`, the `weighted_worlds` of its facts, and
+    `blocks`, that kernel's `block_vectors` of every block, save compiling,
+    enumerating and evaluating again when a caller holds them; the pass over
+    the worlds, its instance matching and its per-world `well_founded_model`
+    calls are the same either way, and so is the answer. Without them, the
+    kernel and the worlds are built here, refusing more than `max_pfacts` facts.
     """
     if query.is_ground:
         instances = [query]
@@ -59,7 +60,9 @@ def success_probability(
         worlds = weighted_worlds(gp.pfacts, world_numerators(gp.pfacts, max_pfacts))
     lows, highs, denominator = worlds
     total = 0
-    for high_set, high in highs:
+    for block, (high_set, high) in enumerate(highs):
+        if blocks is not None:
+            kernel.keep(block, blocks[block])
         successes = 0
         for low_set, low in lows:
             model = well_founded_model(gp.rules, gp.herbrand_base, high_set | low_set, kernel)

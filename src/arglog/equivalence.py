@@ -27,11 +27,11 @@ semantics' own pass over the worlds, which sums integer numerators:
 `arglog query` then compares the very functions that its `--semantics dist`
 and `--semantics arg` print, and `arglog check` compares one query's
 `success_probability` per program with its shared report's. The lone query
-hands that pass the kernel that its `world_traces` compiled and the
-engine's world-set table, so the program is compiled and its worlds are
-listed once. The pass keeps its own walk over the worlds, its own instance
-matching and its own per-world models, and its answer is the one it gives
-when it builds both itself, as `check` calls it. Both routes weigh worlds
+hands that pass the kernel that its `world_traces` compiled, with its block
+vectors, and the engine's world-set table, so the program is compiled, each
+block evaluated and its worlds listed once. The pass keeps its own walk over
+the worlds, its own instance matching and its own per-world models, and its
+answer is the one it gives alone, as `check` calls it. Both routes weigh worlds
 by `worlds.world_numerators`, so no comparison of the routes can catch a
 defect in them; `weight_failures` checks them against the input instead.
 `WorldTraces.failures`, `EquivalenceReport.failures` and `weight_failures`
@@ -76,7 +76,7 @@ class WorldTraces:
     with the engine's `world_sets` and each argument's claim. A block's IN
     vectors are transposed by `world_lists` once per iteration of the block.
     `kernel` is the `WellFoundedKernel` that evaluated the worlds, and
-    `true_vectors` holds, per block, its true vector per atom, numbered by its
+    `vectors` holds, per block, its (true, false, undefined) vectors over its
     `index`. `failures` phrases what the worlds showed wrong, one phrase per
     failed condition: a model that does not match its accepted claims, or an
     argument IN in a world that lacks its facts. Two `WorldTraces` are equal
@@ -95,8 +95,8 @@ class WorldTraces:
         self._worlds, self._claims, self._blocks = worlds, claims, blocks
 
     @property
-    def true_vectors(self) -> list[list[int]]:
-        return [vectors[0] for vectors, _, _ in self._blocks]
+    def vectors(self) -> list[tuple[list[int], list[int], list[int]]]:
+        return [vectors for vectors, _, _ in self._blocks]
 
     def __len__(self) -> int:
         lows, highs, _ = self._worlds
@@ -263,21 +263,23 @@ def check_query(
     from `success_probability`, the distribution semantics' own pass over
     the worlds with its own instance matching, so a lone query checks the
     functions that answer each route on its own. That pass is handed the
-    traces' `kernel` and the engine's `world_sets`, which `world_traces`
-    has just used, instead of compiling and listing them again; its answer
-    is the same either way. Either way the grounded probability and the
-    argument sum come from one `query_masses` pass, and `holds` reads the
-    traces' `failures`.
+    traces' `kernel` and `vectors` and the engine's `world_sets`, which
+    `world_traces` has just used, instead of compiling, evaluating and
+    listing them again; its answer is the same either way. Either way the
+    grounded probability and the argument sum come from one `query_masses`
+    pass, and `holds` reads the traces' `failures`.
     """
     if engine is None:
         engine = PaaEngine(gp, caps)
     if traces is None:
         traces = world_traces(gp, engine)
-        success = success_probability(query, gp, kernel=traces.kernel, worlds=engine.world_sets)
+        success = success_probability(
+            query, gp, kernel=traces.kernel, worlds=engine.world_sets, blocks=traces.vectors
+        )
     else:
         rows = [traces.kernel.index[atom] for atom in engine.instance_atoms(query)]
         success = engine.mass(
-            reduce(or_, [sure[k] for k in rows], 0) for sure in traces.true_vectors
+            reduce(or_, [sure[k] for k in rows], 0) for sure, _, _ in traces.vectors
         )
     return EquivalenceReport(query, success, *engine.query_masses(query), world_traces=traces)
 

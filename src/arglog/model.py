@@ -165,6 +165,8 @@ class Program:
     @cached_property
     def rule_variables(self) -> dict[Rule, tuple[str, ...]]:
         """The rules that have variables, each with its variables."""
+        if all(atom.is_ground for atom in self.atoms if atom.args):
+            return {}
         return {rule: variables for rule in self.rules if (variables := tuple(rule.variables()))}
 
     @cached_property
@@ -255,14 +257,13 @@ def _violations(
             if rule in open_rules and (reason := ungroundable_reason(rule, constants)):
                 violations.append(Violation("rule_not_groundable", reason, rule))
     for pf in pfacts:
-        reason = nonground_reason(pf)
-        if reason is not None:
+        if pf.atom.args and (reason := nonground_reason(pf)) is not None:
             violations.append(Violation("probabilistic_fact_not_ground", reason, pf))
     # a fact atom that is an instance of a rule head breaks flatness; a fact
     # that is not ground is reported above. Only a head with the fact's
     # predicate and arity can match it, so only the rules whose head
     # predicate is some fact's, none in a flat program, are grouped by those
-    ground_facts = [pf for pf in pfacts if pf.atom.is_ground]
+    ground_facts = [pf for pf in pfacts if not pf.atom.args or pf.atom.is_ground]
     predicates = {pf.atom.predicate for pf in ground_facts}
     heads: dict[tuple[str, int], list[Rule]] = {}
     for rule in rules:
@@ -330,11 +331,10 @@ def matches(pattern: Atom, ground: Atom) -> bool:
 def herbrand_base(rules: Iterable[Rule], pfacts: Iterable[ProbFact]) -> frozenset[Atom]:
     """All atoms occurring in heads, bodies, and probabilistic facts: the
     Herbrand base, once the rules and facts are ground."""
-    atoms: set[Atom] = set()
+    atoms = {pf.atom for pf in pfacts}
     for rule in rules:
         atoms.add(rule.head)
-        atoms.update(lit.atom for lit in rule.body)
-    atoms.update(pf.atom for pf in pfacts)
+        atoms.update([lit.atom for lit in rule.body])
     return frozenset(atoms)
 
 

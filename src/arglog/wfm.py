@@ -226,6 +226,10 @@ class WellFoundedKernel:
             self._block = block
         return self._vectors
 
+    def keep(self, block: int, vectors: tuple[list[int], list[int], list[int]]) -> None:
+        """Keep `vectors`, which `block_vectors(block)` gave, as the kept block."""
+        self._block, self._vectors = block, vectors
+
     def model(self, facts: Iterable[Atom] = ()) -> ThreeValuedModel:
         """The well-founded model of the program plus one fact per given atom.
 

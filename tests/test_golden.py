@@ -137,6 +137,10 @@ ERROR_CASES = {
     "probability-above-one": show("3/2::a.\n"),
     "decimal-probability-above-one": show("1.5::a.\n"),
     "probabilistic-fact-with-body": show("0.5::a :- b.\n"),
+    # a numeral longer than the interpreter converts to an int
+    "digit-limit-decimal": show("0." + "1" * 5000 + "::a.\n"),
+    "digit-limit-denominator": show("1/" + "1" * 5000 + "::a.\n"),
+    "digit-limit-integer": show("1" * 5001 + "::a.\n"),
     # parser.parse_program
     "duplicate-probabilistic-fact": show("0.5::a.\n% again\n  0.5::a.\n"),
     # model.validate, through parse_program; each message names its clause's position
@@ -173,6 +177,11 @@ ERROR_CASES = {
     "bad-cap-flag": ("a.\n", ["show", BAD, "--args-cap", "-1"]),
     # cap refusals exit 2
     "worlds-cap": ("0.5::a.\n", ["query", BAD, "--query", "a", "--worlds-cap", "0"]),
+    # each probability has 2,386 digits, the answer 1/3**10000 4,772
+    "digit-limit-answer": (
+        f"1/{3**5000}::f0.\n1/{3**5000}::f1.\nq :- f0, f1.\n",
+        ["query", BAD, "--query", "q", "--semantics", "arg"],
+    ),
     "arguments-cap": ("a :- \\+ b.\nb :- \\+ a.\n", ["show", BAD, "--args-cap", "3"]),
     # the join of h's body holds 10**3 unions before c is joined
     "arguments-cap-join": (

@@ -1184,6 +1184,29 @@ def test_a_lone_query_compiles_one_kernel_and_builds_one_world_table(bits, monke
             assert report.failures == alone.failures
 
 
+@pytest.mark.parametrize("bits", [worlds_module.BLOCK_BITS, 1])
+def test_a_lone_query_evaluates_each_block_once(bits, monkeypatch):
+    """`success_probability` reads the block vectors that the lone query's
+    `world_traces` kept, and evaluates no block again: 16 facts make 64
+    blocks of 1,024 worlds, and 6 facts 32 blocks of two."""
+    monkeypatch.setattr(worlds_module, "BLOCK_BITS", bits)
+    n = 16 if bits > 1 else 6
+    gp = ground(parse_program(" ".join(f"0.3::f{i}." for i in range(n)) + r" q :- f0, \+ f1."))
+    evaluated = []
+    evaluate = WellFoundedKernel._evaluate
+
+    def counting_evaluate(self, block):
+        evaluated.append(block)
+        return evaluate(self, block)
+
+    monkeypatch.setattr(WellFoundedKernel, "_evaluate", counting_evaluate)
+    report = check_query(Atom("q"), gp)
+    blocks = 2 ** n >> bits
+    assert sorted(evaluated) == list(range(blocks)) and blocks in (64, 32)
+    assert report.success_probability == report.grounded_query_probability == Fraction(21, 100)
+    assert report.holds
+
+
 def test_check_catches_a_lone_success_pass_that_drops_the_last_block(capsys, monkeypatch, tmp_path):
     """`check` also answers one query per program through
     `success_probability`, the name the CLI imports, so a defect there fails

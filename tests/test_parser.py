@@ -1,4 +1,7 @@
+import json
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +17,7 @@ from arglog import (
     parse_query,
     random_program,
 )
-from arglog.errors import SourceSpan
+from arglog.errors import ArglogError, SourceSpan
 from arglog.model import Literal, ProbFact, Rule
 
 from test_kernels import probabilistic_programs
@@ -262,3 +265,111 @@ def test_an_unexpected_character_is_reported_where_a_count_puts_it(before, plant
     span = counted_position(text, len("".join(before)))
     assert error.value.span == span
     assert str(error.value).startswith(f"{span}: ")
+
+
+# --- the parser's outcomes on seeded token soup, kept under tests/golden/ ---
+
+SOUP = Path(__file__).parent / "golden" / "parser-soup.jsonl"
+
+SOUP_WORDS = ["a", "b", "p", "q", "foo", "a1", "X", "Y", "Abc"]
+SOUP_NUMBERS = ["0", "1", "2", "10", "0.5", "0.25", "1.5", "1/2", "2/3", "3/2", "1/0"]
+SOUP_MARKS = ["::", ":-", "\\+", "not", "(", ")", ",", ".", "/"]
+SOUP_LAYOUT = [" ", "  ", "\t", "\n", "\r", "\r\n", "% a note :- 0.5::\n"]
+# drawn only by an edit: a reserved word, digits that are not all decimal
+# (a superscript, Arabic-Indic), a form feed and unpaired marks
+SOUP_RARE = ["_x", "²", "٣", "٠.٥", "0.5²", "\f", ":", "\\", "%"]
+
+
+def soup_atom(rng: random.Random) -> list[str]:
+    tokens = [rng.choice(SOUP_WORDS[:6]) if rng.random() < 0.95 else rng.choice(SOUP_WORDS)]
+    if rng.random() < 0.4:
+        terms = [rng.choice(SOUP_WORDS + SOUP_NUMBERS[:4]) for _ in range(rng.randint(1, 3))]
+        tokens += ["(", *[t for term in terms for t in (",", term)][1:], ")"]
+    return tokens
+
+
+def soup_clause(rng: random.Random) -> list[str]:
+    if rng.random() < 0.3:
+        prob = rng.choice(SOUP_NUMBERS)
+        if "/" in prob and rng.random() < 0.5:
+            prob = prob.replace("/", " / ")
+        return [*prob.split(), "::", *soup_atom(rng), "."]
+    tokens = soup_atom(rng)
+    for i in range(rng.choice([0, 0, 1, 2, 3])):
+        tokens.append("," if i else ":-")
+        if rng.random() < 0.3:
+            tokens.append(rng.choice(["\\+", "not"]))
+        tokens += soup_atom(rng)
+    return tokens + ["."]
+
+
+def soup_text(rng: random.Random, tokens: list[str]) -> str:
+    """`tokens` after up to three random edits (an insertion, a deletion or
+    a replacement from the whole soup), perhaps cut short, with layout
+    between them."""
+    everything = SOUP_WORDS + SOUP_NUMBERS + SOUP_MARKS + SOUP_LAYOUT + SOUP_RARE
+    for _ in range(rng.choice([0, 0, 0, 1, 1, 2, 3])):
+        at = rng.randint(0, len(tokens))
+        edit = rng.randrange(3)
+        if edit == 0 or not tokens[at:]:
+            tokens.insert(at, rng.choice(everything))
+        elif edit == 1:
+            del tokens[at]
+        else:
+            tokens[at] = rng.choice(everything)
+    if tokens and rng.random() < 0.15:
+        tokens = tokens[: rng.randrange(len(tokens))]
+    text = ""
+    for token in tokens:
+        gap = rng.random()
+        text += rng.choice(SOUP_LAYOUT) if gap < 0.3 else " " if gap < 0.7 else ""
+        text += token
+    return text + rng.choice(["", "", "\n", "% the end", " "])
+
+
+def soup_case(seed: int) -> tuple[str, str]:
+    """A program text and a query text, drawn from `seed`."""
+    rng = random.Random(seed)
+    clauses = [t for _ in range(rng.randint(0, 4)) for t in soup_clause(rng)]
+    query = soup_atom(rng) + (["."] if rng.random() < 0.3 else [])
+    return soup_text(rng, clauses), soup_text(rng, query)
+
+
+def outcome(parse, text: str) -> str:
+    """What `parse` makes of `text`: the program's source or the atom, or
+    the error it raises, named with its type."""
+    try:
+        result = parse(text)
+    except ArglogError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return result.to_source() if isinstance(result, Program) else str(result)
+
+
+def soup_record(seed: int) -> dict[str, str]:
+    program, query = soup_case(seed)
+    return {
+        "seed": seed,
+        "program": program,
+        "parsed": outcome(parse_program, program),
+        "query": query,
+        "query_parsed": outcome(parse_query, query),
+    }
+
+
+SOUP_SEEDS = 2000
+
+
+def test_seeded_token_soup_parses_as_its_golden_file_says():
+    records = [json.loads(line) for line in SOUP.read_text(encoding="utf-8").splitlines()]
+    assert [record["seed"] for record in records] == list(range(SOUP_SEEDS))
+    for record in records:
+        assert outcome(parse_program, record["program"]) == record["parsed"], record
+        assert outcome(parse_query, record["query"]) == record["query_parsed"], record
+
+
+if __name__ == "__main__":
+    # rewrite the golden file: PYTHONPATH=src:tests python tests/test_parser.py
+    SOUP.write_text(
+        "".join(json.dumps(soup_record(seed)) + "\n" for seed in range(SOUP_SEEDS)),
+        encoding="utf-8",
+    )
