@@ -39,6 +39,7 @@ from typing import NamedTuple, Sequence
 from .errors import CapExceeded
 from .limits import Caps
 from .model import Atom, GroundProgram, Literal, Rule
+from .worlds import fact_bits
 
 FACT_CONTRARY = Literal(Atom("_chi"))
 
@@ -255,12 +256,11 @@ def argument_table(
 
     # one pass over the arguments; bit positions, contraries and fact masks
     # are computed once per distinct mask. By assumption bit: its contrary's
-    # number (None for the fact contrary, which is no sentence), and its bit
-    # among the fact assumptions, which come in sorted order as
-    # `worlds.fact_bits` numbers them
+    # number (None for the fact contrary, which is no sentence), and its
+    # fact's bit in the world numbering
     contrary = [n - 1 if n & 1 else None for n in numbered]
-    bit_of = {n: 1 << j for j, n in enumerate(n for n in numbered if not n & 1)}
-    fact_bit = [bit_of.get(n, 0) for n in numbered]
+    bits = fact_bits(facts)
+    fact_bit = [0 if a.negated else bits[a.atom] for a in assumptions]
     low = (1 << width) - 1
     by_assumptions: dict[int, tuple[tuple[int, ...], tuple[int, ...], int]] = {}
     by_rules: dict[int, tuple[int, ...]] = {}

@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .limits import Caps
 from .model import Atom, GroundProgram, ProbFact, Rule, matches
 from .wfm import WellFoundedKernel, well_founded_model
-from .worlds import WeightedWorlds, weighted_worlds, world_numerators, world_table
+from .worlds import weighted_worlds, world_numerators, world_table
 
 
 def induced_program(total_choice: frozenset[Atom], gp: GroundProgram) -> frozenset[Rule]:
@@ -24,12 +24,7 @@ def total_choices(
 
 
 def success_probability(
-    query: Atom,
-    gp: GroundProgram,
-    max_pfacts: int = Caps.max_pfacts,
-    kernel: WellFoundedKernel | None = None,
-    worlds: WeightedWorlds | None = None,
-    blocks: Sequence[tuple[list[int], list[int], list[int]]] | None = None,
+    query: Atom, gp: GroundProgram, max_pfacts: int = Caps.max_pfacts, traces=None
 ) -> Fraction:
     """Exact probability mass of the total choices whose induced program makes
     some ground instance of the query true in its well-founded model.
@@ -42,22 +37,21 @@ def success_probability(
     block's successful low numerators are summed, times the block's high
     numerator, and one `Fraction` is built at the end.
 
-    `kernel`, the program compiled by `WellFoundedKernel` with its fact
-    atoms as choices, `worlds`, the `weighted_worlds` of its facts, and
-    `blocks`, that kernel's `block_vectors` of every block, save compiling,
-    enumerating and evaluating again when a caller holds them; the pass over
-    the worlds, its instance matching and its per-world `well_founded_model`
-    calls are the same either way, and so is the answer. Without them, the
-    kernel and the worlds are built here, refusing more than `max_pfacts` facts.
+    Given `traces`, what `equivalence.world_traces` returned for `gp`, the
+    pass reads their `kernel`, `worlds` and block `vectors` instead of
+    compiling, tabulating and evaluating again, and gives the same answer.
+    Without them it builds its own, refusing more than `max_pfacts` facts.
     """
     if query.is_ground:
         instances = [query]
     else:
         instances = [atom for atom in gp.herbrand_base if matches(query, atom)]
-    if kernel is None:
+    if traces is None:
         kernel = WellFoundedKernel(gp.rules, gp.herbrand_base, gp.fact_atoms)
-    if worlds is None:
         worlds = weighted_worlds(gp.pfacts, world_numerators(gp.pfacts, max_pfacts))
+        blocks = None
+    else:
+        kernel, worlds, blocks = traces.kernel, traces.worlds, traces.vectors
     lows, highs, denominator = worlds
     total = 0
     for block, (high_set, high) in enumerate(highs):

@@ -13,30 +13,25 @@ negation-as-failure is an accepted claim.
 at a time. Per block, it checks each world's model against its accepted
 claims and that no argument is IN in a world that lacks its facts, and
 keeps what it read: the block's true, false and undefined vectors, its IN
-vectors and its mismatched worlds. The per-world rows, which
-`arglog worlds`, `query --trace` and a counterexample's dump print, are
-built from those only when the traces are iterated, a block at a time, the
-accepted claims from one transposition of the block's IN vectors, and
-nothing keeps them. A query
-that shares those traces (as in `check_program`) is answered by masked sums
-over the engine's cached block labellings: its success probability at the
-OR of its instances' true vectors, its grounded ones, as on every path,
-from the engine's `query_masses`. It walks no world. A lone query instead
-takes its success probability from `success_probability`, the distribution
-semantics' own pass over the worlds, which sums integer numerators:
-`arglog query` then compares the very functions that its `--semantics dist`
-and `--semantics arg` print, and `arglog check` compares one query's
-`success_probability` per program with its shared report's. The lone query
-hands that pass the kernel that its `world_traces` compiled, with its block
-vectors, and the engine's world-set table, so the program is compiled, each
-block evaluated and its worlds listed once. The pass keeps its own walk over
-the worlds, its own instance matching and its own per-world models, and its
-answer is the one it gives alone, as `check` calls it. Both routes weigh worlds
-by `worlds.world_numerators`, so no comparison of the routes can catch a
-defect in them; `weight_failures` checks them against the input instead.
-`WorldTraces.failures`, `EquivalenceReport.failures` and `weight_failures`
-phrase every failure that `arglog query`, `arglog worlds` and
-`arglog check` report.
+vectors and its mismatched worlds, with the program's one world-set table.
+The per-world rows, which `arglog worlds`, `query --trace` and a
+counterexample's dump print, are built from those only when the traces are
+iterated, a block at a time, the accepted claims from one transposition of
+the block's IN vectors, and nothing keeps them. A query that shares those
+traces (as in `check_program`) is answered by masked sums over the engine's
+cached block labellings: its success probability at the OR of its
+instances' true vectors, its grounded ones, as on every path, from the
+engine's `query_masses`. It walks no world. A lone query instead takes its
+success probability from `success_probability`, the distribution
+semantics' own pass over the worlds, with its own instance matching, given
+the lone query's traces: `arglog query` then compares the very functions
+that its `--semantics dist` and `--semantics arg` print, and `arglog check`
+compares one query's `success_probability` per program with its shared
+report's. Both routes weigh worlds by `worlds.world_numerators`, so no
+comparison of the routes can catch a defect in them; `weight_failures`
+checks them against the input instead. `WorldTraces.failures`,
+`EquivalenceReport.failures` and `weight_failures` phrase every failure
+that `arglog query`, `arglog worlds` and `arglog check` report.
 """
 
 from __future__ import annotations
@@ -53,7 +48,14 @@ from .limits import Caps
 from .model import Atom, GroundProgram, Literal, ProbFact, Program, Rule
 from .paa import PaaEngine
 from .wfm import ThreeValuedModel, WellFoundedKernel, well_founded_model
-from .worlds import WeightedWorlds, block_fact_vectors, block_width, world_lists
+from .worlds import (
+    WeightedWorlds,
+    block_fact_vectors,
+    block_width,
+    fact_bits,
+    weighted_worlds,
+    world_lists,
+)
 
 
 class WorldTrace(NamedTuple):
@@ -71,16 +73,17 @@ class WorldTraces:
     it yields one `WorldTrace` per world, in mask order, built then and kept
     by no one.
 
-    Per block it keeps the kernel's (true, false, undefined) vectors, the IN
+    `kernel` is the `WellFoundedKernel` that evaluated the worlds, `worlds`
+    the program's world-set table (the `weighted_worlds` of the engine's
+    numerators), and `vectors` holds, per block, the kernel's (true, false,
+    undefined) vectors over its `index`. Per block it also keeps the IN
     vectors that `world_traces` checked and its `mismatched_worlds` vector,
-    with the engine's `world_sets` and each argument's claim. A block's IN
-    vectors are transposed by `world_lists` once per iteration of the block.
-    `kernel` is the `WellFoundedKernel` that evaluated the worlds, and
-    `vectors` holds, per block, its (true, false, undefined) vectors over its
-    `index`. `failures` phrases what the worlds showed wrong, one phrase per
-    failed condition: a model that does not match its accepted claims, or an
-    argument IN in a world that lacks its facts. Two `WorldTraces` are equal
-    when their failures and their rows are.
+    with each argument's claim; a block's IN vectors are transposed by
+    `world_lists` once per iteration of the block. `failures` phrases what
+    the worlds showed wrong, one phrase per failed condition: a model that
+    does not match its accepted claims, or an argument IN in a world that
+    lacks its facts. Two `WorldTraces` are equal when their failures and
+    their rows are.
     """
 
     def __init__(
@@ -91,20 +94,20 @@ class WorldTraces:
         blocks: list[tuple[tuple[list[int], list[int], list[int]], list[int], int]],
         failures: list[str],
     ):
-        self.kernel, self.failures = kernel, failures
-        self._worlds, self._claims, self._blocks = worlds, claims, blocks
+        self.kernel, self.worlds, self.failures = kernel, worlds, failures
+        self._claims, self._blocks = claims, blocks
 
     @property
     def vectors(self) -> list[tuple[list[int], list[int], list[int]]]:
         return [vectors for vectors, _, _ in self._blocks]
 
     def __len__(self) -> int:
-        lows, highs, _ = self._worlds
+        lows, highs, _ = self.worlds
         return len(lows) * len(highs)
 
     def __iter__(self) -> Iterator[WorldTrace]:
         atoms, index = self.kernel.atoms, self.kernel.index
-        lows, highs, denominator = self._worlds
+        lows, highs, denominator = self.worlds
         claims = [[claim] for claim in self._claims]
         for (high_set, high), (vectors, inside, mismatch) in zip(highs, self._blocks):
             accepted = world_lists(len(lows), inside, claims)
@@ -196,11 +199,11 @@ def stray_worlds(inside: Sequence[int], applicable: Sequence[int]) -> int:
 def world_traces(gp: GroundProgram, engine: PaaEngine) -> WorldTraces:
     """Evaluate every world (including zero-probability ones) on both routes.
 
-    Worlds come a block at a time, in mask order, from the engine's
-    `world_sets`, built on the first pass; each route evaluates each world
-    once, a block of worlds at a time. Per block, the worlds whose model
-    does not match their accepted claims are one `mismatched_worlds` vector,
-    and those where an argument is IN without being applicable one
+    Worlds come a block at a time, in mask order, from the world-set table
+    built here over the engine's `numerators`; each route evaluates each
+    world once, a block of worlds at a time. Per block, the worlds whose
+    model does not match their accepted claims are one `mismatched_worlds`
+    vector, and those where an argument is IN without being applicable one
     `stray_worlds` vector, over the engine's `applicable_vectors`, the
     vectors that `applicable_indices` transposes. What the rows are built
     from is kept per block (see `WorldTraces`); no row is built here.
@@ -209,7 +212,8 @@ def world_traces(gp: GroundProgram, engine: PaaEngine) -> WorldTraces:
     claiming: list[tuple[list[int], list[int]]] = [([], []) for _ in kernel.atoms]
     for i, claim in enumerate(engine.claim_of):
         claiming[kernel.index[claim.atom]][claim.negated].append(i)
-    lows, highs, _ = engine.world_sets
+    worlds = weighted_worlds(gp.pfacts, engine.numerators)
+    lows, highs, _ = worlds
     blocks = []
     mismatches = strays = 0
     for block, ((high_set, _), inside) in enumerate(zip(highs, engine.in_vectors(), strict=True)):
@@ -232,7 +236,7 @@ def world_traces(gp: GroundProgram, engine: PaaEngine) -> WorldTraces:
         failures.append(
             "a world's grounded extension accepts an argument whose facts the world lacks"
         )
-    return WorldTraces(kernel, engine.world_sets, engine.claim_of, blocks, failures)
+    return WorldTraces(kernel, worlds, engine.claim_of, blocks, failures)
 
 
 def check_query(
@@ -260,12 +264,9 @@ def check_query(
     the rest of the arithmetic.
 
     Without `traces`, they are computed, and the success probability comes
-    from `success_probability`, the distribution semantics' own pass over
-    the worlds with its own instance matching, so a lone query checks the
-    functions that answer each route on its own. That pass is handed the
-    traces' `kernel` and `vectors` and the engine's `world_sets`, which
-    `world_traces` has just used, instead of compiling, evaluating and
-    listing them again; its answer is the same either way. Either way the
+    from `success_probability` given them, the distribution semantics' own
+    pass over the worlds with its own instance matching, so a lone query
+    checks the functions that answer each route on its own. Either way the
     grounded probability and the argument sum come from one `query_masses`
     pass, and `holds` reads the traces' `failures`.
     """
@@ -273,9 +274,7 @@ def check_query(
         engine = PaaEngine(gp, caps)
     if traces is None:
         traces = world_traces(gp, engine)
-        success = success_probability(
-            query, gp, kernel=traces.kernel, worlds=engine.world_sets, blocks=traces.vectors
-        )
+        success = success_probability(query, gp, traces=traces)
     else:
         rows = [traces.kernel.index[atom] for atom in engine.instance_atoms(query)]
         success = engine.mass(
@@ -303,7 +302,7 @@ def weight_failures(engine: PaaEngine) -> list[str]:
     total = world_weight(engine)
     if total != 1:
         failures.append(f"the worlds weigh {total} in total, not 1")
-    for bit, atom in enumerate(sorted(declared)):
+    for bit, atom in enumerate(fact_bits(declared)):
         mass = engine.mass(facts[bit] for facts in vectors)
         if mass != declared[atom]:
             failures.append(

@@ -308,8 +308,12 @@ def nonground_reason(pf: ProbFact) -> str | None:
     """Why the probabilistic fact cannot be grounded, or None when it is ground."""
     if pf.atom.is_ground:
         return None
+    try:
+        fact = f"'{pf}'"
+    except ValueError:  # a probability with more digits than the interpreter prints
+        fact = f"for {pf.atom}, whose probability has too many digits to print,"
     return (
-        f"probabilistic fact '{pf}' is not ground; a bodyless clause "
+        f"probabilistic fact {fact} is not ground; a bodyless clause "
         "has no positive body literal to restrict its variables"
     )
 

@@ -17,9 +17,9 @@ integer numerators from `worlds.world_numerators` at the set bits of a
 vector, over one common denominator. The engine builds no row per world:
 `equivalence.world_traces` builds them from its vectors.
 
-The engine owns the program's one world table: the numerators, which every
-probability reads, and the chosen-atom sets paired with them, which only
-the passes that walk the worlds read; each is built on first use.
+The engine owns the program's world numerators, built on first use, which
+every probability reads; `equivalence.world_traces` pairs them with the
+chosen-atom sets for the passes that walk the worlds.
 """
 
 from __future__ import annotations
@@ -35,12 +35,10 @@ from .limits import Caps
 from .model import Atom, GroundProgram, matches
 from .semantics import grounded_block
 from .worlds import (
-    WeightedWorlds,
     block_fact_vectors,
     block_width,
     fact_bits,
     masked_sum,
-    weighted_worlds,
     world_lists,
     world_mask,
     world_numerators,
@@ -100,13 +98,6 @@ class PaaEngine:
         low-bit and per-block numerators and the common denominator,
         computed on first use. Probabilities read these alone."""
         return world_numerators(self.gp.pfacts, self.caps.max_pfacts)
-
-    @cached_property
-    def world_sets(self) -> WeightedWorlds:
-        """The world table with each numerator paired with the chosen atoms
-        it weighs, by `weighted_worlds` over `numerators`; built on first use,
-        by the first pass that walks the worlds, and shared by every later one."""
-        return weighted_worlds(self.gp.pfacts, self.numerators)
 
     def _group_vectors(self, block: int) -> list[int]:
         """Per fact-support group of `_by_need`, in its order, the worlds of

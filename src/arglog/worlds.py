@@ -1,10 +1,11 @@
 """Possible worlds of a program's probabilistic facts, shared by both routes.
 
 A world is the set of probabilistic-fact atoms chosen true. Worlds are
-numbered by bitmask: bit i stands for the i-th fact atom in sorted order
-(`fact_bits`), and worlds come in mask order 0, 1, ..., 2**n - 1. Both back
-ends enumerate and number worlds here and nowhere else, so their per-world
-results line up index by index.
+numbered by bitmask, and `fact_bits` alone says which fact atom is bit i:
+the kernel's choices, the argument table's fact masks, the world tables
+and the weight check all take their order from it, so the two back ends'
+per-world results line up index by index. Worlds come in mask order 0, 1,
+..., 2**n - 1.
 
 Both back ends also evaluate worlds in blocks of `block_width(n)`, that is
 2**min(n, BLOCK_BITS), consecutive masks: inside a block, a Boolean fact
@@ -54,8 +55,8 @@ def world_numerators(
     fact's (absent, chosen) numerators; the denominator is the product of
     the facts' denominators. Refuses more than `max_pfacts` facts.
     """
-    facts = sorted(pfacts, key=lambda pf: pf.atom)
-    n = len(facts)
+    probs = {pf.atom: pf.prob for pf in pfacts}
+    n = len(probs)
     if n > max_pfacts:
         raise CapExceeded(
             f"{n} probabilistic facts exceed the world-enumeration "
@@ -64,11 +65,11 @@ def world_numerators(
         )
     b = block_bits(n)
     lows, highs = [1], [1]
-    for i, pf in enumerate(facts):
+    for i, p in enumerate(map(probs.__getitem__, fact_bits(probs))):
         table = lows if i < b else highs
-        absent, chosen = pf.prob.denominator - pf.prob.numerator, pf.prob.numerator
+        absent, chosen = p.denominator - p.numerator, p.numerator
         table[:] = [x * absent for x in table] + [x * chosen for x in table]
-    return lows, highs, prod(pf.prob.denominator for pf in facts)
+    return lows, highs, prod(p.denominator for p in probs.values())
 
 
 def weighted_worlds(
@@ -84,13 +85,13 @@ def weighted_worlds(
     fact: per low part of a mask (its b low facts) and per high part (the
     rest).
     """
-    facts = sorted(pfacts, key=lambda pf: pf.atom)
+    atoms = fact_bits(pf.atom for pf in pfacts)
     lows, highs, denominator = numerators
-    b = block_bits(len(facts))
+    b = block_bits(len(atoms))
     low_sets, high_sets = [frozenset()], [frozenset()]
-    for i, pf in enumerate(facts):
+    for i, atom in enumerate(atoms):
         table = low_sets if i < b else high_sets
-        table += [chosen | {pf.atom} for chosen in table]
+        table += [chosen | {atom} for chosen in table]
     return list(zip(low_sets, lows)), list(zip(high_sets, highs)), denominator
 
 
@@ -110,7 +111,8 @@ def world_table(
 
 def fact_bits(atoms: Iterable[Atom]) -> dict[Atom, int]:
     """The world numbering: each probabilistic-fact atom's bit in a world's
-    mask, in sorted atom order; the dict iterates in bit order."""
+    mask, in sorted atom order; the dict iterates in bit order. No other
+    function orders the fact atoms."""
     return {atom: 1 << i for i, atom in enumerate(sorted(atoms))}
 
 

@@ -2,6 +2,7 @@ import gc
 import tracemalloc
 import warnings
 from fractions import Fraction
+from string import ascii_lowercase
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +21,7 @@ from arglog import (
     world_traces,
 )
 from arglog.equivalence import GenLimits
-from arglog.model import validate
+from arglog.model import Literal, ProbFact, Program, Rule, validate
 
 from conftest import load_fixture
 
@@ -145,6 +146,33 @@ def test_shared_answers_equal_lone_ones_for_non_ground_queries(bits, monkeypatch
     monkeypatch.setattr(worlds_module, "BLOCK_BITS", bits)
     queries = [parse_query("q(X)"), parse_query("e(X,Y)"), parse_query("zz(X)")]
     assert_shared_answers_equal_lone_ones(load_fixture("reach.pl"), queries)
+
+
+def renamed(program, name):
+    """The program with every atom replaced by its image under `name`."""
+    rules = frozenset(
+        Rule(name[rule.head], tuple(Literal(name[lit.atom], lit.negated) for lit in rule.body))
+        for rule in program.rules
+    )
+    return Program(rules, frozenset(ProbFact(pf.prob, name[pf.atom]) for pf in program.pfacts))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 3999), st.permutations(ascii_lowercase), st.data())
+@pytest.mark.filterwarnings("ignore:degenerate framework")
+def test_renaming_atoms_or_reordering_clauses_changes_no_answer(seed, letters, data):
+    """Renaming the atoms through a bijection onto lowercase names reorders
+    the facts, and so the world numbering, yet each atom's three answers are
+    its image's; parsing the clauses in another order gives the same program."""
+    program = random_program(seed)
+    gp = ground(program)
+    name = dict(zip(sorted(gp.herbrand_base), map(Atom, letters)))
+    image = {report.query: report for report in check_program(ground(renamed(program, name)))}
+    for report in check_program(gp):
+        assert answers(report) == answers(image[name[report.query]]), report.query
+        assert image[name[report.query]].holds
+    clauses = data.draw(st.permutations(program.clauses()))
+    assert parse_program("".join(f"{clause}\n" for clause in clauses)) == program
 
 
 def test_an_operation_leaves_nothing_behind():

@@ -148,6 +148,8 @@ ERROR_CASES = {
     "fact-with-a-variable": show("q(a).\np(X).\n"),
     "rule-without-constants": show("p(X) :- q(X).\n"),
     "probabilistic-fact-not-ground": show("0.5::p(X).\nq(a).\n"),
+    # a decimal of 14,000 digits, past the interpreter's limit for printing
+    "probabilistic-fact-not-ground-huge-probability": show(f"1/{2**14000}::p(X).\nq(a).\n"),
     "probabilistic-fact-is-rule-head": show("0.5::b.\nb :- c.\n"),
     "probabilistic-fact-matches-a-head": show("q(a).\n0.5::p(a).\np(X) :- q(X).\n"),
     "non-ground-probabilistic-fact-and-head": show("0.5::p(X).\np(a).\n"),

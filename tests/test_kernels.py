@@ -3,6 +3,7 @@ world enumeration and its blocks, and the one-evaluation-per-world contract."""
 
 import ast
 import re
+import sys
 from collections import defaultdict
 from fractions import Fraction
 from itertools import islice, product
@@ -839,6 +840,37 @@ def test_incremental_probabilities_equal_the_product_per_world(bits, source, mon
         expected = world_probability(world, pfacts)
         assert Fraction(highs[mask >> b] * lows[mask & (2**b - 1)], denominator) == expected
         assert prob == expected
+
+
+def reversed_fact_bits(atoms):
+    """`fact_bits` in reverse order: the last sorted fact atom is bit 0."""
+    return {atom: 1 << i for i, atom in enumerate(sorted(atoms, reverse=True))}
+
+
+@pytest.mark.parametrize("bits", [worlds_module.BLOCK_BITS, 1])
+@pytest.mark.filterwarnings("ignore:degenerate framework")
+def test_every_layer_numbers_the_facts_by_fact_bits(bits, monkeypatch):
+    """Reversing the fact order wherever a module binds `fact_bits` changes
+    no report, no weight and no lone answer: every layer that turns fact
+    atoms into bits (the kernel's choices, the argument table's fact masks,
+    the world tables and the weight check) takes its order from it."""
+    monkeypatch.setattr(worlds_module, "BLOCK_BITS", bits)
+    rebound = set()
+    for name, module in list(sys.modules.items()):
+        if name.startswith("arglog.") and hasattr(module, "fact_bits"):
+            monkeypatch.setattr(module, "fact_bits", reversed_fact_bits)
+            rebound.add(name.removeprefix("arglog."))
+    assert {"aba", "equivalence", "paa", "wfm", "worlds"} <= rebound
+    for seed in range(500):
+        gp = ground(random_program(seed))
+        engine = PaaEngine(gp)
+        assert equivalence_module.weight_failures(engine) == [], seed
+        for report in check_program(gp, engine=engine):
+            assert report.holds, (seed, report.query, report.failures)
+    for n in range(1, 7):
+        report = check_query(Atom(f"a{n}"), ground(parse_program(chain_source(n))))
+        assert report.success_probability == report.grounded_query_probability == Fraction(1, 2**n)
+        assert report.holds
 
 
 def test_worlds_command_checks_the_sum_without_assert(capsys, monkeypatch):
