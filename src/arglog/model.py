@@ -19,10 +19,27 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Collection, Iterable, NamedTuple
 
 RESERVED_PREFIX = "_"
+
+
+class cached_property:
+    """`functools.cached_property` without the lock that Python 3.11 takes
+    on each first read: the value is computed and stored in the instance's
+    `__dict__`, where later reads find it before this descriptor."""
+
+    def __init__(self, func):
+        self.func, self.__doc__ = func, func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value
 
 
 def is_variable(term: str) -> bool:

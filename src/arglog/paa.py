@@ -18,8 +18,8 @@ vector, over one common denominator. The engine builds no row per world:
 `equivalence.world_traces` builds them from its vectors.
 
 The engine owns the program's world numerators, built on first use, which
-every probability reads; `equivalence.world_traces` pairs them with the
-chosen-atom sets for the passes that walk the worlds.
+every probability reads; `equivalence.WorldTraces.worlds` pairs them
+with the chosen-atom sets for the passes that walk the worlds.
 """
 
 from __future__ import annotations

@@ -894,7 +894,7 @@ def test_worlds_command_checks_the_sum_without_assert(capsys, monkeypatch):
 
 def test_check_program_evaluates_each_world_once_per_route(monkeypatch):
     """Each route evaluates the 16 worlds of chain-2 in one block call, and
-    the distribution route still asks for one model per world."""
+    no model is asked for one world."""
     covered = {"wfm": [], "grounded": []}
     models = 0
     evaluate, model, grounded = (
@@ -924,7 +924,54 @@ def test_check_program_evaluates_each_world_once_per_route(monkeypatch):
     reports = check_program(gp)
     assert len(gp.pfacts) == 4 and len(reports) == len(gp.herbrand_base) == 11
     assert covered == {"wfm": [2**4], "grounded": [2**4]}
-    assert models == 2**4
+    assert models == 0
+
+
+@pytest.mark.parametrize("bits", [worlds_module.BLOCK_BITS, 1])
+@pytest.mark.filterwarnings("ignore:degenerate framework")
+def test_the_shared_path_walks_no_world(bits, monkeypatch):
+    """`check_program` asks for no model, no applicable arguments and no
+    world table; listing a report's traces builds one table, and a lone
+    `check_query` asks for a model per world in each of its two passes, the
+    applicable arguments once per world, and one table."""
+    monkeypatch.setattr(worlds_module, "BLOCK_BITS", bits)
+    calls = defaultdict(int)
+    model, applicable, tabulate = (
+        WellFoundedKernel.model,
+        PaaEngine.applicable_indices,
+        worlds_module.weighted_worlds,
+    )
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(WellFoundedKernel, "model", counting("models", model))
+    monkeypatch.setattr(PaaEngine, "applicable_indices", counting("applicable", applicable))
+    rebound = set()
+    for name, module in list(sys.modules.items()):
+        if name.startswith("arglog.") and getattr(module, "weighted_worlds", None) is tabulate:
+            monkeypatch.setattr(module, "weighted_worlds", counting("tables", tabulate))
+            rebound.add(name.removeprefix("arglog."))
+    assert {"distribution", "equivalence", "worlds"} <= rebound
+    programs = [ground(parse_program(chain_source(3)))]
+    programs += [ground(random_program(seed)) for seed in (0, 2, 9, 11, 16, 17)]
+    for gp in programs:
+        worlds = 2 ** len(gp.pfacts)
+        calls.clear()
+        reports = check_program(gp)
+        assert reports and all(report.holds for report in reports), gp
+        assert calls == {}, gp
+        rows = list(reports[0].world_traces)
+        assert len(rows) == worlds and list(reports[0].world_traces) == rows
+        assert calls == {"tables": 1}, gp
+        calls.clear()
+        report = check_query(reports[-1].query, gp)
+        assert report.holds
+        assert calls == {"models": 2 * worlds, "applicable": worlds, "tables": 1}, gp
 
 
 def refuse_world_listings(monkeypatch, refuse):
