@@ -53,13 +53,16 @@ def success_probability(
     else:
         kernel, worlds, blocks = traces.kernel, traces.worlds, traces.vectors
     lows, highs, denominator = worlds
+    rules, base = gp.rules, gp.herbrand_base
+    low_sets = [low_set for low_set, _ in lows]
     total = 0
     for block, (high_set, high) in enumerate(highs):
         if blocks is not None:
             kernel.keep(block, blocks[block])
         successes = 0
-        for low_set, low in lows:
-            model = well_founded_model(gp.rules, gp.herbrand_base, high_set | low_set, kernel)
+        world_sets = (high_set | low_set for low_set in low_sets) if high_set else low_sets
+        for world, (_, low) in zip(world_sets, lows):
+            model = well_founded_model(rules, base, world, kernel)
             if any(map(model.is_true, instances)):
                 successes += low
         total += high * successes

@@ -40,13 +40,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import reduce
 from operator import or_
 from typing import Iterator, NamedTuple, Sequence
 
 from .distribution import success_probability
 from .limits import Caps
-from .model import Atom, GroundProgram, Literal, ProbFact, Program, Rule
+from .model import Atom, GroundProgram, Literal, ProbFact, Program, Rule, cached_property
 from .paa import PaaEngine
 from .wfm import ThreeValuedModel, WellFoundedKernel, well_founded_model
 from .worlds import (
@@ -92,19 +92,16 @@ class WorldTraces:
         self,
         kernel: WellFoundedKernel,
         engine: PaaEngine,
-        blocks: list[tuple[tuple[list[int], list[int], list[int]], list[int], int]],
+        vectors: list[tuple[list[int], list[int], list[int]]],
+        labels: list[tuple[list[int], int]],
         failures: list[str],
     ):
-        self.kernel, self.failures = kernel, failures
-        self._engine, self._blocks = engine, blocks
+        self.kernel, self.vectors, self.failures = kernel, vectors, failures
+        self._engine, self._labels = engine, labels
 
     @cached_property
     def worlds(self) -> WeightedWorlds:
         return weighted_worlds(self._engine.gp.pfacts, self._engine.numerators)
-
-    @property
-    def vectors(self) -> list[tuple[list[int], list[int], list[int]]]:
-        return [vectors for vectors, _, _ in self._blocks]
 
     def __len__(self) -> int:
         lows, highs, _ = self._engine.numerators
@@ -114,8 +111,8 @@ class WorldTraces:
         atoms, index = self.kernel.atoms, self.kernel.index
         lows, highs, denominator = self.worlds
         claims = [[claim] for claim in self._engine.claim_of]
-        blocks = zip(highs, self._blocks, strict=True)
-        for (high_set, high), (vectors, inside, mismatch) in blocks:
+        blocks = zip(highs, self.vectors, self._labels, strict=True)
+        for (high_set, high), vectors, (inside, mismatch) in blocks:
             accepted = world_lists(len(lows), inside, claims)
             for w, (low_set, low) in enumerate(lows):
                 yield WorldTrace(
@@ -216,14 +213,15 @@ def world_traces(gp: GroundProgram, engine: PaaEngine) -> WorldTraces:
     claiming: list[tuple[list[int], list[int]]] = [([], []) for _ in kernel.atoms]
     for i, claim in enumerate(engine.claim_of):
         claiming[kernel.index[claim.atom]][claim.negated].append(i)
-    blocks = []
+    blocks, labels = [], []
     mismatches = strays = 0
     for block, inside in enumerate(engine.in_vectors()):
         vectors = kernel.block_vectors(block)
         mismatch = mismatched_worlds(vectors[0], vectors[1], inside, claiming)
         mismatches |= mismatch
         strays |= stray_worlds(inside, engine.applicable_vectors(block))
-        blocks.append((vectors, inside, mismatch))
+        blocks.append(vectors)
+        labels.append((inside, mismatch))
     failures = []
     if mismatches:
         failures.append("a world's well-founded model does not match its accepted claims")
@@ -231,7 +229,7 @@ def world_traces(gp: GroundProgram, engine: PaaEngine) -> WorldTraces:
         failures.append(
             "a world's grounded extension accepts an argument whose facts the world lacks"
         )
-    return WorldTraces(kernel, engine, blocks, failures)
+    return WorldTraces(kernel, engine, blocks, labels, failures)
 
 
 def check_query(
@@ -247,10 +245,11 @@ def check_query(
 
     Given `traces`, what `world_traces` returned for this program and
     `engine` (as `check_program` passes them), no world is walked again,
-    whatever the number of queries. The success probability is the mass at
-    the OR of the true vectors of the engine's `instance_atoms`, and the
-    grounded ones come from the engine's `query_masses`, which finds the
-    arguments through its own claim index. On this path empty `failures` imply
+    whatever the number of queries. The engine's `instance_atoms` are found
+    once: the success probability is the mass at the OR of their true
+    vectors, and the grounded ones come from the engine's `query_masses`
+    pass over them, which finds the arguments through its own claim index.
+    On this path empty `failures` imply
     `probabilities_equal` and `sum_bounds_success`: the two sides share the
     instances and the numerators, and where every world matches, each
     instance's true vector is the OR of its claiming arguments' IN vectors.
@@ -264,9 +263,9 @@ def check_query(
     checks the functions that answer each route on its own. Before it, one
     more pass over the traces' kept blocks makes the per-world
     `well_founded_model` and `applicable_indices` calls that the
-    benchmark's tracer counts. Either way the grounded probability and the
-    argument sum come from one `query_masses` pass, and `holds` reads the
-    traces' `failures`.
+    benchmark's tracer counts, building each world's set once. Either way
+    the grounded probability and the argument sum come from one
+    `query_masses` pass, and `holds` reads the traces' `failures`.
     """
     if engine is None:
         engine = PaaEngine(gp, caps)
@@ -275,21 +274,27 @@ def check_query(
         # Nothing reads these per-world results. The benchmark's tracer counts
         # the calls, and perfbench/test_perfbench.py pins wfm.calls == 8 and
         # paa.distinct_frameworks == 4 on a lone chain-1 query; ROADMAP item
-        # 1b lifts the pin and deletes this loop.
+        # 1b lifts the pin and deletes this loop. A model is a view of the
+        # block the kernel keeps; applicable arguments are a set the engine
+        # keeps for the lower half of the block, or one union with it.
         kernel, (lows, highs, _) = traces.kernel, traces.worlds
+        rules, base, applicable = gp.rules, gp.herbrand_base, engine.applicable_indices
+        low_sets = [low_set for low_set, _ in lows]
         for block, ((high_set, _), vectors) in enumerate(zip(highs, traces.vectors, strict=True)):
             kernel.keep(block, vectors)
-            for low_set, _ in lows:
-                world = high_set | low_set
-                well_founded_model(gp.rules, gp.herbrand_base, world, kernel)
-                engine.applicable_indices(world)
+            for world in (high_set | low_set for low_set in low_sets) if high_set else low_sets:
+                well_founded_model(rules, base, world, kernel)
+                applicable(world)
         success = success_probability(query, gp, traces=traces)
+        masses = engine.query_masses(query)
     else:
-        rows = [traces.kernel.index[atom] for atom in engine.instance_atoms(query)]
+        instances = engine.instance_atoms(query)
+        rows = [traces.kernel.index[atom] for atom in instances]
         success = engine.mass(
             reduce(or_, [sure[k] for k in rows], 0) for sure, _, _ in traces.vectors
         )
-    return EquivalenceReport(query, success, *engine.query_masses(query), world_traces=traces)
+        masses = engine._instance_masses(instances)
+    return EquivalenceReport(query, success, *masses, world_traces=traces)
 
 
 def world_weight(engine: PaaEngine) -> Fraction:

@@ -20,26 +20,33 @@ vector, over one common denominator. The engine builds no row per world:
 The engine owns the program's world numerators, built on first use, which
 every probability reads; `equivalence.WorldTraces.worlds` pairs them
 with the chosen-atom sets for the passes that walk the worlds.
+
+Arguments with the same fact support form one group. A group's worlds in a
+block are the AND of its low facts' vectors, the same in every block, or
+none where the block lacks one of its high facts. One world's applicable
+arguments, which only a lone query's per-world pass asks for, are a kept
+`frozenset`: a block's sets are built by a subset recurrence in mask order,
+one C-level union per world, and the lower half of them is kept.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property, reduce
-from itertools import chain
+from functools import reduce
+from itertools import chain, compress
 from operator import and_
 from typing import Iterable
 
 from .aba import AaFramework, Argument, argument_table, build_problog_aba, compute_attacks
 from .limits import Caps
-from .model import Atom, GroundProgram, matches
+from .model import Atom, GroundProgram, cached_property, matches
 from .semantics import grounded_block
 from .worlds import (
     block_fact_vectors,
     block_width,
     fact_bits,
     masked_sum,
-    world_lists,
+    world_flags,
     world_mask,
     world_numerators,
     world_table,
@@ -67,11 +74,13 @@ class PaaEngine:
             self._by_need.setdefault(need, []).append(i)
         self.claim_of = [table.sentences[c] for c in table.claims]
         self._width = block_width(len(self._bit))
-        # the last block of worlds asked for, its group vectors and, once
-        # `applicable_indices` has asked, per world of it the applicable arguments
-        self._kept_block = -1
-        self._kept_groups: list[int] = []
-        self._kept_lists: list[list[int]] | None = None
+        # the last block whose applicable vectors were asked for, and those;
+        # the last block whose worlds `applicable_indices` was asked about,
+        # its lower half's sets, and what the top bit adds to its upper half
+        self._active_block = self._sets_block = -1
+        self._active: list[int] = []
+        self._sets: list[frozenset[int]] = []
+        self._adds: list[list[int]] = []
         self._claiming: dict[Atom, list[int]] = {}
         for i, claim in enumerate(self.claim_of):
             if not claim.negated:
@@ -99,38 +108,76 @@ class PaaEngine:
         computed on first use. Probabilities read these alone."""
         return world_numerators(self.gp.pfacts, self.caps.max_pfacts)
 
-    def _group_vectors(self, block: int) -> list[int]:
+    @cached_property
+    def _low_vectors(self) -> list[int]:
         """Per fact-support group of `_by_need`, in its order, the worlds of
-        a block that hold every fact of the group's need: the AND of the
-        facts' vectors. Those of the last block asked for are kept."""
-        if block != self._kept_block:
-            vectors = block_fact_vectors(len(self._bit), block)
-            full = (1 << self._width) - 1
-            self._kept_groups = [
-                reduce(and_, [vectors[i] for i in range(need.bit_length()) if need >> i & 1], full)
-                for need in self._by_need
-            ]
-            self._kept_block, self._kept_lists = block, None
-        return self._kept_groups
+        any block that hold the low facts of the group's need, those below
+        the block width: the AND of their vectors, built on first use. The
+        high facts are constant over a block, so a group's worlds in a block
+        are these or none."""
+        low = self._width - 1
+        full, vectors = (1 << self._width) - 1, block_fact_vectors(len(self._bit), 0)
+        return [
+            reduce(and_, [vectors[i] for i in range(low.bit_length()) if need >> i & 1], full)
+            for need in self._by_need
+        ]
 
     def applicable_vectors(self, block: int) -> list[int]:
         """Per argument, the worlds of a block where it is applicable: those
-        that hold all of its facts."""
-        active = [0] * len(self.claim_of)
-        for vector, group in zip(self._group_vectors(block), self._by_need.values()):
-            for i in group:
-                active[i] = vector
-        return active
+        that hold all of its facts. Those of the last block asked for are
+        kept."""
+        if block != self._active_block:
+            b = self._width.bit_length() - 1
+            active = [0] * len(self.claim_of)
+            for (need, group), vector in zip(self._by_need.items(), self._low_vectors):
+                if not need >> b & ~block:
+                    for i in group:
+                        active[i] = vector
+            self._active_block, self._active = block, active
+        return self._active
+
+    def _block_sets(self, block: int) -> None:
+        """Keep the applicable arguments of a block's worlds, by a subset
+        recurrence in mask order, dropping first the groups whose high facts
+        the block lacks: world w's set is that of w without its top bit t,
+        unioned with the arguments of the groups whose low need has top bit
+        t and lies inside w, so it is the same set when there are none. The
+        sets of the lower half of the block are kept, and per world of the
+        upper half the arguments its top bit adds."""
+        self._sets = self._adds = []  # the last block's, freed before these are built
+        width = self._width
+        b, half = width.bit_length() - 1, width >> 1 or 1
+        base: list[int] = []
+        adds: list[list[int]] = [[] for _ in range(width)]
+        for (need, group), vector in zip(self._by_need.items(), self._low_vectors):
+            if need >> b & ~block:
+                continue
+            low = need & width - 1
+            if not low:
+                base += group
+                continue
+            top = 1 << low.bit_length() - 1
+            for w in compress(range(top, 2 * top), world_flags(vector >> top)):
+                adds[w] += group
+        sets = [frozenset(base)]
+        for top in (1 << i for i in range(b - 1)):
+            sets += [s.union(add) if add else s for s, add in zip(sets, adds[top : 2 * top])]
+        self._sets_block, self._sets, self._adds = block, sets, adds[half:]
 
     def applicable_indices(self, world: frozenset[Atom]) -> frozenset[int]:
-        """The arguments whose facts the world holds, looked up in one list
-        per world of its block: the block's `applicable_vectors`, transposed
-        a fact-support group at a time. The lists of one block are kept."""
+        """The arguments whose facts the world holds. A world of the lower
+        half of its block reads the block's kept set; one of the upper half
+        is the kept set of the world without the block's top bit, unioned
+        with the arguments that bit adds. The sets of one block are kept."""
         block, w = divmod(world_mask(self._bit, world), self._width)
-        groups = self._group_vectors(block)
-        if self._kept_lists is None:
-            self._kept_lists = world_lists(self._width, groups, self._by_need.values())
-        return frozenset(self._kept_lists[w])
+        if block != self._sets_block:
+            self._block_sets(block)
+        sets = self._sets
+        if w < len(sets):
+            return sets[w]
+        w -= len(sets)
+        add = self._adds[w]
+        return sets[w].union(add) if add else sets[w]
 
     @cached_property
     def _labels(self) -> list[list[int]]:
@@ -172,14 +219,21 @@ class PaaEngine:
 
     def query_argument_indices(self, query: Atom) -> frozenset[int]:
         """Indices of arguments whose claim is an instance of the query atom."""
-        return frozenset(
-            chain.from_iterable(self._claiming.get(a, ()) for a in self.instance_atoms(query))
-        )
+        return self._claiming_any(self.instance_atoms(query))
+
+    def _claiming_any(self, atoms: Iterable[Atom]) -> frozenset[int]:
+        """Indices of arguments whose claim is one of the atoms, from the
+        claim index."""
+        return frozenset(chain.from_iterable(self._claiming.get(a, ()) for a in atoms))
 
     def query_masses(self, query: Atom) -> tuple[Fraction, Fraction]:
         """The query's grounded probability and its argument probability sum,
         in one pass over the block labellings."""
-        claiming = self.query_argument_indices(query)
+        return self._instance_masses(self.instance_atoms(query))
+
+    def _instance_masses(self, instances: Iterable[Atom]) -> tuple[Fraction, Fraction]:
+        """`query_masses` of a query whose `instance_atoms` are `instances`."""
+        claiming = self._claiming_any(instances)
         lows, highs, denominator = self.numerators
         grounded = spread = 0
         for high, inside in zip(highs, self._labels):

@@ -2,6 +2,7 @@
 world enumeration and its blocks, and the one-evaluation-per-world contract."""
 
 import ast
+import random
 import re
 import sys
 from collections import defaultdict
@@ -1157,6 +1158,95 @@ def test_applicability_and_rows_follow_the_world_across_block_sizes(bits, monkey
             accepted = frozenset(c for c, vector in zip(claims, inside) if vector >> w & 1)
             assert row.accepted_claims == accepted, (gp, mask)
         assert not traces.failures
+
+
+def alternating_worlds(n: int, seed: int) -> list[int]:
+    """Each mask over n facts twice, in a seeded shuffled order that takes a
+    run of masks from each block in turn, so that the next run falls in
+    another block wherever more than one is left. A run is one mask in
+    blocks of up to 32 worlds, and up to width / 32 masks in wider ones,
+    where each change of block rebuilds more."""
+    masks = list(range(2**n)) * 2
+    rng = random.Random(seed)
+    rng.shuffle(masks)
+    by_block = defaultdict(list)
+    for mask in masks:
+        by_block[mask >> block_bits(n)].append(mask)
+    queues = list(by_block.values())
+    rng.shuffle(queues)
+    longest = max(1, 2 ** block_bits(n) >> 5)
+    order = []
+    while queues:
+        for queue in queues:
+            for _ in range(min(len(queue), rng.randint(1, longest))):
+                order.append(queue.pop())
+        queues = [queue for queue in queues if queue]
+    return order
+
+
+def applicable_failures(gp, seed: int = 0) -> list[str]:
+    """Ask a fresh engine for every world's applicable arguments, each world
+    twice, in the order of `alternating_worlds`, and phrase each answer that
+    is not the naive set {i : fact_mask_i is inside the mask}."""
+    engine = PaaEngine(gp)
+    atoms = list(fact_bits(gp.fact_atoms))
+    needs = engine._table.fact_masks
+    failures = []
+    for mask in alternating_worlds(len(atoms), seed):
+        world = frozenset(atom for i, atom in enumerate(atoms) if mask >> i & 1)
+        expected = frozenset(i for i, need in enumerate(needs) if need & mask == need)
+        found = engine.applicable_indices(world)
+        if found != expected:
+            failures.append(f"world {mask}: {sorted(found)}, not {sorted(expected)}")
+    return failures
+
+
+@pytest.mark.parametrize("bits", [10, 3, 2, 1])
+@pytest.mark.filterwarnings("ignore:degenerate framework")
+def test_applicable_arguments_are_the_naive_set_in_any_order(bits, monkeypatch):
+    """Each lookup answers the arguments whose facts the world holds, whatever
+    the world asked before it: every world twice, in a shuffled order that
+    moves to another block at each step where it can, so the kept sets of a
+    block are rebuilt, and read again, many times."""
+    monkeypatch.setattr(worlds_module, "BLOCK_BITS", bits)
+    programs = [ground(parse_program(chain_source(n))) for n in range(1, 7)]
+    programs += [ground(random_program(seed)) for seed in range(200)]
+    programs.append(ground(parse_program("a.\nb :- a, \\+ c.\nc :- \\+ b.\n")))
+    assert not programs[-1].pfacts
+    for seed, gp in enumerate(programs):
+        assert applicable_failures(gp, seed) == [], gp
+
+
+@pytest.mark.filterwarnings("ignore:degenerate framework")
+def test_a_query_finds_its_instances_once(monkeypatch):
+    """A query sharing the traces, or answered alone, asks the engine for its
+    instances once: its success and its grounded answers read the same ones."""
+    calls = []
+    instance_atoms = PaaEngine.instance_atoms
+
+    def counting(self, query):
+        calls.append(query)
+        return instance_atoms(self, query)
+
+    monkeypatch.setattr(PaaEngine, "instance_atoms", counting)
+    programs = [ground(parse_program(chain_source(3)))]
+    programs += [ground(random_program(seed)) for seed in range(20)]
+    for gp in programs:
+        calls.clear()
+        reports = check_program(gp)
+        assert all(report.holds for report in reports)
+        assert calls == sorted(gp.herbrand_base), gp
+        if reports:
+            calls.clear()
+            assert check_query(reports[0].query, gp).holds
+            assert calls == [reports[0].query]
+    gp = ground(parse_program("0.5::e(a).\n0.5::e(b).\np(X) :- e(X).\n"))
+    engine = PaaEngine(gp)
+    traces = world_traces(gp, engine)
+    calls.clear()
+    report = check_query(Atom("p", ("X",)), gp, engine=engine, traces=traces)
+    assert report.success_probability == report.grounded_query_probability == Fraction(3, 4)
+    assert len(calls) == 1
 
 
 def claim_wide(active, claims, contraries):
