@@ -33,13 +33,13 @@ import sys
 import warnings
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import cached_property
+from itertools import compress, count
 from typing import NamedTuple, Sequence
 
 from .errors import CapExceeded
 from .limits import Caps
-from .model import Atom, GroundProgram, Literal, Rule
-from .worlds import fact_bits
+from .model import Atom, GroundProgram, Literal, Rule, cached_property
+from .worlds import fact_bits, world_flags
 
 FACT_CONTRARY = Literal(Atom("_chi"))
 
@@ -435,15 +435,20 @@ _BYTE_BITS = tuple(tuple(b for b in range(8) if m >> b & 1) for m in range(256))
 
 
 def _bits(mask: int) -> tuple[int, ...]:
-    """The positions of the set bits of a mask, in increasing order."""
+    """The positions of the set bits of a mask, in increasing order: looked
+    up below 256, found one at a time where there are under 8, and else in
+    one C-level pass over all of the mask's bits."""
     if mask < 256:
         return _BYTE_BITS[mask]
-    positions = []
-    while mask:
-        low = mask & -mask
-        positions.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(positions)
+    if mask.bit_count() < 8:
+        positions = []
+        while mask:
+            positions.append((mask & -mask).bit_length() - 1)
+            mask &= mask - 1
+        return tuple(positions)
+    # a tuple of an iterator is resized as it grows, filling the interpreter's
+    # per-length free lists; a tuple of a list is allocated at its length
+    return tuple([*compress(count(), world_flags(mask))])
 
 
 def compute_attacks(

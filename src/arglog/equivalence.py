@@ -262,10 +262,11 @@ def check_query(
     pass over the worlds with its own instance matching, so a lone query
     checks the functions that answer each route on its own. Before it, one
     more pass over the traces' kept blocks makes the per-world
-    `well_founded_model` and `applicable_indices` calls that the
-    benchmark's tracer counts, building each world's set once. Either way
-    the grounded probability and the argument sum come from one
-    `query_masses` pass, and `holds` reads the traces' `failures`.
+    `well_founded_model` and `applicable_indices` calls that the benchmark's
+    tracer counts, building each world's set once; each answers a view of
+    its world's bit in a kept block. Either way the grounded probability and
+    the argument sum come from one `query_masses` pass, and `holds` reads
+    the traces' `failures`.
     """
     if engine is None:
         engine = PaaEngine(gp, caps)
@@ -275,8 +276,8 @@ def check_query(
         # the calls, and perfbench/test_perfbench.py pins wfm.calls == 8 and
         # paa.distinct_frameworks == 4 on a lone chain-1 query; ROADMAP item
         # 1b lifts the pin and deletes this loop. A model is a view of the
-        # block the kernel keeps; applicable arguments are a set the engine
-        # keeps for the lower half of the block, or one union with it.
+        # block vectors the kernel keeps, and the applicable arguments a view
+        # of the applicable vectors the engine keeps for the block.
         kernel, (lows, highs, _) = traces.kernel, traces.worlds
         rules, base, applicable = gp.rules, gp.herbrand_base, engine.applicable_indices
         low_sets = [low_set for low_set, _ in lows]

@@ -24,18 +24,18 @@ with the chosen-atom sets for the passes that walk the worlds.
 Arguments with the same fact support form one group. A group's worlds in a
 block are the AND of its low facts' vectors, the same in every block, or
 none where the block lacks one of its high facts. One world's applicable
-arguments, which only a lone query's per-world pass asks for, are a kept
-`frozenset`: a block's sets are built by a subset recurrence in mask order,
-one C-level union per world, and the lower half of them is kept.
+arguments, which only a lone query's per-world pass asks for, are an
+`ApplicableArguments` view of the world's bit in its block's applicable
+vectors, as a world's model is a view of its kernel's block.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from itertools import chain, compress
+from itertools import chain, compress, count
 from operator import and_
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .aba import AaFramework, Argument, argument_table, build_problog_aba, compute_attacks
 from .limits import Caps
@@ -46,11 +46,46 @@ from .worlds import (
     block_width,
     fact_bits,
     masked_sum,
-    world_flags,
     world_mask,
     world_numerators,
     world_table,
 )
+
+
+class ApplicableArguments:
+    """One world's applicable arguments, by index: a view, built by
+    `PaaEngine.applicable_indices`, of the world's place `w` in its block's
+    applicable vectors, one per argument. It iterates in increasing index
+    order, counts and tests membership without building a set, and
+    compares and hashes as the `frozenset` of its indices.
+    """
+
+    __slots__ = ("_vectors", "_w")
+
+    def __init__(self, vectors: list[int], w: int):
+        self._vectors, self._w = vectors, w
+
+    def _flags(self) -> list[int]:
+        w = self._w
+        return [v >> w & 1 for v in self._vectors]
+
+    def __iter__(self) -> Iterator[int]:
+        return compress(count(), self._flags())
+
+    def __len__(self) -> int:
+        return sum(self._flags())
+
+    def __contains__(self, i: object) -> bool:
+        vectors = self._vectors
+        return isinstance(i, int) and 0 <= i < len(vectors) and bool(vectors[i] >> self._w & 1)
+
+    def __eq__(self, other):
+        if isinstance(other, (ApplicableArguments, set, frozenset)):
+            return frozenset(self) == frozenset(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self))
 
 
 class PaaEngine:
@@ -74,13 +109,9 @@ class PaaEngine:
             self._by_need.setdefault(need, []).append(i)
         self.claim_of = [table.sentences[c] for c in table.claims]
         self._width = block_width(len(self._bit))
-        # the last block whose applicable vectors were asked for, and those;
-        # the last block whose worlds `applicable_indices` was asked about,
-        # its lower half's sets, and what the top bit adds to its upper half
-        self._active_block = self._sets_block = -1
+        # the last block whose applicable vectors were asked for, and those
+        self._active_block = -1
         self._active: list[int] = []
-        self._sets: list[frozenset[int]] = []
-        self._adds: list[list[int]] = []
         self._claiming: dict[Atom, list[int]] = {}
         for i, claim in enumerate(self.claim_of):
             if not claim.negated:
@@ -125,7 +156,8 @@ class PaaEngine:
     def applicable_vectors(self, block: int) -> list[int]:
         """Per argument, the worlds of a block where it is applicable: those
         that hold all of its facts. Those of the last block asked for are
-        kept."""
+        kept; each block gets a fresh list and none is changed once built,
+        so a view of an earlier block still reads its own."""
         if block != self._active_block:
             b = self._width.bit_length() - 1
             active = [0] * len(self.claim_of)
@@ -136,48 +168,11 @@ class PaaEngine:
             self._active_block, self._active = block, active
         return self._active
 
-    def _block_sets(self, block: int) -> None:
-        """Keep the applicable arguments of a block's worlds, by a subset
-        recurrence in mask order, dropping first the groups whose high facts
-        the block lacks: world w's set is that of w without its top bit t,
-        unioned with the arguments of the groups whose low need has top bit
-        t and lies inside w, so it is the same set when there are none. The
-        sets of the lower half of the block are kept, and per world of the
-        upper half the arguments its top bit adds."""
-        self._sets = self._adds = []  # the last block's, freed before these are built
-        width = self._width
-        b, half = width.bit_length() - 1, width >> 1 or 1
-        base: list[int] = []
-        adds: list[list[int]] = [[] for _ in range(width)]
-        for (need, group), vector in zip(self._by_need.items(), self._low_vectors):
-            if need >> b & ~block:
-                continue
-            low = need & width - 1
-            if not low:
-                base += group
-                continue
-            top = 1 << low.bit_length() - 1
-            for w in compress(range(top, 2 * top), world_flags(vector >> top)):
-                adds[w] += group
-        sets = [frozenset(base)]
-        for top in (1 << i for i in range(b - 1)):
-            sets += [s.union(add) if add else s for s, add in zip(sets, adds[top : 2 * top])]
-        self._sets_block, self._sets, self._adds = block, sets, adds[half:]
-
-    def applicable_indices(self, world: frozenset[Atom]) -> frozenset[int]:
-        """The arguments whose facts the world holds. A world of the lower
-        half of its block reads the block's kept set; one of the upper half
-        is the kept set of the world without the block's top bit, unioned
-        with the arguments that bit adds. The sets of one block are kept."""
+    def applicable_indices(self, world: frozenset[Atom]) -> ApplicableArguments:
+        """The arguments whose facts the world holds: a view of the world's
+        bit in its block's `applicable_vectors`."""
         block, w = divmod(world_mask(self._bit, world), self._width)
-        if block != self._sets_block:
-            self._block_sets(block)
-        sets = self._sets
-        if w < len(sets):
-            return sets[w]
-        w -= len(sets)
-        add = self._adds[w]
-        return sets[w].union(add) if add else sets[w]
+        return ApplicableArguments(self.applicable_vectors(block), w)
 
     @cached_property
     def _labels(self) -> list[list[int]]:

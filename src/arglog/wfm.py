@@ -237,9 +237,7 @@ class WellFoundedKernel:
         world's place in its block's vectors.
         """
         block, w = divmod(world_mask(self._bit, frozenset(facts)), self._width)
-        if block != self._block:
-            self._vectors, self._block = self._evaluate(block), block
-        return ThreeValuedModel(self.atoms, self.index, self._vectors, w)
+        return ThreeValuedModel(self.atoms, self.index, self.block_vectors(block), w)
 
 
 def well_founded_model(

@@ -633,6 +633,12 @@ def test_the_table_is_the_naive_reference_with_bodies_repeating_two_claims(progr
     assert table.arguments == tuple(sorted(naive_arguments(framework), key=argument_sort_key))
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**3000) | st.sets(st.integers(0, 3000)).map(lambda s: sum(1 << i for i in s)))
+def test_bits_are_the_set_positions_in_increasing_order(mask):
+    assert aba_module._bits(mask) == tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
 def assert_rows_decode_their_arguments(framework):
     """Each row of the table against its argument: the per-mask decode must
     give the row's own claim, contraries and fact mask."""
@@ -1164,8 +1170,7 @@ def alternating_worlds(n: int, seed: int) -> list[int]:
     """Each mask over n facts twice, in a seeded shuffled order that takes a
     run of masks from each block in turn, so that the next run falls in
     another block wherever more than one is left. A run is one mask in
-    blocks of up to 32 worlds, and up to width / 32 masks in wider ones,
-    where each change of block rebuilds more."""
+    blocks of up to 32 worlds, and up to width / 32 masks in wider ones."""
     masks = list(range(2**n)) * 2
     rng = random.Random(seed)
     rng.shuffle(masks)
@@ -1187,17 +1192,30 @@ def alternating_worlds(n: int, seed: int) -> list[int]:
 def applicable_failures(gp, seed: int = 0) -> list[str]:
     """Ask a fresh engine for every world's applicable arguments, each world
     twice, in the order of `alternating_worlds`, and phrase each answer that
-    is not the naive set {i : fact_mask_i is inside the mask}."""
+    does not act as the naive set {i : fact_mask_i is inside the mask}: it
+    must compare equal to it either way round, hash and count as it, and
+    hold the same indices from -1 to the argument count. After the last
+    lookup, every earlier answer must still equal its set."""
     engine = PaaEngine(gp)
     atoms = list(fact_bits(gp.fact_atoms))
     needs = engine._table.fact_masks
-    failures = []
+    failures, answers = [], []
     for mask in alternating_worlds(len(atoms), seed):
         world = frozenset(atom for i, atom in enumerate(atoms) if mask >> i & 1)
         expected = frozenset(i for i, need in enumerate(needs) if need & mask == need)
         found = engine.applicable_indices(world)
-        if found != expected:
+        answers.append((mask, found, expected))
+        if not (found == expected and expected == found):
             failures.append(f"world {mask}: {sorted(found)}, not {sorted(expected)}")
+        elif hash(found) != hash(expected) or len(found) != len(expected):
+            failures.append(f"world {mask}: hashes or counts unlike {sorted(expected)}")
+        elif any((i in found) != (i in expected) for i in range(-1, len(needs) + 1)):
+            failures.append(f"world {mask}: membership unlike {sorted(expected)}")
+    failures += [
+        f"world {mask}, after the last lookup: {sorted(found)}, not {sorted(expected)}"
+        for mask, found, expected in answers
+        if found != expected
+    ]
     return failures
 
 
@@ -1206,8 +1224,9 @@ def applicable_failures(gp, seed: int = 0) -> list[str]:
 def test_applicable_arguments_are_the_naive_set_in_any_order(bits, monkeypatch):
     """Each lookup answers the arguments whose facts the world holds, whatever
     the world asked before it: every world twice, in a shuffled order that
-    moves to another block at each step where it can, so the kept sets of a
-    block are rebuilt, and read again, many times."""
+    moves to another block at each step where it can, so a block's
+    applicable vectors are built many times, and each answer, a view of
+    one of them, still holds once the engine has moved on."""
     monkeypatch.setattr(worlds_module, "BLOCK_BITS", bits)
     programs = [ground(parse_program(chain_source(n))) for n in range(1, 7)]
     programs += [ground(random_program(seed)) for seed in range(200)]
